@@ -22,14 +22,6 @@ Nanos Device::ServiceTime(uint64_t bytes) const {
   return spec_.latency + transfer;
 }
 
-Nanos Device::Serve(Nanos now, uint64_t bytes) {
-  return Serve(now, bytes, 0, nullptr);
-}
-
-Nanos Device::Serve(Nanos now, uint64_t bytes, Nanos extra) {
-  return Serve(now, bytes, extra, nullptr);
-}
-
 void Device::BindMetrics(const std::string& node) {
   obs::MetricsRegistry& reg = obs::Metrics();
   obs::Labels labels{{"device", spec_.name}, {"node", node}};
@@ -64,7 +56,8 @@ Nanos Device::Serve(Nanos now, uint64_t bytes, Nanos extra, ServeStats* out) {
   // worker's whole multi-leg operation before another worker's earlier
   // request). Channels therefore keep busy *intervals* and new work backfills
   // the earliest idle gap at or after `now`, instead of queueing behind
-  // later-scheduled work.
+  // later-scheduled work. Ties go to the lowest channel, so the first
+  // channel that can start at `now` is final: none can start earlier.
   Nanos best_start = ~Nanos{0};
   size_t best_channel = 0;
   for (size_t c = 0; c < channels_.size(); ++c) {
@@ -72,6 +65,7 @@ Nanos Device::Serve(Nanos now, uint64_t bytes, Nanos extra, ServeStats* out) {
     if (start < best_start) {
       best_start = start;
       best_channel = c;
+      if (start == now) break;
     }
   }
   size_t collapsed =
@@ -105,21 +99,28 @@ Nanos Device::Serve(Nanos now, uint64_t bytes, Nanos extra, ServeStats* out) {
 }
 
 Nanos Device::EarliestFit(const Channel& ch, Nanos now, Nanos dur) {
+  // An interval ending at or before `now` also starts before it, so it can
+  // neither hold a fitting gap nor push the candidate: skip them all with a
+  // binary search on the (sorted) ends.
+  auto it = std::upper_bound(
+      ch.busy.begin() + static_cast<std::ptrdiff_t>(ch.head), ch.busy.end(),
+      now, [](Nanos t, const Interval& iv) { return t < iv.end; });
   Nanos candidate = now;
-  for (const Interval& iv : ch.busy) {  // sorted by start
-    if (iv.start >= candidate && iv.start - candidate >= dur) break;
-    candidate = std::max(candidate, iv.end);
+  for (; it != ch.busy.end(); ++it) {
+    if (it->start >= candidate && it->start - candidate >= dur) break;
+    candidate = std::max(candidate, it->end);
   }
   return candidate;
 }
 
 size_t Device::Insert(Channel& ch, Nanos start, Nanos end) {
+  const auto head = static_cast<std::ptrdiff_t>(ch.head);
   auto it = std::lower_bound(
-      ch.busy.begin(), ch.busy.end(), start,
+      ch.busy.begin() + head, ch.busy.end(), start,
       [](const Interval& iv, Nanos s) { return iv.start < s; });
   it = ch.busy.insert(it, {start, end});
   // Merge with touching neighbours to keep the list short.
-  if (it != ch.busy.begin()) {
+  if (it != ch.busy.begin() + head) {
     auto prev = it - 1;
     if (prev->end >= it->start) {
       prev->end = std::max(prev->end, it->end);
@@ -133,12 +134,17 @@ size_t Device::Insert(Channel& ch, Nanos start, Nanos end) {
     ch.busy.erase(next);
   }
   // Bound memory: collapse the oldest gap when the list grows long. This is
-  // conservative (pretends the gap was busy) but only affects requests that
-  // arrive more than kMaxIntervals ops in the past. Reported so skewed
-  // backfill accounting is visible instead of silent.
-  if (ch.busy.size() > kMaxIntervals) {
-    ch.busy[1].start = ch.busy[0].start;
-    ch.busy.erase(ch.busy.begin());
+  // conservative (pretends the gap was busy) and only affects requests that
+  // arrive before the oldest gap still tracked. Reported so skewed backfill
+  // accounting is visible instead of silent. The collapsed interval is
+  // retired by advancing `head`; the vector is compacted once per
+  // kMaxIntervals collapses, so a collapse costs amortized O(1).
+  if (ch.busy.size() - ch.head > kMaxIntervals) {
+    ch.busy[ch.head + 1].start = ch.busy[ch.head].start;
+    if (++ch.head == kMaxIntervals) {
+      ch.busy.erase(ch.busy.begin(), ch.busy.begin() + kMaxIntervals);
+      ch.head = 0;
+    }
     return 1;
   }
   return 0;
@@ -166,7 +172,10 @@ uint64_t Device::intervals_collapsed() const {
 
 void Device::Reset() {
   std::lock_guard<std::mutex> lock(mutex_);
-  for (auto& ch : channels_) ch.busy.clear();
+  for (auto& ch : channels_) {
+    ch.busy.clear();
+    ch.head = 0;
+  }
   ops_ = 0;
   bytes_ = 0;
   busy_ = 0;

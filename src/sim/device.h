@@ -63,14 +63,11 @@ class Device {
   /// Service time for `bytes` excluding queueing (latency + transfer).
   Nanos ServiceTime(uint64_t bytes) const;
 
-  /// Serve a request arriving at `now`; returns completion time.
-  Nanos Serve(Nanos now, uint64_t bytes);
-
-  /// Serve with an extra fixed cost (e.g. op-specific CPU work).
-  Nanos Serve(Nanos now, uint64_t bytes, Nanos extra);
-
-  /// Serve and report per-request queueing accounting (`out` may be null).
-  Nanos Serve(Nanos now, uint64_t bytes, Nanos extra, ServeStats* out);
+  /// Serve a request arriving at `now` with an extra fixed cost (e.g.
+  /// op-specific CPU work); returns completion time. When `out` is set it
+  /// receives the request's queueing accounting.
+  Nanos Serve(Nanos now, uint64_t bytes, Nanos extra = 0,
+              ServeStats* out = nullptr);
 
   const DeviceSpec& spec() const { return spec_; }
 
@@ -101,8 +98,12 @@ class Device {
     Nanos start;
     Nanos end;
   };
+  /// busy[head..] are the live intervals: sorted by start and disjoint, so
+  /// their ends are sorted too. busy[0..head) were collapsed away and are
+  /// dropped in one compaction once head reaches kMaxIntervals.
   struct Channel {
-    std::vector<Interval> busy;  // sorted by start, non-overlapping
+    std::vector<Interval> busy;
+    size_t head = 0;
   };
 
   /// Registry handles, resolved once by BindMetrics so the per-request cost
