@@ -1,6 +1,7 @@
 #include "core/chunk_format.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/crc32.h"
 
@@ -8,12 +9,13 @@ namespace diesel::core {
 
 uint64_t ChunkBuilder::Add(std::string name, BytesView content) {
   uint64_t offset = payload_.size();
-  // Reserve the whole chunk target (or a doubling past it) the first time
-  // capacity runs out, so filling a 4MB chunk file-by-file never re-copies
-  // the accumulated payload.
+  // Reserve twice the target the first time capacity runs out. A chunk
+  // closes on the first file that reaches the target, so every file up to
+  // the target size then fits without moving the accumulated payload; only
+  // a larger file falls back to doubling.
   size_t needed = payload_.size() + content.size();
   if (payload_.capacity() < needed) {
-    payload_.reserve(std::max({needed, static_cast<size_t>(target_),
+    payload_.reserve(std::max({needed, 2 * static_cast<size_t>(target_),
                                payload_.capacity() * 2}));
   }
   name_bytes_ += name.size();
@@ -31,8 +33,8 @@ uint64_t ChunkBuilder::SerializedHeaderBytes() const {
 }
 
 Bytes ChunkBuilder::Finish(const ChunkId& id, uint64_t create_ts_ns) {
-  // Exact output size from the running totals: one allocation, no growth.
-  BinaryWriter w(SerializedHeaderBytes() + payload_.size());
+  // Exact header size from the running totals: one allocation, no growth.
+  BinaryWriter w(SerializedHeaderBytes());
   w.PutU32(kChunkMagic);
   w.PutU32(kChunkVersion);
   size_t header_len_pos = w.size();
@@ -56,13 +58,15 @@ Bytes ChunkBuilder::Finish(const ChunkId& id, uint64_t create_ts_ns) {
   w.PatchU32(header_len_pos, header_len);
   // Note: header_crc was computed before header_len was patched; the parser
   // re-zeroes the field identically, so verification stays consistent.
-  w.PutRaw(payload_.data(), payload_.size());
+  // The header is prepended in place and the payload buffer moved out, so
+  // an idle builder pins no chunk-sized buffer.
+  Bytes chunk = std::exchange(payload_, {});
+  Bytes header = std::move(w).Take();
+  chunk.insert(chunk.begin(), header.begin(), header.end());
 
   entries_.clear();
-  payload_.clear();
-  payload_.shrink_to_fit();  // don't pin a chunk-sized buffer on idle builders
   name_bytes_ = 0;
-  return std::move(w).Take();
+  return chunk;
 }
 
 namespace {

@@ -55,7 +55,7 @@ class ChunkBuilder {
   Bytes Finish(const ChunkId& id, uint64_t create_ts_ns);
 
   /// Exact serialized header size for the current entries (running totals;
-  /// lets Finish size its output buffer in one allocation).
+  /// lets Finish size its header buffer in one allocation).
   uint64_t SerializedHeaderBytes() const;
 
  private:

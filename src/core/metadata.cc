@@ -1,7 +1,6 @@
 #include "core/metadata.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <set>
 
 #include "common/hash.h"
@@ -79,27 +78,51 @@ Result<DatasetMeta> DatasetMeta::Deserialize(BytesView data) {
 
 // ---- path helpers ----------------------------------------------------------
 
-std::string ParentPath(std::string_view path) {
+namespace {
+
+// View forms of ParentPath/BaseName: substrings of `path` (or "/").
+std::string_view ParentView(std::string_view path) {
   size_t pos = path.find_last_of('/');
   if (pos == std::string_view::npos || pos == 0) return "/";
-  return std::string(path.substr(0, pos));
+  return path.substr(0, pos);
+}
+
+std::string_view BaseView(std::string_view path) {
+  size_t pos = path.find_last_of('/');
+  return pos == std::string_view::npos ? path : path.substr(pos + 1);
+}
+
+}  // namespace
+
+std::string ParentPath(std::string_view path) {
+  return std::string(ParentView(path));
 }
 
 std::string BaseName(std::string_view path) {
-  size_t pos = path.find_last_of('/');
-  return std::string(pos == std::string_view::npos ? path
-                                                   : path.substr(pos + 1));
+  return std::string(BaseView(path));
 }
 
 // ---- keys -------------------------------------------------------------------
 
 namespace {
 
-std::string HashHex(std::string_view path) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(PathHash(path)));
-  return buf;
+/// "F/<dataset>/<hex(hash(dir))>/<kind>/<name>", built in one allocation;
+/// the hash is 16 zero-padded lowercase hex digits.
+std::string DirEntryKey(std::string_view dataset, std::string_view dir,
+                        char kind, std::string_view name) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::string key;
+  key.reserve(2 + dataset.size() + 1 + 16 + 3 + name.size());
+  key.append("F/").append(dataset).push_back('/');
+  uint64_t h = PathHash(dir);
+  for (int shift = 60; shift >= 0; shift -= 4) {
+    key.push_back(kHex[(h >> shift) & 0xf]);
+  }
+  key.push_back('/');
+  key.push_back(kind);
+  key.push_back('/');
+  key.append(name);
+  return key;
 }
 
 }  // namespace
@@ -117,20 +140,20 @@ std::string ChunkKeyPrefix(std::string_view dataset) {
 }
 
 std::string FileKey(std::string_view dataset, std::string_view full_path) {
-  return DirFilePrefix(dataset, ParentPath(full_path)) + BaseName(full_path);
+  return DirEntryKey(dataset, ParentView(full_path), 'f', BaseView(full_path));
 }
 
 std::string DirMarkerKey(std::string_view dataset, std::string_view dir_path) {
-  return DirSubdirPrefix(dataset, ParentPath(dir_path)) + BaseName(dir_path);
+  return DirEntryKey(dataset, ParentView(dir_path), 'd', BaseView(dir_path));
 }
 
 std::string DirFilePrefix(std::string_view dataset, std::string_view dir_path) {
-  return "F/" + std::string(dataset) + "/" + HashHex(dir_path) + "/f/";
+  return DirEntryKey(dataset, dir_path, 'f', {});
 }
 
 std::string DirSubdirPrefix(std::string_view dataset,
                             std::string_view dir_path) {
-  return "F/" + std::string(dataset) + "/" + HashHex(dir_path) + "/d/";
+  return DirEntryKey(dataset, dir_path, 'd', {});
 }
 
 // ---- MetadataService --------------------------------------------------------
@@ -142,13 +165,13 @@ Status MetadataService::AddChunk(sim::VirtualClock& clock,
   std::vector<std::pair<std::string, std::string>> batch;
   batch.reserve(files.size() * 2 + 1);
   batch.emplace_back(ChunkKey(dataset, id), ToString(chunk_meta.Serialize()));
-  std::set<std::string> dirs_added;
+  std::set<std::string_view> dirs_added;  // views into `files`' names
   for (const FileMeta& f : files) {
     batch.emplace_back(FileKey(dataset, f.full_name),
                        ToString(f.Serialize()));
     // Ancestor directory markers so readdir discovers the hierarchy.
-    for (std::string dir = ParentPath(f.full_name); dir != "/";
-         dir = ParentPath(dir)) {
+    for (std::string_view dir = ParentView(f.full_name); dir != "/";
+         dir = ParentView(dir)) {
       if (!dirs_added.insert(dir).second) break;  // ancestors already queued
       batch.emplace_back(DirMarkerKey(dataset, dir), "");
     }

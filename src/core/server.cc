@@ -93,9 +93,12 @@ Nanos DieselServer::IngestChunkAt(Nanos arrival, const std::string& dataset,
   // Dataset record read-modify-write, serialized across concurrent ingests.
   {
     std::lock_guard<std::mutex> lock(dataset_meta_mutex_);
-    DatasetMeta dm;
     Result<DatasetMeta> cur = meta_.GetDataset(srv, dataset);
-    if (cur.ok()) dm = cur.value();
+    if (!cur.ok() && !cur.status().IsNotFound()) {
+      out_status = cur.status();
+      return srv.now();
+    }
+    DatasetMeta dm = cur.ok() ? cur.value() : DatasetMeta{};
     dm.update_ts_ns = std::max(dm.update_ts_ns, view->create_ts_ns());
     dm.num_chunks += 1;
     dm.num_files += files.size();
@@ -582,12 +585,14 @@ Result<RecoveryStats> DieselServer::RecoverMetadata(sim::VirtualClock& clock,
     // Partial recovery: merge counters into the existing record if any.
     std::lock_guard<std::mutex> lock(dataset_meta_mutex_);
     Result<DatasetMeta> cur = meta_.GetDataset(clock, dataset);
+    if (!cur.ok() && !cur.status().IsNotFound()) return cur.status();
     DatasetMeta merged = cur.ok() ? cur.value() : DatasetMeta{};
     merged.update_ts_ns = std::max(merged.update_ts_ns, dm.update_ts_ns);
     // Recovered chunks may or may not already be counted; recompute from
     // the authoritative chunk list to stay exact.
-    Result<std::vector<ChunkId>> all = meta_.ListChunks(clock, dataset);
-    if (all.ok()) merged.num_chunks = all.value().size();
+    DIESEL_ASSIGN_OR_RETURN(std::vector<ChunkId> all,
+                            meta_.ListChunks(clock, dataset));
+    merged.num_chunks = all.size();
     DIESEL_RETURN_IF_ERROR(meta_.PutDataset(clock, dataset, merged));
   }
   return stats;

@@ -153,10 +153,19 @@ Status KvCluster::BatchPut(
   static OpMetrics metrics("batch_put");
   obs::ScopedSpan span(fabric_.tracer(), "kv.batch_put", clock, client);
   // Group per owning shard, one pipelined RPC per shard.
+  std::vector<uint32_t> owner(entries.size());
+  std::vector<size_t> counts(shards_.size(), 0);
+  for (size_t i = 0; i < entries.size(); ++i) {
+    owner[i] = OwnerShard(entries[i].first);
+    ++counts[owner[i]];
+  }
   std::vector<std::vector<std::pair<std::string, std::string>>> per_shard(
       shards_.size());
-  for (auto& [k, v] : entries) {
-    per_shard[OwnerShard(k)].emplace_back(std::move(k), std::move(v));
+  for (uint32_t s = 0; s < per_shard.size(); ++s) {
+    per_shard[s].reserve(counts[s]);
+  }
+  for (size_t i = 0; i < entries.size(); ++i) {
+    per_shard[owner[i]].push_back(std::move(entries[i]));
   }
   for (uint32_t s = 0; s < per_shard.size(); ++s) {
     auto& batch = per_shard[s];
@@ -176,12 +185,11 @@ Status KvCluster::BatchPut(
           [&](Nanos arrival) {
             // Pipelined batch: the shard pays its per-command latency once
             // and a marginal per-entry cost for the rest (Redis pipelining).
-            // Entries are copied, not moved, so a dropped RPC can be
-            // redriven with the batch intact.
-            for (const auto& [k, v] : batch) {
-              Status st = shard.Put(k, v);
-              if (!st.ok()) op_status = st;
-            }
+            // The handler runs only once the request is delivered, and
+            // nothing after it can fail the call, so the entries are moved
+            // in; a down shard refuses the batch before moving anything,
+            // leaving it intact for the retry.
+            op_status = shard.PutBatch(batch);
             return shard.service().Serve(
                 arrival, req, sim::kKvBatchEntryCost * (batch.size() - 1));
           }));
@@ -243,6 +251,7 @@ Result<std::vector<ScanEntry>> KvCluster::PScan(sim::VirtualClock& clock,
   static OpMetrics metrics("pscan");
   obs::ScopedSpan span(fabric_.tracer(), "kv.pscan", clock, client);
   std::vector<ScanEntry> merged;
+  std::vector<size_t> runs{0};  // merged[runs[i], runs[i+1]) is shard i's part
   for (uint32_t s = 0; s < shards_.size(); ++s) {
     Shard& shard = *shards_[s];
     Result<std::vector<ScanEntry>> part = Status::Internal("unset");
@@ -269,9 +278,23 @@ Result<std::vector<ScanEntry>> KvCluster::PScan(sim::VirtualClock& clock,
     auto& items = part.value();
     merged.insert(merged.end(), std::make_move_iterator(items.begin()),
                   std::make_move_iterator(items.end()));
+    runs.push_back(merged.size());
   }
-  std::sort(merged.begin(), merged.end(),
-            [](const ScanEntry& a, const ScanEntry& b) { return a.key < b.key; });
+  // Each shard's part is already in key order and every key lives on exactly
+  // one shard, so merging adjacent runs pairwise (log2(shards) passes) yields
+  // the global key order without re-sorting.
+  auto by_key = [](const ScanEntry& a, const ScanEntry& b) {
+    return a.key < b.key;
+  };
+  const size_t num_runs = runs.size() - 1;
+  for (size_t width = 1; width < num_runs; width *= 2) {
+    for (size_t i = 0; i + width < num_runs; i += 2 * width) {
+      auto first = merged.begin();
+      std::inplace_merge(first + runs[i], first + runs[i + width],
+                         first + runs[std::min(i + 2 * width, num_runs)],
+                         by_key);
+    }
+  }
   if (limit != 0 && merged.size() > limit) merged.resize(limit);
   return merged;
 }

@@ -7,9 +7,9 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/hash.h"
@@ -35,8 +35,13 @@ class HashRing {
   double OwnedFraction(uint32_t member) const;
 
  private:
+  using Point = std::pair<uint64_t, uint32_t>;  // ring point, member
+
+  /// First point at or clockwise of `h` (end() past the last point).
+  std::vector<Point>::const_iterator LowerBound(uint64_t h) const;
+
   uint32_t vnodes_;
-  std::map<uint64_t, uint32_t> ring_;     // point -> member
+  std::vector<Point> ring_;  // sorted by point; points are unique
   std::vector<uint32_t> members_;
 };
 

@@ -9,6 +9,16 @@ Status Shard::Put(std::string key, std::string value) {
   return Status::Ok();
 }
 
+Status Shard::PutBatch(
+    std::vector<std::pair<std::string, std::string>>& entries) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (!up_) return Status::Unavailable("shard down");
+  for (auto& [key, value] : entries) {
+    data_.insert_or_assign(std::move(key), std::move(value));
+  }
+  return Status::Ok();
+}
+
 Result<std::string> Shard::Get(const std::string& key) const {
   std::lock_guard<std::mutex> lock(mutex_);
   if (!up_) return Status::Unavailable("shard down");

@@ -7,6 +7,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -49,6 +50,10 @@ class Shard {
   // Data-plane operations. These mutate/read state only; timing is charged
   // by the cluster through service(). All return Unavailable when down.
   Status Put(std::string key, std::string value);
+  /// Move every entry of `entries` in under one lock. A down shard returns
+  /// Unavailable before touching `entries`, so the caller can retry with the
+  /// batch intact.
+  Status PutBatch(std::vector<std::pair<std::string, std::string>>& entries);
   Result<std::string> Get(const std::string& key) const;
   Status Delete(const std::string& key);
   /// All entries whose key starts with `prefix`, in key order, up to `limit`

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "common/crc32.h"
 #include "common/rng.h"
 
 namespace diesel::core {
@@ -129,6 +132,146 @@ TEST(ChunkBuilderTest, SerializedHeaderBytesIsExact) {
   ASSERT_TRUE(view.ok());
   EXPECT_EQ(view->header_len(), predicted);
   EXPECT_EQ(chunk.size(), predicted + payload);
+}
+
+// The builder as it was before Finish prepended the header in place: the
+// payload grows to the target (doubling past it) and Finish copies header
+// and payload into a second buffer. Kept as the byte-level oracle.
+class ReferenceChunkBuilder {
+ public:
+  explicit ReferenceChunkBuilder(uint64_t target) : target_(target) {}
+
+  void Add(std::string name, BytesView content) {
+    size_t needed = payload_.size() + content.size();
+    if (payload_.capacity() < needed) {
+      payload_.reserve(std::max({needed, static_cast<size_t>(target_),
+                                 payload_.capacity() * 2}));
+    }
+    entries_.push_back({std::move(name), payload_.size(), content.size(),
+                        Crc32c(content)});
+    payload_.insert(payload_.end(), content.begin(), content.end());
+  }
+
+  bool Full() const { return payload_.size() >= target_; }
+
+  Bytes Finish(const ChunkId& id, uint64_t create_ts_ns) {
+    BinaryWriter w;
+    w.PutU32(kChunkMagic);
+    w.PutU32(kChunkVersion);
+    size_t header_len_pos = w.size();
+    w.PutU32(0);
+    w.PutRaw(id.bytes().data(), ChunkId::kSize);
+    w.PutU64(create_ts_ns);
+    w.PutU32(static_cast<uint32_t>(entries_.size()));
+    w.PutU32(0);
+    for (size_t i = 0; i < (entries_.size() + 7) / 8; ++i) w.PutU8(0);
+    for (const ChunkFileEntry& e : entries_) {
+      w.PutString(e.name);
+      w.PutU64(e.offset);
+      w.PutU64(e.length);
+      w.PutU32(e.crc);
+    }
+    uint32_t crc = Crc32c({w.data().data(), w.size()});
+    w.PutU32(crc);
+    w.PatchU32(header_len_pos, static_cast<uint32_t>(w.size()));
+    w.PutRaw(payload_.data(), payload_.size());
+    entries_.clear();
+    payload_.clear();
+    return std::move(w).Take();
+  }
+
+ private:
+  uint64_t target_;
+  std::vector<ChunkFileEntry> entries_;
+  Bytes payload_;
+};
+
+struct TestFile {
+  std::string name;
+  Bytes content;
+};
+
+// Feed `files` to both builders, closing a chunk whenever the reference
+// reports Full (as DieselClient does) and once more at the end. Every
+// chunk must be byte-identical and parse back to the files it holds.
+void ExpectMatchesReference(uint64_t target, const std::vector<TestFile>& files,
+                            size_t expected_chunks) {
+  ChunkBuilder b(target);
+  ReferenceChunkBuilder ref(target);
+  std::vector<Bytes> got, want;
+  std::vector<std::vector<const TestFile*>> members(1);
+  uint64_t ts = 1000;
+  auto close = [&] {
+    ChunkId id = ChunkId::Make(7, 1, 2, static_cast<uint32_t>(got.size()));
+    got.push_back(b.Finish(id, ts));
+    want.push_back(ref.Finish(id, ts));
+    ++ts;
+    EXPECT_TRUE(b.Empty());
+    EXPECT_EQ(b.payload_bytes(), 0u);
+  };
+  for (const TestFile& f : files) {
+    b.Add(f.name, f.content);
+    ref.Add(f.name, f.content);
+    members.back().push_back(&f);
+    ASSERT_EQ(b.Full(), ref.Full());
+    if (ref.Full()) {
+      close();
+      members.emplace_back();
+    }
+  }
+  if (!members.back().empty()) close();
+  ASSERT_EQ(got.size(), expected_chunks);
+  for (size_t c = 0; c < got.size(); ++c) {
+    EXPECT_EQ(got[c], want[c]) << "chunk " << c;
+    auto view = ChunkView::Parse(got[c]);
+    ASSERT_TRUE(view.ok()) << view.status().ToString();
+    ASSERT_EQ(view->entries().size(), members[c].size());
+    for (size_t i = 0; i < members[c].size(); ++i) {
+      EXPECT_EQ(view->entries()[i].name, members[c][i]->name);
+      auto content = view->ExtractFile(i);
+      ASSERT_TRUE(content.ok());
+      EXPECT_EQ(content.value(), members[c][i]->content);
+    }
+  }
+}
+
+TEST(ChunkBuilderEquivalenceTest, LastFileCrossesTarget) {
+  Rng rng(21);
+  std::vector<TestFile> files;
+  for (int i = 0; i < 7; ++i) {
+    files.push_back({"/d/f" + std::to_string(i), RandomContent(rng, 300)});
+  }
+  // 2000-byte target: the seventh 300-byte file crosses it.
+  ExpectMatchesReference(2000, files, 1);
+}
+
+TEST(ChunkBuilderEquivalenceTest, FileLargerThanTarget) {
+  Rng rng(22);
+  std::vector<TestFile> files{{"/small", RandomContent(rng, 100)},
+                              {"/huge", RandomContent(rng, 5000)}};
+  ExpectMatchesReference(1000, files, 1);
+  ExpectMatchesReference(1000, {{"/alone", RandomContent(rng, 9000)}}, 1);
+}
+
+TEST(ChunkBuilderEquivalenceTest, BuilderReusedForThreeChunks) {
+  Rng rng(23);
+  std::vector<TestFile> files;
+  for (int i = 0; i < 40; ++i) {
+    files.push_back({"/cls" + std::to_string(i % 3) + "/x" + std::to_string(i),
+                     RandomContent(rng, 100 + rng.Uniform(200))});
+  }
+  // ~8 KB of payload over a 3000-byte target: two full chunks plus a tail.
+  ExpectMatchesReference(3000, files, 3);
+}
+
+TEST(ChunkBuilderEquivalenceTest, ZeroLengthFiles) {
+  Rng rng(24);
+  std::vector<TestFile> files{{"/empty0", {}},
+                              {"/mid", RandomContent(rng, 50)},
+                              {"/empty1", {}},
+                              {"/empty2", {}}};
+  ExpectMatchesReference(1000, files, 1);
+  ExpectMatchesReference(0, {{"/only-empty", {}}}, 1);
 }
 
 TEST(ChunkFormatTest, EmptyChunkIsValid) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
+#include "common/hash.h"
 #include "net/fabric.h"
 #include "sim/node.h"
 
@@ -89,6 +92,64 @@ TEST(KeySchemaTest, ChunkKeysShareDatasetPrefix) {
   std::string prefix = ChunkKeyPrefix("ds");
   EXPECT_EQ(key.compare(0, prefix.size(), prefix), 0);
   EXPECT_EQ(key.substr(prefix.size()), id.Encoded());
+}
+
+// The key formulas as they were before each key was built in one buffer:
+// "F/" + dataset + "/" + HashHex(dir) + "/f/" + name, with the hash printed
+// by snprintf and the path split by copying helpers. Kept as the oracle.
+std::string OldHashHex(std::string_view path) {
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(PathHash(path)));
+  return buf;
+}
+
+std::string OldParentPath(std::string_view path) {
+  size_t pos = path.find_last_of('/');
+  if (pos == std::string_view::npos || pos == 0) return "/";
+  return std::string(path.substr(0, pos));
+}
+
+std::string OldBaseName(std::string_view path) {
+  size_t pos = path.find_last_of('/');
+  return std::string(pos == std::string_view::npos ? path
+                                                   : path.substr(pos + 1));
+}
+
+std::string OldDirFilePrefix(std::string_view ds, std::string_view dir) {
+  return "F/" + std::string(ds) + "/" + OldHashHex(dir) + "/f/";
+}
+
+std::string OldDirSubdirPrefix(std::string_view ds, std::string_view dir) {
+  return "F/" + std::string(ds) + "/" + OldHashHex(dir) + "/d/";
+}
+
+TEST(KeySchemaTest, KeyBuildersMatchOldFormula) {
+  const std::string long_name(200, 'n');
+  for (std::string path : {std::string("/"), std::string("/a"),
+                           std::string("/a/b/c"), std::string("noslash"),
+                           std::string("/a/b/"), "/dir/" + long_name}) {
+    for (std::string ds : {"ds", "imagenet-1k"}) {
+      EXPECT_EQ(FileKey(ds, path),
+                OldDirFilePrefix(ds, OldParentPath(path)) + OldBaseName(path))
+          << path;
+      EXPECT_EQ(DirMarkerKey(ds, path),
+                OldDirSubdirPrefix(ds, OldParentPath(path)) +
+                    OldBaseName(path))
+          << path;
+      EXPECT_EQ(DirFilePrefix(ds, path), OldDirFilePrefix(ds, path)) << path;
+      EXPECT_EQ(DirSubdirPrefix(ds, path), OldDirSubdirPrefix(ds, path))
+          << path;
+    }
+  }
+}
+
+TEST(KeySchemaTest, GoldenKeys) {
+  // PathHash is FNV-1a 64; "/a" hashes to 07d6..., so the zero padding shows.
+  EXPECT_EQ(FileKey("ds", "/a/b/c"), "F/ds/363e289cb38ee0cc/f/c");
+  EXPECT_EQ(DirMarkerKey("ds", "/a"), "F/ds/af63a24c860189fe/d/a");
+  EXPECT_EQ(DirFilePrefix("ds", "/a"), "F/ds/07d66707b49cd92d/f/");
+  EXPECT_EQ(DirSubdirPrefix("ds", "/"), "F/ds/af63a24c860189fe/d/");
 }
 
 class MetadataServiceTest : public ::testing::Test {

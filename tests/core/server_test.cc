@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/chunk_format.h"
 #include "core/deployment.h"
 #include "dlt/dataset_gen.h"
 
@@ -164,6 +165,43 @@ TEST_F(ServerTest, RecoveryReadsHeadersNotPayloads) {
   EXPECT_GT(stats->header_bytes_read, 0u);
   EXPECT_LT(stats->header_bytes_read, dm->total_bytes / 2)
       << "recovery should not read full chunk payloads";
+}
+
+// The dataset record's read-modify-write must not mistake a failed read for
+// "no record yet": that would reset the counters to the one new chunk.
+TEST_F(ServerTest, IngestSurfacesUnreadableDatasetRecord) {
+  kv::KvCluster& kv = deployment_->kv();
+  const std::string garbage = "not-a-dataset-record";
+  ASSERT_TRUE(kv.Put(clock_, 0, DatasetKey(spec_.name), garbage).ok());
+
+  ChunkBuilder builder(/*target=*/0);
+  builder.Add("/srv/late.bin", Bytes(64, 0x5A));
+  Bytes chunk = builder.Finish(ChunkId::Make(1, 2, 3, 0xABCDEF), 1);
+  Status st = server().IngestChunk(clock_, 0, spec_.name, chunk);
+  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+  EXPECT_EQ(kv.Get(clock_, 0, DatasetKey(spec_.name)).value(), garbage);
+
+  // Partial recovery merges into the same record and must refuse it too.
+  auto stats = server().RecoverMetadata(clock_, spec_.name,
+                                        /*from_ts_sec=*/1000000);
+  EXPECT_TRUE(stats.status().IsCorruption()) << stats.status().ToString();
+  EXPECT_EQ(kv.Get(clock_, 0, DatasetKey(spec_.name)).value(), garbage);
+}
+
+TEST_F(ServerTest, PartialRecoverySurfacesFailedChunkList) {
+  kv::KvCluster& kv = deployment_->kv();
+  auto before = kv.Get(clock_, 0, DatasetKey(spec_.name));
+  ASSERT_TRUE(before.ok());
+  // A down shard that does not hold the dataset record fails the chunk
+  // listing (pscan touches every shard) but not the record read.
+  uint32_t down = (kv.OwnerShard(DatasetKey(spec_.name)) + 1) %
+                  static_cast<uint32_t>(kv.NumShards());
+  kv.FailShard(down);
+  auto stats = server().RecoverMetadata(clock_, spec_.name,
+                                        /*from_ts_sec=*/1000000);
+  EXPECT_TRUE(stats.status().IsUnavailable()) << stats.status().ToString();
+  kv.RestartShard(down);
+  EXPECT_EQ(kv.Get(clock_, 0, DatasetKey(spec_.name)).value(), *before);
 }
 
 }  // namespace

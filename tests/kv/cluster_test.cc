@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "sim/node.h"
 
 namespace diesel::kv {
@@ -92,6 +94,49 @@ TEST_F(KvClusterTest, PScanHonoursLimit) {
   auto scan = kv_->PScan(clock_, 0, "lim/", 10);
   ASSERT_TRUE(scan.ok());
   EXPECT_EQ(scan->size(), 10u);
+}
+
+TEST_F(KvClusterTest, PScanMergeMatchesSortedOrder) {
+  // Keys on every shard under "m/", plus a sparse prefix "s/" that only
+  // some shards hold.
+  std::vector<std::string> all;
+  for (int i = 0; i < 400; ++i) all.push_back("m/" + std::to_string(i * 7919));
+  for (int i = 0; i < 3; ++i) all.push_back("s/" + std::to_string(i));
+  std::vector<std::pair<std::string, std::string>> batch;
+  for (const std::string& k : all) batch.emplace_back(k, "v:" + k);
+  ASSERT_TRUE(kv_->BatchPut(clock_, 0, batch).ok());
+  std::vector<bool> holds_m(kv_->NumShards()), holds_s(kv_->NumShards());
+  for (const std::string& k : all) {
+    (k[0] == 'm' ? holds_m : holds_s)[kv_->OwnerShard(k)] = true;
+  }
+  ASSERT_EQ(std::count(holds_m.begin(), holds_m.end(), true),
+            static_cast<long>(kv_->NumShards()));
+  ASSERT_LT(std::count(holds_s.begin(), holds_s.end(), true),
+            static_cast<long>(kv_->NumShards()));
+
+  for (const std::string prefix : {"m/", "s/", "", "none/"}) {
+    std::vector<std::string> want;
+    for (const std::string& k : all) {
+      if (k.compare(0, prefix.size(), prefix) == 0) want.push_back(k);
+    }
+    std::sort(want.begin(), want.end());
+    for (size_t limit : {size_t{0}, size_t{1}, want.size() / 2}) {
+      auto scan = kv_->PScan(clock_, 0, prefix, limit);
+      ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+      std::vector<ScanEntry> sorted = *scan;
+      std::sort(sorted.begin(), sorted.end(),
+                [](const ScanEntry& a, const ScanEntry& b) {
+                  return a.key < b.key;
+                });
+      size_t n = limit == 0 ? want.size() : std::min(limit, want.size());
+      ASSERT_EQ(scan->size(), n) << prefix << " limit " << limit;
+      for (size_t i = 0; i < n; ++i) {
+        EXPECT_EQ((*scan)[i].key, sorted[i].key);
+        EXPECT_EQ((*scan)[i].key, want[i]);
+        EXPECT_EQ((*scan)[i].value, "v:" + want[i]);
+      }
+    }
+  }
 }
 
 TEST_F(KvClusterTest, FailedShardReturnsUnavailable) {

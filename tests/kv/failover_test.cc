@@ -116,6 +116,34 @@ TEST_F(KvFailoverTest, BatchPutSurvivesDropsWithFullPayload) {
   EXPECT_EQ(kv_->Get(clock_, 0, "batch150").value(), "v150");
 }
 
+TEST_F(KvFailoverTest, BatchPutRidesOutShardOutageWithExactValues) {
+  // The machine hosting shards 4-7 is down for the first attempt and back
+  // well within the retry budget; every entry must land with its value.
+  net::FaultPlan plan;
+  plan.node_flaps.push_back(
+      {.node = 3, .down_at = clock_.now(), .up_at = clock_.now() + Millis(1)});
+  plan.fault_detect_timeout = Micros(200);
+  net::FaultInjector inj(plan);
+  fabric_.set_fault_injector(&inj);
+
+  std::vector<std::pair<std::string, std::string>> batch;
+  for (int i = 0; i < 300; ++i) {
+    char fill = static_cast<char>('a' + i % 26);
+    batch.emplace_back("outage" + std::to_string(i),
+                       std::string(1 + i % 37, fill));
+  }
+  const auto expected = batch;
+  ASSERT_TRUE(kv_->BatchPut(clock_, 0, batch).ok());
+  fabric_.set_fault_injector(nullptr);
+  EXPECT_GT(inj.stats().down_node_rejections, 0u);
+  EXPECT_EQ(kv_->TotalKeys(), expected.size());
+  for (const auto& [k, v] : expected) {
+    auto got = kv_->Get(clock_, 0, k);
+    ASSERT_TRUE(got.ok()) << k << ": " << got.status().ToString();
+    EXPECT_EQ(*got, v) << k;
+  }
+}
+
 TEST_F(KvFailoverTest, PermanentShardFailureStillSurfacesUnavailable) {
   std::string key;
   for (int i = 0;; ++i) {

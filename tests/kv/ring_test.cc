@@ -2,11 +2,119 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
+#include <vector>
+
+#include "common/rng.h"
 
 namespace diesel::kv {
 namespace {
+
+// The ring as it was before it became a sorted flat vector: a std::map from
+// point to member. Kept as the ownership oracle.
+class ReferenceRing {
+ public:
+  explicit ReferenceRing(uint32_t vnodes) : vnodes_(vnodes) {}
+
+  void AddMember(uint32_t member) {
+    if (std::find(members_.begin(), members_.end(), member) != members_.end())
+      return;
+    members_.push_back(member);
+    for (uint32_t v = 0; v < vnodes_; ++v) {
+      uint64_t point = Mix64((uint64_t{member} << 32) | v);
+      while (ring_.count(point) > 0) point = Mix64(point);
+      ring_.emplace(point, member);
+    }
+  }
+
+  void RemoveMember(uint32_t member) {
+    auto it = std::find(members_.begin(), members_.end(), member);
+    if (it == members_.end()) return;
+    members_.erase(it);
+    std::erase_if(ring_,
+                  [member](const auto& p) { return p.second == member; });
+  }
+
+  uint32_t OwnerOfHash(uint64_t h) const {
+    auto it = ring_.lower_bound(h);
+    if (it == ring_.end()) it = ring_.begin();
+    return it->second;
+  }
+
+  uint32_t Owner(std::string_view key) const {
+    return OwnerOfHash(Mix64(Fnv1a64(key)));
+  }
+
+  uint64_t FirstPoint() const { return ring_.begin()->first; }
+  uint64_t LastPoint() const { return ring_.rbegin()->first; }
+
+ private:
+  uint32_t vnodes_;
+  std::map<uint64_t, uint32_t> ring_;
+  std::vector<uint32_t> members_;
+};
+
+// Owner() and OwnerOfHash() agree with the reference on seeded keys and raw
+// hashes, including every hash past the last point (wrap-around).
+void ExpectSameOwnership(const HashRing& ring, const ReferenceRing& ref,
+                         Rng& rng) {
+  for (int i = 0; i < 2000; ++i) {
+    std::string key = "obj/" + std::to_string(rng.Next());
+    ASSERT_EQ(ring.Owner(key), ref.Owner(key)) << key;
+    uint64_t h = rng.Next();
+    ASSERT_EQ(ring.OwnerOfHash(h), ref.OwnerOfHash(h)) << h;
+  }
+  for (uint64_t h : {uint64_t{0}, ref.FirstPoint(), ref.FirstPoint() + 1,
+                     ref.LastPoint(), ref.LastPoint() + 1, ~uint64_t{0}}) {
+    EXPECT_EQ(ring.OwnerOfHash(h), ref.OwnerOfHash(h)) << h;
+  }
+  if (ref.LastPoint() != ~uint64_t{0}) {
+    EXPECT_EQ(ring.OwnerOfHash(ref.LastPoint() + 1),
+              ring.OwnerOfHash(ref.FirstPoint()));
+  }
+}
+
+TEST(HashRingEquivalenceTest, MatchesMapReferenceThroughMembershipChanges) {
+  Rng rng(31);
+  HashRing ring(64);
+  ReferenceRing ref(64);
+  for (uint32_t m = 0; m < 16; ++m) {
+    ring.AddMember(m);
+    ref.AddMember(m);
+  }
+  ExpectSameOwnership(ring, ref, rng);
+  // Seeded remove/re-add/add churn, checked after every step.
+  for (int step = 0; step < 24; ++step) {
+    uint32_t m = static_cast<uint32_t>(rng.Uniform(24));
+    if (ring.HasMember(m) && ring.NumMembers() > 1) {
+      ring.RemoveMember(m);
+      ref.RemoveMember(m);
+    } else {
+      ring.AddMember(m);
+      ref.AddMember(m);
+    }
+    ExpectSameOwnership(ring, ref, rng);
+  }
+}
+
+TEST(HashRingEquivalenceTest, SingleMemberAndWrapAround) {
+  Rng rng(32);
+  for (uint32_t vnodes : {1u, 3u, 64u}) {
+    HashRing ring(vnodes);
+    ReferenceRing ref(vnodes);
+    ring.AddMember(9);
+    ref.AddMember(9);
+    ExpectSameOwnership(ring, ref, rng);
+    ring.AddMember(4);
+    ref.AddMember(4);
+    ExpectSameOwnership(ring, ref, rng);
+    ring.RemoveMember(9);
+    ref.RemoveMember(9);
+    ExpectSameOwnership(ring, ref, rng);
+  }
+}
 
 TEST(HashRingTest, AddRemoveMembers) {
   HashRing ring;

@@ -57,6 +57,22 @@ TEST(ShardTest, FailClearsDataAndBlocksOps) {
   EXPECT_TRUE(s.Get("k").status().IsNotFound());
 }
 
+TEST(ShardTest, PutBatchOnDownShardLeavesBatchIntact) {
+  Shard s = MakeShard();
+  ASSERT_TRUE(s.Put("k1", "old").ok());
+  std::vector<std::pair<std::string, std::string>> batch{
+      {"k1", "new"}, {"k2", std::string(100, 'v')}, {"k3", ""}};
+  const auto copy = batch;
+  s.Fail();
+  EXPECT_TRUE(s.PutBatch(batch).IsUnavailable());
+  EXPECT_EQ(batch, copy);  // nothing moved out: the caller can retry
+
+  s.Restart();
+  ASSERT_TRUE(s.PutBatch(batch).ok());
+  EXPECT_EQ(s.NumKeys(), 3u);
+  for (const auto& [k, v] : copy) EXPECT_EQ(s.Get(k).value(), v) << k;
+}
+
 TEST(ShardTest, NumKeysTracksMutations) {
   Shard s = MakeShard();
   EXPECT_EQ(s.NumKeys(), 0u);
