@@ -2,7 +2,8 @@
 // paths: chunk build/parse, snapshot lookup (FlatHashMap vs unordered_map —
 // the parallel-hashmap substitution in §5), CRC32C, and base64lex; plus
 // info rows for the CRC32C kernel and sim::Device::Serve at a full
-// interval list, the two host hot spots of the simulator.
+// interval list, the two host hot spots of the simulator, and for the
+// zero-copy chunk fetch from the object store.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -18,6 +19,9 @@
 #include "core/chunk_format.h"
 #include "core/snapshot.h"
 #include "net/fabric.h"
+#include "ostore/mem_store.h"
+#include "ostore/modeled_store.h"
+#include "sim/calibration.h"
 #include "sim/device.h"
 #include "sim/node.h"
 
@@ -148,7 +152,7 @@ void BM_FileSliceView(benchmark::State& state) {
   const uint32_t header_len = view.header_len();
   const uint64_t offset = view.entries()[3].offset;
   core::ChunkBuffer buffer =
-      core::ChunkBuffer::Wrap(std::move(chunk), header_len);
+      core::ChunkBuffer::Wrap(ShareBytes(std::move(chunk)), header_len);
   for (auto _ : state) {
     core::FileSlice slice =
         core::FileSlice::FromBuffer(buffer, header_len + offset, file_size);
@@ -168,7 +172,7 @@ void BM_FileSliceCopy(benchmark::State& state) {
   const uint32_t header_len = view.header_len();
   const uint64_t offset = view.entries()[3].offset;
   core::ChunkBuffer buffer =
-      core::ChunkBuffer::Wrap(std::move(chunk), header_len);
+      core::ChunkBuffer::Wrap(ShareBytes(std::move(chunk)), header_len);
   for (auto _ : state) {
     core::FileSlice slice =
         core::FileSlice::FromBuffer(buffer, header_len + offset, file_size);
@@ -383,7 +387,7 @@ void ReportSliceSpeedRatio() {
   const uint32_t header_len = view.header_len();
   const uint64_t offset = view.entries()[3].offset;
   core::ChunkBuffer buffer =
-      core::ChunkBuffer::Wrap(std::move(chunk), header_len);
+      core::ChunkBuffer::Wrap(ShareBytes(std::move(chunk)), header_len);
   double view_ns = BestOfThreeNs(kIters, [&] {
     core::FileSlice s =
         core::FileSlice::FromBuffer(buffer, header_len + offset, kFileSize);
@@ -396,6 +400,31 @@ void ReportSliceSpeedRatio() {
     benchmark::DoNotOptimize(copy.data());
   });
   bench::Info("slice.view_vs_copy_speedup_x", "x", copy_ns / view_ns);
+}
+
+/// Whole-chunk fetch of a 256 KB chunk (the benchmark's chunk size) through
+/// ModeledStore over MemStore, against copying the same blob: the fetch
+/// hands out the stored buffer, so it must not pay for the bytes. Both
+/// sides are host wall-clock; the fetch includes its simulated fabric and
+/// device bookkeeping.
+void ReportChunkGetVsCopy() {
+  constexpr size_t kIters = 2000;
+  sim::Cluster cluster(2);
+  net::Fabric fabric(cluster);
+  ostore::MemStore backing;
+  ostore::ModeledStore store(fabric, 1, sim::SsdClusterSpec(), &backing);
+  sim::VirtualClock clock;
+  const SharedBytes blob = ShareBytes(MakeChunk(32, 8 << 10));
+  if (!store.Put(clock, 0, "chunk", blob).ok()) std::abort();
+  double get_ns = BestOfThreeNs(kIters, [&] {
+    Result<SharedBytes> got = store.Get(clock, 0, "chunk");
+    benchmark::DoNotOptimize(got.value()->data());
+  });
+  double copy_ns = BestOfThreeNs(kIters, [&] {
+    Bytes copy = *blob;
+    benchmark::DoNotOptimize(copy.data());
+  });
+  bench::Info("ostore.chunk_get_vs_copy_x", "x", copy_ns / get_ns);
 }
 
 /// CRC32C throughput over an 8 KB file (the benchmark's file size), for the
@@ -466,6 +495,7 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
   diesel::ReportRpcBatchKernel();
   diesel::ReportSliceSpeedRatio();
+  diesel::ReportChunkGetVsCopy();
   diesel::ReportCrcKernel();
   diesel::ReportDeviceServe();
   return diesel::bench::CloseReport();

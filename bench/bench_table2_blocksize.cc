@@ -44,7 +44,7 @@ void Run() {
     // Bound resident bytes and per-run copies.
     const size_t num_objects = std::max<size_t>(8, (64 << 20) / size);
     sim::VirtualClock setup;
-    Bytes blob(size, 0x5A);
+    SharedBytes blob = ShareBytes(Bytes(size, 0x5A));
     for (size_t i = 0; i < num_objects; ++i) {
       (void)backing.Put(setup, 0, "o" + std::to_string(i), blob);
     }

@@ -92,7 +92,7 @@ int main() {
   std::printf("    node 2 failed: hit ratio now %.0f%% — other tasks in the "
               "cluster are unaffected (task-grained containment)\n",
               cache.HitRatio() * 100);
-  auto reload_end = cache.Reload(load_end.value());
+  auto reload_end = cache.Preload(load_end.value());
   if (!reload_end.ok()) return 1;
   std::printf("    chunk-granular reload back to %.0f%% in %.3fs virtual\n",
               cache.HitRatio() * 100,

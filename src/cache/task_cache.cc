@@ -251,10 +251,14 @@ size_t TaskCache::migrations_in_flight() const {
 
 Result<core::FileSlice> TaskCache::SliceFile(CachedChunk& chunk,
                                              const core::FileMeta& meta) {
-  uint64_t begin = chunk.buffer.header_len() + meta.offset;
-  if (begin + meta.length > chunk.buffer.size())
+  // Subtractions only: a decoded offset near UINT64_MAX must not wrap.
+  const uint64_t size = chunk.buffer.size();
+  const uint64_t header = chunk.buffer.header_len();
+  if (header > size || meta.offset > size - header ||
+      meta.length > size - header - meta.offset)
     return Status::Corruption("file range past cached chunk end: " +
                               meta.full_name);
+  const uint64_t begin = header + meta.offset;
   core::FileSlice slice =
       core::FileSlice::FromBuffer(chunk.buffer, begin, meta.length);
   // End-to-end integrity: the chunk builder stamped each file's CRC32C into
@@ -368,16 +372,18 @@ TaskCache::InsertResult TaskCache::InsertChunk(sim::NodeId owner,
   return InsertResult::kInserted;
 }
 
-Result<Bytes> TaskCache::FetchChunkBlob(sim::VirtualClock& clock,
-                                        sim::NodeId reader, size_t chunk_index,
-                                        uint32_t* header_len) {
+Result<SharedBytes> TaskCache::FetchChunkBlob(sim::VirtualClock& clock,
+                                              sim::NodeId reader,
+                                              size_t chunk_index,
+                                              uint32_t* header_len) {
   const core::ChunkId& id = snapshot_.chunks().at(chunk_index);
   const Nanos device0 = clock.now();
   DIESEL_ASSIGN_OR_RETURN(
-      Bytes blob,
-      options_.retry.RunResult<Bytes>(clock, [&]() -> Result<Bytes> {
-        return server_.ReadChunk(clock, reader, snapshot_.dataset(), id);
-      }));
+      SharedBytes blob,
+      options_.retry.RunResult<SharedBytes>(
+          clock, [&]() -> Result<SharedBytes> {
+            return server_.ReadChunk(clock, reader, snapshot_.dataset(), id);
+          }));
   RpMetrics().device_ns.Observe(static_cast<double>(clock.now() - device0));
   if (fabric_.tracer() != nullptr) {
     obs::ScopedSpan::NoteCurrent(
@@ -385,14 +391,18 @@ Result<Bytes> TaskCache::FetchChunkBlob(sim::VirtualClock& clock,
         "phase.device_read ns=" + std::to_string(clock.now() - device0));
   }
   const Nanos parse0 = clock.now();
-  DIESEL_ASSIGN_OR_RETURN(core::ChunkView view, core::ChunkView::Parse(blob));
+  DIESEL_ASSIGN_OR_RETURN(core::ChunkView view, core::ChunkView::Parse(*blob));
   RpMetrics().parse_ns.Observe(static_cast<double>(clock.now() - parse0));
   *header_len = view.header_len();
   // The fabric never sees payloads, so scheduled corruption events land
   // here, on the chunk-fetch path; detection is CRC-driven in SliceFile.
+  // The blob is the store's shared buffer, so corruption is copy-on-write:
+  // only this fetch sees the flipped byte and the stored chunk stays clean.
   if (net::FaultInjector* inj = fabric_.fault_injector()) {
     if (inj->ConsumeChunkCorruption(chunk_index)) {
-      inj->CorruptPayload(blob, *header_len, chunk_index);
+      Bytes corrupt = *blob;
+      inj->CorruptPayload(corrupt, *header_len, chunk_index);
+      blob = ShareBytes(std::move(corrupt));
       obs::ScopedSpan::NoteCurrent(
           fabric_.tracer(), clock.now(),
           "fault.corrupt chunk=" + std::to_string(chunk_index));
@@ -428,7 +438,7 @@ Status TaskCache::EnsureLoaded(sim::VirtualClock& clock, sim::NodeId owner,
   }
   // Miss: pull the whole chunk from the server (on-demand policy / recovery).
   uint32_t header_len = 0;
-  DIESEL_ASSIGN_OR_RETURN(Bytes blob,
+  DIESEL_ASSIGN_OR_RETURN(SharedBytes blob,
                           FetchChunkBlob(clock, owner, chunk_index, &header_len));
   Counters().chunk_loads.Inc();
   {
@@ -545,7 +555,8 @@ Result<core::FileSlice> TaskCache::ReadFromPartition(sim::VirtualClock& clock,
   for (int fetch = 0;; ++fetch) {
     uint32_t header_len = 0;
     DIESEL_ASSIGN_OR_RETURN(
-        Bytes blob, FetchChunkBlob(clock, owner, chunk_index, &header_len));
+        SharedBytes blob,
+        FetchChunkBlob(clock, owner, chunk_index, &header_len));
     CachedChunk local;
     local.buffer = core::ChunkBuffer::Wrap(std::move(blob), header_len);
     Result<core::FileSlice> content = SliceFile(local, meta);
@@ -1469,13 +1480,14 @@ Result<TaskCache::PrefetchOutcome> TaskCache::PrefetchChunk(
   }
   uint32_t header_len = 0;
   DIESEL_ASSIGN_OR_RETURN(
-      Bytes blob, FetchChunkBlob(stream, owner, chunk_index, &header_len));
+      SharedBytes blob,
+      FetchChunkBlob(stream, owner, chunk_index, &header_len));
   Counters().chunk_loads.Inc();
   {
     std::lock_guard<std::mutex> slock(stats_mutex_);
     ++stats_.chunk_loads;
   }
-  out.bytes = blob.size();
+  out.bytes = blob->size();
   out.ready_at = stream.now();
   core::ChunkBuffer buffer = core::ChunkBuffer::Wrap(std::move(blob), header_len);
   if (tier != nullptr) {
@@ -1488,8 +1500,6 @@ Result<TaskCache::PrefetchOutcome> TaskCache::PrefetchChunk(
   out.already_resident = r == InsertResult::kAlreadyResident;
   return out;
 }
-
-Result<Nanos> TaskCache::Reload(Nanos start) { return Preload(start); }
 
 TaskCacheStats TaskCache::stats() const {
   std::lock_guard<std::mutex> lock(stats_mutex_);

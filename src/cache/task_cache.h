@@ -61,7 +61,7 @@ struct TaskCacheOptions {
   CachePolicy policy = CachePolicy::kOnDemand;
   /// Cap on cached bytes per node; 0 = unbounded. When full, FIFO eviction.
   uint64_t per_node_capacity_bytes = 0;
-  /// Concurrent chunk-fetch streams per node during Preload/Reload (the
+  /// Concurrent chunk-fetch streams per node during Preload (the
   /// oneshot policy pulls with multiple I/O workers).
   uint32_t preload_streams = 8;
   /// Retry policy for peer and backend RPCs (rides out flaps/drops).
@@ -182,8 +182,8 @@ class TaskCache : public membership::MembershipListener {
   double HitRatio() const;
 
   /// Simulate the failure of one task node: its partition is lost and, per
-  /// the containment argument, the whole task must restart — Reload() then
-  /// measures the chunk-granular recovery time.
+  /// the containment argument, the whole task must restart — Preload() then
+  /// reloads the missing chunks and measures the recovery time.
   void DropNode(sim::NodeId node);
   void DropAll();
 
@@ -202,9 +202,6 @@ class TaskCache : public membership::MembershipListener {
   /// DropNode keep their crash semantics (nothing survives a crash).
   /// Returns the bytes the tier retained.
   uint64_t Teardown(Nanos now);
-
-  /// Reload every non-resident chunk (recovery). Returns makespan end time.
-  Result<Nanos> Reload(Nanos start);
 
   // ---- Clairvoyant prefetch hooks (driven by prefetch::PrefetchScheduler) --
 
@@ -280,10 +277,12 @@ class TaskCache : public membership::MembershipListener {
   static Result<core::FileSlice> SliceFile(CachedChunk& chunk,
                                            const core::FileMeta& meta);
 
-  /// Fetch one chunk blob from the server (with retry), applying any
-  /// scheduled payload corruption from the fabric's fault injector.
-  Result<Bytes> FetchChunkBlob(sim::VirtualClock& clock, sim::NodeId reader,
-                               size_t chunk_index, uint32_t* header_len);
+  /// Fetch one chunk blob from the server (with retry): the store's shared
+  /// buffer, or a corrupted private copy of it when the fabric's fault
+  /// injector schedules a payload corruption for this fetch.
+  Result<SharedBytes> FetchChunkBlob(sim::VirtualClock& clock,
+                                     sim::NodeId reader, size_t chunk_index,
+                                     uint32_t* header_len);
 
   /// Body of GetFileSlice under its already-open span: phase annotations
   /// and the read.path.* attribution attach to the request's span while the

@@ -8,9 +8,11 @@
 
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -19,6 +21,14 @@ namespace diesel {
 
 using Bytes = std::vector<uint8_t>;
 using BytesView = std::span<const uint8_t>;
+/// An immutable blob shared by reference: chunk blobs travel from the
+/// builder through the object store into the task cache without a copy.
+using SharedBytes = std::shared_ptr<const Bytes>;
+
+/// Seal `b` into an immutable shared blob (moves, never copies).
+inline SharedBytes ShareBytes(Bytes b) {
+  return std::make_shared<const Bytes>(std::move(b));
+}
 
 inline BytesView AsBytesView(const std::string& s) {
   return {reinterpret_cast<const uint8_t*>(s.data()), s.size()};

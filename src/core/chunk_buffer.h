@@ -2,11 +2,11 @@
 //
 // The task-grained cache used to hand every read a freshly copied Bytes cut
 // out of the cached chunk. On the hot path (cache hit, CRC already checked)
-// that memcpy dominates wall-clock cost. ChunkBuffer puts the chunk blob
-// behind a shared_ptr<const Bytes>; FileSlice is a view into that blob which
-// holds a reference, so an evicted or migrated chunk's bytes stay alive for
-// exactly as long as any outstanding slice needs them — no copy, no
-// use-after-free.
+// that memcpy dominates wall-clock cost. ChunkBuffer holds the chunk blob as
+// SharedBytes — the very buffer the object store returned, so a cache fill
+// copies nothing either; FileSlice is a view into that blob which holds a
+// reference, so an evicted or migrated chunk's bytes stay alive for exactly
+// as long as any outstanding slice needs them — no copy, no use-after-free.
 //
 // Virtual-time neutrality: slicing is a host-side memory operation; the
 // simulated cost of a read (NIC/membus/device serves) is charged by the
@@ -30,11 +30,11 @@ class ChunkBuffer {
  public:
   ChunkBuffer() = default;
 
-  /// Take ownership of a freshly fetched blob. `header_len` is the parsed
-  /// header length (payload starts there).
-  static ChunkBuffer Wrap(Bytes blob, uint32_t header_len) {
+  /// Share a fetched blob (normally the object store's own buffer).
+  /// `header_len` is the parsed header length (payload starts there).
+  static ChunkBuffer Wrap(SharedBytes blob, uint32_t header_len) {
     ChunkBuffer b;
-    b.blob_ = std::make_shared<const Bytes>(std::move(blob));
+    b.blob_ = std::move(blob);
     b.header_len_ = header_len;
     return b;
   }
@@ -43,13 +43,9 @@ class ChunkBuffer {
   explicit operator bool() const { return valid(); }
 
   const Bytes& blob() const { return *blob_; }
-  const std::shared_ptr<const Bytes>& shared_blob() const { return blob_; }
+  const SharedBytes& shared_blob() const { return blob_; }
   uint32_t header_len() const { return header_len_; }
   uint64_t size() const { return blob_ ? blob_->size() : 0; }
-
-  /// Number of owners (buffer copies + live slices). A cache entry whose
-  /// count is 1 can be dropped without stranding any reader.
-  long use_count() const { return blob_ ? blob_.use_count() : 0; }
 
   void reset() {
     blob_.reset();
@@ -57,7 +53,7 @@ class ChunkBuffer {
   }
 
  private:
-  std::shared_ptr<const Bytes> blob_;
+  SharedBytes blob_;
   uint32_t header_len_ = 0;
 };
 
@@ -83,7 +79,7 @@ class FileSlice {
   static FileSlice Own(Bytes content) {
     FileSlice s;
     s.length_ = content.size();
-    s.owner_ = std::make_shared<const Bytes>(std::move(content));
+    s.owner_ = ShareBytes(std::move(content));
     return s;
   }
 
@@ -108,10 +104,10 @@ class FileSlice {
                   : Bytes();
   }
 
-  const std::shared_ptr<const Bytes>& shared_owner() const { return owner_; }
+  const SharedBytes& shared_owner() const { return owner_; }
 
  private:
-  std::shared_ptr<const Bytes> owner_;
+  SharedBytes owner_;
   uint64_t offset_ = 0;
   uint64_t length_ = 0;
 };

@@ -9,10 +9,10 @@ namespace diesel::core {
 
 uint64_t ChunkBuilder::Add(std::string name, BytesView content) {
   uint64_t offset = payload_.size();
-  // Reserve twice the target the first time capacity runs out. A chunk
-  // closes on the first file that reaches the target, so every file up to
-  // the target size then fits without moving the accumulated payload; only
-  // a larger file falls back to doubling.
+  // Reserve twice the target the first time capacity runs out; Finish keeps
+  // the buffer. A chunk closes on the first file that reaches the target, so
+  // every file up to the target size then fits without moving the
+  // accumulated payload; only a larger file falls back to doubling.
   size_t needed = payload_.size() + content.size();
   if (payload_.capacity() < needed) {
     payload_.reserve(std::max({needed, 2 * static_cast<size_t>(target_),
@@ -58,12 +58,15 @@ Bytes ChunkBuilder::Finish(const ChunkId& id, uint64_t create_ts_ns) {
   w.PatchU32(header_len_pos, header_len);
   // Note: header_crc was computed before header_len was patched; the parser
   // re-zeroes the field identically, so verification stays consistent.
-  // The header is prepended in place and the payload buffer moved out, so
-  // an idle builder pins no chunk-sized buffer.
-  Bytes chunk = std::exchange(payload_, {});
-  Bytes header = std::move(w).Take();
-  chunk.insert(chunk.begin(), header.begin(), header.end());
+  // The chunk is allocated at its exact size, so a blob shared into the
+  // object store pins no slack, and the payload buffer keeps its capacity
+  // for the next chunk instead of being reallocated.
+  Bytes chunk;
+  chunk.reserve(w.size() + payload_.size());
+  chunk.insert(chunk.end(), w.data().begin(), w.data().end());
+  chunk.insert(chunk.end(), payload_.begin(), payload_.end());
 
+  payload_.clear();
   entries_.clear();
   name_bytes_ = 0;
   return chunk;
@@ -130,7 +133,7 @@ Result<ChunkView> ChunkView::ParseInternal(BytesView data,
   if (require_payload) {
     uint64_t payload_size = data.size() - header_len;
     for (const auto& e : view.entries_) {
-      if (e.offset + e.length > payload_size)
+      if (e.offset > payload_size || e.length > payload_size - e.offset)
         return Status::Corruption("chunk: file range past payload end");
     }
   }

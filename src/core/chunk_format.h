@@ -51,7 +51,8 @@ class ChunkBuilder {
   size_t num_files() const { return entries_.size(); }
   uint64_t payload_bytes() const { return payload_.size(); }
 
-  /// Serialize into a self-contained chunk and reset the builder.
+  /// Serialize into a self-contained chunk and reset the builder. The chunk
+  /// is allocated at its exact size; the builder keeps its payload buffer.
   Bytes Finish(const ChunkId& id, uint64_t create_ts_ns);
 
   /// Exact serialized header size for the current entries (running totals;

@@ -70,7 +70,8 @@ Status DieselClient::Flush() {
   if (builder_.Empty()) return Status::Ok();
   uint32_t ts_sec = static_cast<uint32_t>(clock_.now() / 1000000000ULL);
   ChunkId id = id_gen_.Next(ts_sec);
-  Bytes chunk = builder_.Finish(id, clock_.now());
+  // Wrapped once: every retry re-sends, and the store keeps, this buffer.
+  SharedBytes chunk = ShareBytes(builder_.Finish(id, clock_.now()));
   ++stats_.chunks_flushed;
   // Write-behind: DL_flush returns once the local buffer is on the wire;
   // durability time is tracked for callers that need the write makespan.
@@ -197,16 +198,16 @@ Status DieselClient::SaveMeta(ostore::ObjectStore& local_disk,
                               const std::string& key) {
   if (!snapshot_)
     return Status::FailedPrecondition("no snapshot installed; FetchSnapshot first");
-  Bytes data = snapshot_->Serialize();
-  return local_disk.Put(clock_, options_.node, key, data);
+  return local_disk.Put(clock_, options_.node, key,
+                        ShareBytes(snapshot_->Serialize()));
 }
 
 Status DieselClient::LoadMeta(ostore::ObjectStore& local_disk,
                               const std::string& key) {
-  DIESEL_ASSIGN_OR_RETURN(Bytes data,
+  DIESEL_ASSIGN_OR_RETURN(SharedBytes data,
                           local_disk.Get(clock_, options_.node, key));
   DIESEL_ASSIGN_OR_RETURN(MetadataSnapshot snap,
-                          MetadataSnapshot::Deserialize(data));
+                          MetadataSnapshot::Deserialize(*data));
   if (snap.dataset() != options_.dataset)
     return Status::InvalidArgument("snapshot is for dataset '" +
                                    snap.dataset() + "'");

@@ -23,7 +23,7 @@ Result<PurgeStats> PurgeDataset(sim::VirtualClock& clock, DieselServer& server,
     if (cm.num_deleted == 0) continue;
 
     std::string old_key = ChunkObjectKey(dataset, old_id);
-    DIESEL_ASSIGN_OR_RETURN(Bytes old_blob,
+    DIESEL_ASSIGN_OR_RETURN(SharedBytes old_blob,
                             server.store().Get(clock, node, old_key));
 
     // Compact: drop files flagged in the KV-side deletion bitmap. The new
@@ -32,9 +32,10 @@ Result<PurgeStats> PurgeDataset(sim::VirtualClock& clock, DieselServer& server,
     ChunkIdGenerator gen(node, 0xFFFFFF);  // housekeeping process id
     ChunkId new_id = gen.Next(old_id.timestamp_sec());
     DIESEL_ASSIGN_OR_RETURN(
-        Bytes new_blob,
-        CompactChunk(old_blob, cm.deletion_bitmap, new_id, clock.now()));
-    DIESEL_ASSIGN_OR_RETURN(ChunkView view, ChunkView::Parse(new_blob));
+        Bytes compacted,
+        CompactChunk(*old_blob, cm.deletion_bitmap, new_id, clock.now()));
+    SharedBytes new_blob = ShareBytes(std::move(compacted));
+    DIESEL_ASSIGN_OR_RETURN(ChunkView view, ChunkView::Parse(*new_blob));
 
     DIESEL_RETURN_IF_ERROR(server.store().Put(
         clock, node, ChunkObjectKey(dataset, new_id), new_blob));
@@ -55,7 +56,7 @@ Result<PurgeStats> PurgeDataset(sim::VirtualClock& clock, DieselServer& server,
     }
     ChunkMeta new_cm;
     new_cm.update_ts_ns = clock.now();
-    new_cm.size = new_blob.size();
+    new_cm.size = new_blob->size();
     new_cm.header_len = view.header_len();
     new_cm.num_files = static_cast<uint32_t>(files.size());
     new_cm.num_deleted = 0;
@@ -69,9 +70,9 @@ Result<PurgeStats> PurgeDataset(sim::VirtualClock& clock, DieselServer& server,
 
     stats.chunks_compacted += 1;
     stats.files_dropped += cm.num_deleted;
-    stats.bytes_reclaimed += old_blob.size() - new_blob.size();
+    stats.bytes_reclaimed += old_blob->size() - new_blob->size();
     dm.num_files -= cm.num_deleted;
-    dm.total_bytes -= old_blob.size() - new_blob.size();
+    dm.total_bytes -= old_blob->size() - new_blob->size();
     dm.update_ts_ns = clock.now();
   }
 
@@ -109,8 +110,8 @@ Result<MergeStats> MergeSmallChunks(sim::VirtualClock& clock,
   auto flush = [&](uint32_t ts_sec) -> Status {
     if (builder.Empty()) return Status::Ok();
     ChunkId new_id = gen.Next(ts_sec);
-    Bytes blob = builder.Finish(new_id, clock.now());
-    DIESEL_ASSIGN_OR_RETURN(ChunkView view, ChunkView::Parse(blob));
+    SharedBytes blob = ShareBytes(builder.Finish(new_id, clock.now()));
+    DIESEL_ASSIGN_OR_RETURN(ChunkView view, ChunkView::Parse(*blob));
     DIESEL_RETURN_IF_ERROR(server.store().Put(
         clock, node, ChunkObjectKey(dataset, new_id), blob));
     std::vector<FileMeta> files;
@@ -127,20 +128,21 @@ Result<MergeStats> MergeSmallChunks(sim::VirtualClock& clock,
     }
     ChunkMeta cm;
     cm.update_ts_ns = clock.now();
-    cm.size = blob.size();
+    cm.size = blob->size();
     cm.header_len = view.header_len();
     cm.num_files = static_cast<uint32_t>(files.size());
     cm.deletion_bitmap.assign((files.size() + 7) / 8, 0);
     DIESEL_RETURN_IF_ERROR(meta.AddChunk(clock, dataset, new_id, cm, files));
-    stats.bytes_rewritten += blob.size();
+    stats.bytes_rewritten += blob->size();
     stats.chunks_created += 1;
     return Status::Ok();
   };
 
   for (const ChunkId& id : small) {
     DIESEL_ASSIGN_OR_RETURN(
-        Bytes blob, server.store().Get(clock, node, ChunkObjectKey(dataset, id)));
-    DIESEL_ASSIGN_OR_RETURN(ChunkView view, ChunkView::Parse(blob));
+        SharedBytes blob,
+        server.store().Get(clock, node, ChunkObjectKey(dataset, id)));
+    DIESEL_ASSIGN_OR_RETURN(ChunkView view, ChunkView::Parse(*blob));
     for (size_t i = 0; i < view.entries().size(); ++i) {
       DIESEL_ASSIGN_OR_RETURN(Bytes content, view.ExtractFile(i));
       builder.Add(view.entries()[i].name, content);
@@ -184,9 +186,10 @@ Result<ScrubStats> ScrubDataset(sim::VirtualClock& clock, DieselServer& server,
       std::vector<std::string> keys,
       server.store().List(clock, node, ChunkObjectPrefix(dataset)));
   for (const std::string& key : keys) {
-    DIESEL_ASSIGN_OR_RETURN(Bytes blob, server.store().Get(clock, node, key));
+    DIESEL_ASSIGN_OR_RETURN(SharedBytes blob,
+                            server.store().Get(clock, node, key));
     ++stats.chunks_checked;
-    Result<ChunkView> view = ChunkView::Parse(blob);
+    Result<ChunkView> view = ChunkView::Parse(*blob);
     if (!view.ok()) {
       ++stats.corrupt_chunks;
       stats.corrupt_keys.push_back(key);

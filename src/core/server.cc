@@ -40,18 +40,19 @@ DieselServer::DieselServer(net::Fabric& fabric, kv::KvCluster& kvstore,
 }
 
 Nanos DieselServer::IngestChunkAt(Nanos arrival, const std::string& dataset,
-                                  BytesView chunk, Status& out_status) {
+                                  const SharedBytes& chunk,
+                                  Status& out_status) {
   static obs::Counter& ingests =
       obs::Metrics().GetCounter("core.chunk.ingests");
   static obs::Counter& ingest_bytes =
       obs::Metrics().GetCounter("core.chunk.ingest_bytes");
   static obs::Counter& parse_failures =
       obs::Metrics().GetCounter("core.chunk.parse_failures");
-  sim::VirtualClock srv(service_.Serve(arrival, chunk.size()));
+  sim::VirtualClock srv(service_.Serve(arrival, chunk->size()));
   obs::ScopedSpan span(fabric_.tracer(), "server.ingest_chunk", srv,
                        options_.node);
 
-  Result<ChunkView> view = ChunkView::Parse(chunk);
+  Result<ChunkView> view = ChunkView::Parse(*chunk);
   if (!view.ok()) {
     parse_failures.Inc();
     span.Note("chunk.parse_failed: " + view.status().message());
@@ -59,7 +60,7 @@ Nanos DieselServer::IngestChunkAt(Nanos arrival, const std::string& dataset,
     return srv.now();
   }
   ingests.Inc();
-  ingest_bytes.Inc(chunk.size());
+  ingest_bytes.Inc(chunk->size());
 
   // Blob to object storage.
   std::string key = ChunkObjectKey(dataset, view->id());
@@ -82,7 +83,7 @@ Nanos DieselServer::IngestChunkAt(Nanos arrival, const std::string& dataset,
   }
   ChunkMeta cm;
   cm.update_ts_ns = view->create_ts_ns();
-  cm.size = chunk.size();
+  cm.size = chunk->size();
   cm.header_len = view->header_len();
   cm.num_files = static_cast<uint32_t>(view->entries().size());
   cm.num_deleted = 0;
@@ -102,17 +103,18 @@ Nanos DieselServer::IngestChunkAt(Nanos arrival, const std::string& dataset,
     dm.update_ts_ns = std::max(dm.update_ts_ns, view->create_ts_ns());
     dm.num_chunks += 1;
     dm.num_files += files.size();
-    dm.total_bytes += chunk.size();
+    dm.total_bytes += chunk->size();
     out_status = meta_.PutDataset(srv, dataset, dm);
   }
   return srv.now();
 }
 
 Status DieselServer::IngestChunk(sim::VirtualClock& clock, sim::NodeId client,
-                                 const std::string& dataset, BytesView chunk) {
+                                 const std::string& dataset,
+                                 SharedBytes chunk) {
   Status op_status;
   DIESEL_RETURN_IF_ERROR(fabric_.Call(
-      clock, client, options_.node, chunk.size() + kRpcOverheadBytes,
+      clock, client, options_.node, chunk->size() + kRpcOverheadBytes,
       kRpcOverheadBytes, [&](Nanos arrival) {
         return IngestChunkAt(arrival, dataset, chunk, op_status);
       }));
@@ -122,11 +124,11 @@ Status DieselServer::IngestChunk(sim::VirtualClock& clock, sim::NodeId client,
 Result<Nanos> DieselServer::IngestChunkAsync(sim::VirtualClock& clock,
                                              sim::NodeId client,
                                              const std::string& dataset,
-                                             BytesView chunk) {
+                                             SharedBytes chunk) {
   Status op_status;
   Nanos durable_at = 0;
   DIESEL_RETURN_IF_ERROR(fabric_.Send(
-      clock, client, options_.node, chunk.size() + kRpcOverheadBytes,
+      clock, client, options_.node, chunk->size() + kRpcOverheadBytes,
       [&](Nanos delivered) {
         durable_at = IngestChunkAt(delivered, dataset, chunk, op_status);
       }));
@@ -259,15 +261,15 @@ Result<std::vector<Bytes>> DieselServer::ReadFiles(
   return result;
 }
 
-Result<Bytes> DieselServer::ReadChunk(sim::VirtualClock& clock,
-                                      sim::NodeId client,
-                                      const std::string& dataset,
-                                      const ChunkId& id) {
+Result<SharedBytes> DieselServer::ReadChunk(sim::VirtualClock& clock,
+                                            sim::NodeId client,
+                                            const std::string& dataset,
+                                            const ChunkId& id) {
   static obs::Counter& chunk_reads =
       obs::Metrics().GetCounter("core.chunk.reads");
   static obs::Counter& chunk_read_bytes =
       obs::Metrics().GetCounter("core.chunk.read_bytes");
-  Result<Bytes> result = Status::Internal("unset");
+  Result<SharedBytes> result = Status::Internal("unset");
   DIESEL_RETURN_IF_ERROR(fabric_.Call(
       clock, client, options_.node, kRpcOverheadBytes, kRpcOverheadBytes,
       [&](Nanos arrival) {
@@ -277,30 +279,31 @@ Result<Bytes> DieselServer::ReadChunk(sim::VirtualClock& clock,
         result = store_.Get(srv, options_.node, ChunkObjectKey(dataset, id));
         if (result.ok()) {
           chunk_reads.Inc();
-          chunk_read_bytes.Inc(result.value().size());
+          chunk_read_bytes.Inc(result.value()->size());
           // Response chunk crosses both NICs; approximate with a charge on
           // the server NIC here; the client-side charge happens in Call's
           // response leg via resp_bytes=0 (kept small) so add it explicitly.
         }
         return srv.now();
       }));
-  if (result.ok() && !result.value().empty()) {
+  if (result.ok() && !result.value()->empty()) {
     Nanos t = fabric_.cluster().node(client).nic().Serve(
-        clock.now(), result.value().size());
+        clock.now(), result.value()->size());
     clock.AdvanceTo(t);
   }
   return result;
 }
 
-Result<std::vector<Bytes>> DieselServer::ReadChunks(
+Result<std::vector<SharedBytes>> DieselServer::ReadChunks(
     sim::VirtualClock& clock, sim::NodeId client, const std::string& dataset,
     std::span<const ChunkId> ids, size_t fetch_streams) {
   static obs::Counter& chunk_reads =
       obs::Metrics().GetCounter("core.chunk.reads");
   static obs::Counter& chunk_read_bytes =
       obs::Metrics().GetCounter("core.chunk.read_bytes");
-  if (ids.empty()) return std::vector<Bytes>{};
-  std::vector<Result<Bytes>> blobs(ids.size(), Status::Internal("unset"));
+  if (ids.empty()) return std::vector<SharedBytes>{};
+  std::vector<Result<SharedBytes>> blobs(ids.size(),
+                                         Status::Internal("unset"));
   std::vector<Nanos> ready(ids.size(), Nanos{0});
   DIESEL_RETURN_IF_ERROR(fabric_.CallBatch(
       clock, client, options_.node, ids.size(),
@@ -325,7 +328,7 @@ Result<std::vector<Bytes>> DieselServer::ReadChunks(
           ready[i] = clocks[s].now();
           if (blobs[i].ok()) {
             chunk_reads.Inc();
-            chunk_read_bytes.Inc(blobs[i].value().size());
+            chunk_read_bytes.Inc(blobs[i].value()->size());
           }
         }
         Nanos done = arrival;
@@ -337,15 +340,15 @@ Result<std::vector<Bytes>> DieselServer::ReadChunks(
   // assembled, so disk reads and transfers pipeline exactly as they would
   // from the same number of unbatched per-chunk calls. The NIC device
   // serializes overlapping serves on its own timeline.
-  std::vector<Bytes> out;
+  std::vector<SharedBytes> out;
   out.reserve(ids.size());
   Nanos t = clock.now();
   for (size_t i = 0; i < blobs.size(); ++i) {
-    Result<Bytes>& b = blobs[i];
+    Result<SharedBytes>& b = blobs[i];
     DIESEL_RETURN_IF_ERROR(b.status());
-    if (!b.value().empty()) {
+    if (!b.value()->empty()) {
       t = std::max(t, fabric_.cluster().node(client).nic().Serve(
-                          ready[i], b.value().size()));
+                          ready[i], b.value()->size()));
     }
     out.push_back(std::move(b.value()));
   }
@@ -499,10 +502,9 @@ Result<Nanos> DieselServer::PrefetchDataset(sim::VirtualClock& clock,
     }
     // A whole-object read promotes the chunk into the fast tier when the
     // store is tiered; on a flat store this is a no-op warm read.
-    DIESEL_ASSIGN_OR_RETURN(
-        Bytes blob,
-        store_.Get(clocks[s], options_.node, ChunkObjectKey(dataset, id)));
-    (void)blob;
+    DIESEL_RETURN_IF_ERROR(
+        store_.Get(clocks[s], options_.node, ChunkObjectKey(dataset, id))
+            .status());
   }
   Nanos end = clock.now();
   for (const auto& c : clocks) end = std::max(end, c.now());

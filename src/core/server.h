@@ -64,16 +64,18 @@ class DieselServer {
 
   /// Store one serialized chunk under `dataset` (write flow, Fig. 3):
   /// blob to object storage, header-extracted key-value pairs to the KV tier.
-  /// Synchronous: the caller's clock advances to full durability.
+  /// Synchronous: the caller's clock advances to full durability. The store
+  /// keeps `chunk` by reference; nobody may mutate it afterwards.
   Status IngestChunk(sim::VirtualClock& clock, sim::NodeId client,
-                     const std::string& dataset, BytesView chunk);
+                     const std::string& dataset, SharedBytes chunk);
 
   /// Write-behind ingest (DL_flush semantics: "flush local buffer"): the
   /// caller's clock advances only past the network send; server-side work is
   /// charged to the shared devices and the returned value is the virtual
   /// time at which the chunk became fully durable.
   Result<Nanos> IngestChunkAsync(sim::VirtualClock& clock, sim::NodeId client,
-                                 const std::string& dataset, BytesView chunk);
+                                 const std::string& dataset,
+                                 SharedBytes chunk);
 
   /// Read one file (metadata lookup + chunk range read).
   Result<Bytes> ReadFile(sim::VirtualClock& clock, sim::NodeId client,
@@ -87,9 +89,10 @@ class DieselServer {
                                        const std::string& dataset,
                                        std::span<const std::string> paths);
 
-  /// Fetch one whole chunk (task-grained cache loading path).
-  Result<Bytes> ReadChunk(sim::VirtualClock& clock, sim::NodeId client,
-                          const std::string& dataset, const ChunkId& id);
+  /// Fetch one whole chunk (task-grained cache loading path): the store's
+  /// shared blob, not a copy.
+  Result<SharedBytes> ReadChunk(sim::VirtualClock& clock, sim::NodeId client,
+                                const std::string& dataset, const ChunkId& id);
 
   /// Fetch several whole chunks in ONE coalesced RPC (shuffle group windows,
   /// preload bursts). The request goes out as a Fabric::CallBatch — the
@@ -98,11 +101,11 @@ class DieselServer {
   /// the backend parallelism matches `ids.size()` unbatched calls issued
   /// from that many client streams. Results are in input order; a missing
   /// chunk fails the whole call, like the per-chunk path would.
-  Result<std::vector<Bytes>> ReadChunks(sim::VirtualClock& clock,
-                                        sim::NodeId client,
-                                        const std::string& dataset,
-                                        std::span<const ChunkId> ids,
-                                        size_t fetch_streams = 8);
+  Result<std::vector<SharedBytes>> ReadChunks(sim::VirtualClock& clock,
+                                              sim::NodeId client,
+                                              const std::string& dataset,
+                                              std::span<const ChunkId> ids,
+                                              size_t fetch_streams = 8);
 
   Result<FileMeta> StatFile(sim::VirtualClock& clock, sim::NodeId client,
                             const std::string& dataset,
@@ -148,7 +151,7 @@ class DieselServer {
  private:
   /// Server-side ingest work; runs at `arrival`, returns completion time.
   Nanos IngestChunkAt(Nanos arrival, const std::string& dataset,
-                      BytesView chunk, Status& out_status);
+                      const SharedBytes& chunk, Status& out_status);
 
   net::Fabric& fabric_;
   MetadataService meta_;

@@ -24,30 +24,30 @@ Result<std::string> DirStore::KeyFor(const fs::path& file) const {
 }
 
 Status DirStore::Put(sim::VirtualClock&, sim::NodeId, const std::string& key,
-                     BytesView data) {
+                     SharedBytes data) {
   fs::path p = PathFor(key);
   std::error_code ec;
   fs::create_directories(p.parent_path(), ec);
   std::ofstream out(p, std::ios::binary | std::ios::trunc);
   if (!out) return Status::IoError("cannot open for write: " + p.string());
-  out.write(reinterpret_cast<const char*>(data.data()),
-            static_cast<std::streamsize>(data.size()));
+  out.write(reinterpret_cast<const char*>(data->data()),
+            static_cast<std::streamsize>(data->size()));
   if (!out) return Status::IoError("short write: " + p.string());
   return Status::Ok();
 }
 
-Result<Bytes> DirStore::Get(sim::VirtualClock&, sim::NodeId,
-                            const std::string& key) {
+Result<SharedBytes> DirStore::Get(sim::VirtualClock&, sim::NodeId,
+                                  const std::string& key) {
   fs::path p = PathFor(key);
   std::ifstream in(p, std::ios::binary | std::ios::ate);
   if (!in) return Status::NotFound("object: " + key);
   auto size = in.tellg();
   in.seekg(0);
-  Bytes out(static_cast<size_t>(size));
-  in.read(reinterpret_cast<char*>(out.data()),
-          static_cast<std::streamsize>(out.size()));
+  auto out = std::make_shared<Bytes>(static_cast<size_t>(size));
+  in.read(reinterpret_cast<char*>(out->data()),
+          static_cast<std::streamsize>(out->size()));
   if (!in) return Status::IoError("short read: " + p.string());
-  return out;
+  return SharedBytes(std::move(out));
 }
 
 Result<Bytes> DirStore::GetRange(sim::VirtualClock&, sim::NodeId,
@@ -57,7 +57,7 @@ Result<Bytes> DirStore::GetRange(sim::VirtualClock&, sim::NodeId,
   std::ifstream in(p, std::ios::binary | std::ios::ate);
   if (!in) return Status::NotFound("object: " + key);
   uint64_t size = static_cast<uint64_t>(in.tellg());
-  if (offset + len > size)
+  if (offset > size || len > size - offset)
     return Status::OutOfRange("range past end of object: " + key);
   in.seekg(static_cast<std::streamoff>(offset));
   Bytes out(static_cast<size_t>(len));

@@ -18,9 +18,9 @@ class DirStore : public ObjectStore {
   explicit DirStore(std::filesystem::path root);
 
   Status Put(sim::VirtualClock& clock, sim::NodeId client,
-             const std::string& key, BytesView data) override;
-  Result<Bytes> Get(sim::VirtualClock& clock, sim::NodeId client,
-                    const std::string& key) override;
+             const std::string& key, SharedBytes data) override;
+  Result<SharedBytes> Get(sim::VirtualClock& clock, sim::NodeId client,
+                          const std::string& key) override;
   Result<Bytes> GetRange(sim::VirtualClock& clock, sim::NodeId client,
                          const std::string& key, uint64_t offset,
                          uint64_t len) override;

@@ -3,16 +3,16 @@
 namespace diesel::ostore {
 
 Status MemStore::Put(sim::VirtualClock&, sim::NodeId, const std::string& key,
-                     BytesView data) {
+                     SharedBytes data) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto [it, inserted] = blobs_.try_emplace(key);
-  if (!inserted) total_bytes_ -= it->second.size();
-  it->second.assign(data.begin(), data.end());
-  total_bytes_ += data.size();
+  if (!inserted) total_bytes_ -= it->second->size();
+  total_bytes_ += data->size();
+  it->second = std::move(data);
   return Status::Ok();
 }
 
-Result<Bytes> MemStore::Get(sim::VirtualClock&, sim::NodeId,
+Result<SharedBytes> MemStore::Get(sim::VirtualClock&, sim::NodeId,
                             const std::string& key) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = blobs_.find(key);
@@ -26,8 +26,8 @@ Result<Bytes> MemStore::GetRange(sim::VirtualClock&, sim::NodeId,
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = blobs_.find(key);
   if (it == blobs_.end()) return Status::NotFound("object: " + key);
-  const Bytes& blob = it->second;
-  if (offset + len > blob.size())
+  const Bytes& blob = *it->second;
+  if (offset > blob.size() || len > blob.size() - offset)
     return Status::OutOfRange("range past end of object: " + key);
   return Bytes(blob.begin() + static_cast<ptrdiff_t>(offset),
                blob.begin() + static_cast<ptrdiff_t>(offset + len));
@@ -38,7 +38,7 @@ Status MemStore::Delete(sim::VirtualClock&, sim::NodeId,
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = blobs_.find(key);
   if (it == blobs_.end()) return Status::NotFound("object: " + key);
-  total_bytes_ -= it->second.size();
+  total_bytes_ -= it->second->size();
   blobs_.erase(it);
   return Status::Ok();
 }
@@ -59,7 +59,7 @@ Result<uint64_t> MemStore::Size(sim::VirtualClock&, sim::NodeId,
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = blobs_.find(key);
   if (it == blobs_.end()) return Status::NotFound("object: " + key);
-  return static_cast<uint64_t>(it->second.size());
+  return static_cast<uint64_t>(it->second->size());
 }
 
 bool MemStore::Contains(const std::string& key) const {

@@ -13,9 +13,9 @@ namespace diesel::ostore {
 class MemStore : public ObjectStore {
  public:
   Status Put(sim::VirtualClock& clock, sim::NodeId client,
-             const std::string& key, BytesView data) override;
-  Result<Bytes> Get(sim::VirtualClock& clock, sim::NodeId client,
-                    const std::string& key) override;
+             const std::string& key, SharedBytes data) override;
+  Result<SharedBytes> Get(sim::VirtualClock& clock, sim::NodeId client,
+                          const std::string& key) override;
   Result<Bytes> GetRange(sim::VirtualClock& clock, sim::NodeId client,
                          const std::string& key, uint64_t offset,
                          uint64_t len) override;
@@ -32,7 +32,7 @@ class MemStore : public ObjectStore {
 
  private:
   mutable std::mutex mutex_;
-  std::map<std::string, Bytes> blobs_;  // ordered for List
+  std::map<std::string, SharedBytes> blobs_;  // ordered for List
   uint64_t total_bytes_ = 0;
 };
 

@@ -15,31 +15,32 @@ sim::VirtualClock& ScratchClock() {
 }  // namespace
 
 Status ModeledStore::Put(sim::VirtualClock& clock, sim::NodeId client,
-                         const std::string& key, BytesView data) {
+                         const std::string& key, SharedBytes data) {
   Status op_status;
   DIESEL_RETURN_IF_ERROR(fabric_.Call(
-      clock, client, storage_node_, data.size() + kRequestOverheadBytes,
+      clock, client, storage_node_, data->size() + kRequestOverheadBytes,
       kRequestOverheadBytes, [&](Nanos arrival) {
         op_status = backing_->Put(ScratchClock(), client, key, data);
-        return write_device_.Serve(arrival, data.size());
+        return write_device_.Serve(arrival, data->size());
       }));
   return op_status;
 }
 
-Result<Bytes> ModeledStore::Get(sim::VirtualClock& clock, sim::NodeId client,
-                                const std::string& key) {
-  Result<Bytes> result = Status::Internal("unset");
+Result<SharedBytes> ModeledStore::Get(sim::VirtualClock& clock,
+                                      sim::NodeId client,
+                                      const std::string& key) {
+  Result<SharedBytes> result = Status::Internal("unset");
   DIESEL_RETURN_IF_ERROR(fabric_.Call(
       clock, client, storage_node_, kRequestOverheadBytes,
       kRequestOverheadBytes, [&](Nanos arrival) {
         result = backing_->Get(ScratchClock(), client, key);
-        uint64_t bytes = result.ok() ? result.value().size() : 0;
+        uint64_t bytes = result.ok() ? result.value()->size() : 0;
         return device_.Serve(arrival, bytes);
       }));
-  if (result.ok() && !result.value().empty()) {
+  if (result.ok() && !result.value()->empty()) {
     // Response payload crosses the client NIC on the way back.
-    Nanos t = fabric_.cluster().node(client).nic().Serve(clock.now(),
-                                                         result.value().size());
+    Nanos t = fabric_.cluster().node(client).nic().Serve(
+        clock.now(), result.value()->size());
     clock.AdvanceTo(t);
   }
   return result;

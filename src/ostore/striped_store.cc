@@ -12,12 +12,13 @@ StripedStore::StripedStore(std::vector<ObjectStore*> gateways)
 }
 
 Status StripedStore::Put(sim::VirtualClock& clock, sim::NodeId client,
-                         const std::string& key, BytesView data) {
-  return Owner(key).Put(clock, client, key, data);
+                         const std::string& key, SharedBytes data) {
+  return Owner(key).Put(clock, client, key, std::move(data));
 }
 
-Result<Bytes> StripedStore::Get(sim::VirtualClock& clock, sim::NodeId client,
-                                const std::string& key) {
+Result<SharedBytes> StripedStore::Get(sim::VirtualClock& clock,
+                                      sim::NodeId client,
+                                      const std::string& key) {
   return Owner(key).Get(clock, client, key);
 }
 

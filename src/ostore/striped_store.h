@@ -24,9 +24,9 @@ class StripedStore : public ObjectStore {
   uint32_t OwnerOf(const std::string& key) const { return ring_.Owner(key); }
 
   Status Put(sim::VirtualClock& clock, sim::NodeId client,
-             const std::string& key, BytesView data) override;
-  Result<Bytes> Get(sim::VirtualClock& clock, sim::NodeId client,
-                    const std::string& key) override;
+             const std::string& key, SharedBytes data) override;
+  Result<SharedBytes> Get(sim::VirtualClock& clock, sim::NodeId client,
+                          const std::string& key) override;
   Result<Bytes> GetRange(sim::VirtualClock& clock, sim::NodeId client,
                          const std::string& key, uint64_t offset,
                          uint64_t len) override;

@@ -3,12 +3,13 @@
 namespace diesel::ostore {
 
 Status TieredStore::Put(sim::VirtualClock& clock, sim::NodeId client,
-                        const std::string& key, BytesView data) {
-  return slow_->Put(clock, client, key, data);
+                        const std::string& key, SharedBytes data) {
+  return slow_->Put(clock, client, key, std::move(data));
 }
 
-Result<Bytes> TieredStore::Get(sim::VirtualClock& clock, sim::NodeId client,
-                               const std::string& key) {
+Result<SharedBytes> TieredStore::Get(sim::VirtualClock& clock,
+                                     sim::NodeId client,
+                                     const std::string& key) {
   bool in_fast;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -20,7 +21,7 @@ Result<Bytes> TieredStore::Get(sim::VirtualClock& clock, sim::NodeId client,
     }
   }
   if (in_fast) return fast_->Get(clock, client, key);
-  Result<Bytes> blob = slow_->Get(clock, client, key);
+  Result<SharedBytes> blob = slow_->Get(clock, client, key);
   if (blob.ok()) Promote(key, blob.value());
   return blob;
 }
@@ -41,13 +42,12 @@ Result<Bytes> TieredStore::GetRange(sim::VirtualClock& clock,
   if (in_fast) return fast_->GetRange(clock, client, key, offset, len);
   // Miss: read the whole object from the slow tier (chunk-granular caching),
   // promote, and return the requested range.
-  Result<Bytes> blob = slow_->Get(clock, client, key);
-  if (!blob.ok()) return blob.status();
-  if (offset + len > blob.value().size())
+  DIESEL_ASSIGN_OR_RETURN(SharedBytes blob, slow_->Get(clock, client, key));
+  if (offset > blob->size() || len > blob->size() - offset)
     return Status::OutOfRange("range past end of object: " + key);
-  Promote(key, blob.value());
-  return Bytes(blob.value().begin() + static_cast<ptrdiff_t>(offset),
-               blob.value().begin() + static_cast<ptrdiff_t>(offset + len));
+  Promote(key, blob);
+  return Bytes(blob->begin() + static_cast<ptrdiff_t>(offset),
+               blob->begin() + static_cast<ptrdiff_t>(offset + len));
 }
 
 Status TieredStore::Delete(sim::VirtualClock& clock, sim::NodeId client,
@@ -72,11 +72,11 @@ Result<uint64_t> TieredStore::Size(sim::VirtualClock& clock, sim::NodeId client,
   return slow_->Size(clock, client, key);
 }
 
-void TieredStore::Promote(const std::string& key, const Bytes& blob) {
+void TieredStore::Promote(const std::string& key, const SharedBytes& blob) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (fast_keys_.count(key) > 0) return;
   if (capacity_ != 0) {
-    while (fast_bytes_ + blob.size() > capacity_ && !fifo_.empty()) {
+    while (fast_bytes_ + blob->size() > capacity_ && !fifo_.empty()) {
       const std::string& victim = fifo_.front();
       auto victim_size = fast_->Size(background_clock_, 0, victim);
       if (victim_size.ok()) fast_bytes_ -= victim_size.value();
@@ -85,12 +85,12 @@ void TieredStore::Promote(const std::string& key, const Bytes& blob) {
       fifo_.pop_front();
       ++stats_.evictions;
     }
-    if (fast_bytes_ + blob.size() > capacity_) return;  // object too large
+    if (fast_bytes_ + blob->size() > capacity_) return;  // object too large
   }
   if (fast_->Put(background_clock_, 0, key, blob).ok()) {
     fast_keys_.insert(key);
     fifo_.push_back(key);
-    fast_bytes_ += blob.size();
+    fast_bytes_ += blob->size();
     ++stats_.promotions;
   }
 }

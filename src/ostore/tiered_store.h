@@ -33,9 +33,9 @@ class TieredStore : public ObjectStore {
       : fast_(fast), slow_(slow), capacity_(fast_capacity_bytes) {}
 
   Status Put(sim::VirtualClock& clock, sim::NodeId client,
-             const std::string& key, BytesView data) override;
-  Result<Bytes> Get(sim::VirtualClock& clock, sim::NodeId client,
-                    const std::string& key) override;
+             const std::string& key, SharedBytes data) override;
+  Result<SharedBytes> Get(sim::VirtualClock& clock, sim::NodeId client,
+                          const std::string& key) override;
   Result<Bytes> GetRange(sim::VirtualClock& clock, sim::NodeId client,
                          const std::string& key, uint64_t offset,
                          uint64_t len) override;
@@ -61,7 +61,8 @@ class TieredStore : public ObjectStore {
   /// After a slow-tier hit: install into the fast tier, evicting as needed.
   /// Promotion time is charged to a detached background clock, not `clock` —
   /// the caller does not wait for it (paper: caching happens in background).
-  void Promote(const std::string& key, const Bytes& blob);
+  /// The fast tier shares the blob with the slow tier; nothing is copied.
+  void Promote(const std::string& key, const SharedBytes& blob);
 
   ObjectStore* fast_;
   ObjectStore* slow_;

@@ -66,15 +66,16 @@ Result<Nanos> GroupWindowReader::FetchGroup(Nanos start, size_t group,
   for (uint32_t ci : chunk_list) ids.push_back(snapshot_.chunks().at(ci));
   sim::VirtualClock clock(start);
   DIESEL_ASSIGN_OR_RETURN(
-      std::vector<Bytes> blobs,
+      std::vector<SharedBytes> blobs,
       server_.ReadChunks(clock, node_, snapshot_.dataset(), ids,
                          fetch_streams_));
   for (size_t i = 0; i < chunk_list.size(); ++i) {
-    Bytes& blob = blobs[i];
-    DIESEL_ASSIGN_OR_RETURN(core::ChunkView view, core::ChunkView::Parse(blob));
+    SharedBytes& blob = blobs[i];
+    DIESEL_ASSIGN_OR_RETURN(core::ChunkView view,
+                            core::ChunkView::Parse(*blob));
     Counters().chunk_fetches.Inc();
-    Counters().chunk_bytes.Inc(blob.size());
-    stats_.chunk_bytes_fetched += blob.size();
+    Counters().chunk_bytes.Inc(blob->size());
+    stats_.chunk_bytes_fetched += blob->size();
     ++stats_.chunk_fetches;
     out.emplace(chunk_list[i],
                 WindowChunk{core::ChunkBuffer::Wrap(std::move(blob),

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "core/deployment.h"
 #include "dlt/dataset_gen.h"
 
@@ -101,6 +103,23 @@ TEST_F(TaskCacheTest, OnDemandLoadsLazily) {
   EXPECT_LT(cache.HitRatio(), 1.0);
 }
 
+// A decoded FileMeta whose offset + length wraps around must be refused as
+// Corruption, not sliced out of the chunk header it wraps back into. The
+// read is issued on the owner node, so no degraded server read can mask it.
+TEST_F(TaskCacheTest, WrappingFileRangeIsCorruption) {
+  TaskCache cache = MakeCache();
+  core::FileMeta bogus = *snapshot_->Lookup(dlt::FilePath(spec_, 0));
+  bogus.offset = UINT64_MAX - 7;
+  bogus.length = 16;
+  bogus.crc = 0;  // no checksum to catch the wrong bytes
+  auto owner = cache.OwnerNodeOfChunk(snapshot_->ChunkIndex(bogus.chunk));
+  ASSERT_TRUE(owner.ok());
+  sim::VirtualClock clock;
+  auto content =
+      cache.GetFile(clock, clients_[owner.value() * 4]->endpoint(), bogus);
+  EXPECT_TRUE(content.status().IsCorruption()) << content.status().ToString();
+}
+
 TEST_F(TaskCacheTest, SecondReadIsCachedAndCheaper) {
   TaskCache cache = MakeCache();
   const core::FileMeta* meta = snapshot_->Lookup(dlt::FilePath(spec_, 3));
@@ -163,7 +182,7 @@ TEST_F(TaskCacheTest, ReloadRestoresFullCache) {
   ASSERT_TRUE(cache.Preload(0).ok());
   cache.DropAll();
   EXPECT_DOUBLE_EQ(cache.HitRatio(), 0.0);
-  auto end = cache.Reload(Seconds(10.0));
+  auto end = cache.Preload(Seconds(10.0));
   ASSERT_TRUE(end.ok());
   EXPECT_DOUBLE_EQ(cache.HitRatio(), 1.0);
 }

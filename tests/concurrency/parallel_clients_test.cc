@@ -185,13 +185,13 @@ TEST_F(ParallelClientsTest, ConcurrentReadsSurviveDropNodeAndReload) {
     int round = 0;
     while (!stop.load()) {
       cache.DropNode(static_cast<sim::NodeId>(round++ % 4));
-      ASSERT_TRUE(cache.Reload(0).ok());
+      ASSERT_TRUE(cache.Preload(0).ok());
     }
   });
   for (auto& t : threads) t.join();
   chaos.join();
   EXPECT_EQ(failures.load(), 0);
-  ASSERT_TRUE(cache.Reload(0).ok());
+  ASSERT_TRUE(cache.Preload(0).ok());
   EXPECT_DOUBLE_EQ(cache.HitRatio(), 1.0);
 }
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
 
 #include "common/crc32.h"
 #include "common/rng.h"
@@ -223,6 +225,8 @@ void ExpectMatchesReference(uint64_t target, const std::vector<TestFile>& files,
   ASSERT_EQ(got.size(), expected_chunks);
   for (size_t c = 0; c < got.size(); ++c) {
     EXPECT_EQ(got[c], want[c]) << "chunk " << c;
+    // Exact-size blob: shared into the store, it pins no slack.
+    EXPECT_EQ(got[c].capacity(), got[c].size()) << "chunk " << c;
     auto view = ChunkView::Parse(got[c]);
     ASSERT_TRUE(view.ok()) << view.status().ToString();
     ASSERT_EQ(view->entries().size(), members[c].size());
@@ -332,6 +336,38 @@ TEST(ChunkFormatTest, CorruptPayloadCaughtByFileCrc) {
   auto view = ChunkView::Parse(chunk);
   ASSERT_TRUE(view.ok());  // header is intact
   EXPECT_TRUE(view->ExtractFile(0).status().IsCorruption());
+}
+
+// Rewrite the only file entry's range in a one-file chunk whose file is
+// named `name`, then reseal the header CRC the way the builder computes it
+// (over the header with the header_len field zeroed).
+void ResealOnlyEntryRange(Bytes& chunk, const std::string& name,
+                          uint64_t offset, uint64_t length) {
+  // magic, version, header_len, id, create_ts, num_files, num_deleted: 44
+  // bytes; a one-byte deletion bitmap; the u32-prefixed name.
+  const size_t at = 44 + 1 + 4 + name.size();
+  std::memcpy(chunk.data() + at, &offset, 8);
+  std::memcpy(chunk.data() + at + 8, &length, 8);
+  uint32_t header_len;
+  std::memcpy(&header_len, chunk.data() + 8, 4);
+  std::memset(chunk.data() + 8, 0, 4);
+  uint32_t crc = Crc32c({chunk.data(), header_len - 4u});
+  std::memcpy(chunk.data() + 8, &header_len, 4);
+  std::memcpy(chunk.data() + header_len - 4, &crc, 4);
+}
+
+// offset + length wraps around to 8, inside the 16-byte payload, so an
+// additive bounds check accepts a range that starts far past the chunk.
+TEST(ChunkFormatTest, ResealedWrappingFileRangeRejected) {
+  ChunkBuilder b(0);
+  Rng rng(11);
+  b.Add("/w", RandomContent(rng, 16));
+  Bytes chunk = b.Finish(TestId(), 0);
+  ResealOnlyEntryRange(chunk, "/w", 0, 16);  // resealing alone is valid
+  ASSERT_TRUE(ChunkView::Parse(chunk).ok());
+  ResealOnlyEntryRange(chunk, "/w", UINT64_MAX - 7, 16);
+  auto view = ChunkView::Parse(chunk);
+  EXPECT_TRUE(view.status().IsCorruption()) << view.status().ToString();
 }
 
 TEST(ChunkFormatTest, TruncatedChunkRejected) {

@@ -33,10 +33,12 @@ class ScrubTest : public ::testing::Test {
     std::string key = ChunkObjectKey(spec_.name, (*chunks)[chunk_index]);
     auto blob = deployment_->store().Get(clock, 0, key);
     ASSERT_TRUE(blob.ok());
-    Bytes mutated = blob.value();
+    Bytes mutated = *blob.value();
     ASSERT_GE(mutated.size(), byte_from_end + 1);
     mutated[mutated.size() - 1 - byte_from_end] ^= 0xFF;
-    ASSERT_TRUE(deployment_->store().Put(clock, 0, key, mutated).ok());
+    ASSERT_TRUE(deployment_->store()
+                    .Put(clock, 0, key, ShareBytes(std::move(mutated)))
+                    .ok());
   }
 
   std::unique_ptr<Deployment> deployment_;
@@ -72,9 +74,11 @@ TEST_F(ScrubTest, DetectsHeaderCorruption) {
   std::string key = ChunkObjectKey(spec_.name, (*chunks)[1]);
   auto blob = deployment_->store().Get(clock, 0, key);
   ASSERT_TRUE(blob.ok());
-  Bytes mutated = blob.value();
+  Bytes mutated = *blob.value();
   mutated[30] ^= 0x01;
-  ASSERT_TRUE(deployment_->store().Put(clock, 0, key, mutated).ok());
+  ASSERT_TRUE(deployment_->store()
+                  .Put(clock, 0, key, ShareBytes(std::move(mutated)))
+                  .ok());
 
   auto stats = ScrubDataset(clock_, deployment_->server(0), spec_.name);
   ASSERT_TRUE(stats.ok());

@@ -38,8 +38,8 @@ class ServerTest : public ::testing::Test {
 };
 
 TEST_F(ServerTest, IngestRejectsCorruptChunk) {
-  Bytes junk(100, 0xAB);
-  Status st = server().IngestChunk(clock_, 0, "bad", junk);
+  Status st =
+      server().IngestChunk(clock_, 0, "bad", ShareBytes(Bytes(100, 0xAB)));
   EXPECT_TRUE(st.IsCorruption());
 }
 
@@ -91,7 +91,7 @@ TEST_F(ServerTest, ReadChunkReturnsParsableChunk) {
   ASSERT_FALSE(chunks->empty());
   auto blob = server().ReadChunk(clock_, 0, spec_.name, (*chunks)[0]);
   ASSERT_TRUE(blob.ok());
-  auto view = ChunkView::Parse(blob.value());
+  auto view = ChunkView::Parse(*blob.value());
   ASSERT_TRUE(view.ok());
   EXPECT_EQ(view->id(), (*chunks)[0]);
 }
@@ -176,7 +176,8 @@ TEST_F(ServerTest, IngestSurfacesUnreadableDatasetRecord) {
 
   ChunkBuilder builder(/*target=*/0);
   builder.Add("/srv/late.bin", Bytes(64, 0x5A));
-  Bytes chunk = builder.Finish(ChunkId::Make(1, 2, 3, 0xABCDEF), 1);
+  SharedBytes chunk =
+      ShareBytes(builder.Finish(ChunkId::Make(1, 2, 3, 0xABCDEF), 1));
   Status st = server().IngestChunk(clock_, 0, spec_.name, chunk);
   EXPECT_TRUE(st.IsCorruption()) << st.ToString();
   EXPECT_EQ(kv.Get(clock_, 0, DatasetKey(spec_.name)).value(), garbage);

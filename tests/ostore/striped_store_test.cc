@@ -29,11 +29,12 @@ class StripedStoreTest : public ::testing::Test {
 TEST_F(StripedStoreTest, RoundTripAndPlacementStable) {
   for (int i = 0; i < 100; ++i) {
     std::string key = "obj" + std::to_string(i);
-    ASSERT_TRUE(striped_->Put(clock_, 0, key, Bytes(10, uint8_t(i))).ok());
+    ASSERT_TRUE(
+        striped_->Put(clock_, 0, key, ShareBytes(Bytes(10, uint8_t(i)))).ok());
     EXPECT_EQ(striped_->OwnerOf(key), striped_->OwnerOf(key));
     auto got = striped_->Get(clock_, 0, key);
     ASSERT_TRUE(got.ok());
-    EXPECT_EQ(got->front(), uint8_t(i));
+    EXPECT_EQ(got.value()->front(), uint8_t(i));
   }
   EXPECT_EQ(striped_->NumObjects(), 100u);
   EXPECT_EQ(striped_->TotalBytes(), 1000u);
@@ -42,7 +43,7 @@ TEST_F(StripedStoreTest, RoundTripAndPlacementStable) {
 TEST_F(StripedStoreTest, ObjectsSpreadAcrossGateways) {
   for (int i = 0; i < 200; ++i) {
     ASSERT_TRUE(striped_->Put(clock_, 0, "k" + std::to_string(i),
-                              Bytes(1, 0)).ok());
+                              ShareBytes(Bytes(1, 0))).ok());
   }
   size_t nonempty = 0;
   for (auto& b : backings_) {
@@ -55,9 +56,9 @@ TEST_F(StripedStoreTest, ListMergesSortedAcrossGateways) {
   for (int i = 0; i < 50; ++i) {
     char buf[16];
     std::snprintf(buf, sizeof(buf), "p/%03d", i);
-    ASSERT_TRUE(striped_->Put(clock_, 0, buf, Bytes(1, 0)).ok());
+    ASSERT_TRUE(striped_->Put(clock_, 0, buf, ShareBytes(Bytes(1, 0))).ok());
   }
-  ASSERT_TRUE(striped_->Put(clock_, 0, "q/x", Bytes(1, 0)).ok());
+  ASSERT_TRUE(striped_->Put(clock_, 0, "q/x", ShareBytes(Bytes(1, 0))).ok());
   auto keys = striped_->List(clock_, 0, "p/");
   ASSERT_TRUE(keys.ok());
   ASSERT_EQ(keys->size(), 50u);
@@ -67,7 +68,7 @@ TEST_F(StripedStoreTest, ListMergesSortedAcrossGateways) {
 TEST_F(StripedStoreTest, DeleteAndRangeRouteToOwner) {
   Bytes data(100);
   for (int i = 0; i < 100; ++i) data[i] = static_cast<uint8_t>(i);
-  ASSERT_TRUE(striped_->Put(clock_, 0, "r", data).ok());
+  ASSERT_TRUE(striped_->Put(clock_, 0, "r", ShareBytes(data)).ok());
   auto range = striped_->GetRange(clock_, 0, "r", 50, 10);
   ASSERT_TRUE(range.ok());
   EXPECT_EQ(range->front(), 50);
@@ -96,7 +97,7 @@ TEST(StripedModeledTest, AggregateBandwidthScalesWithGateways) {
     }
     StripedStore striped(raw);
     sim::VirtualClock setup;
-    Bytes blob(4 << 20, 1);
+    SharedBytes blob = ShareBytes(Bytes(4 << 20, 1));
     for (int i = 0; i < 32; ++i) {
       // Write to backing directly (placement via striped) at zero virtual
       // cost is unnecessary; timing reset below.

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "ostore/mem_store.h"
 
 namespace diesel::ostore {
@@ -17,13 +19,22 @@ class TieredStoreTest : public ::testing::Test {
 };
 
 TEST_F(TieredStoreTest, WritesGoToSlowTierOnly) {
-  ASSERT_TRUE(tiered_.Put(clock_, 0, "k", Bytes(10, 1)).ok());
+  ASSERT_TRUE(tiered_.Put(clock_, 0, "k", ShareBytes(Bytes(10, 1))).ok());
   EXPECT_TRUE(slow_.Contains("k"));
   EXPECT_FALSE(fast_.Contains("k"));
 }
 
+// A slow-tier miss serves the range from the fetched whole object; an
+// offset near UINT64_MAX must not wrap past that object's bounds check.
+TEST_F(TieredStoreTest, RangeMissWithWrappingOffsetIsOutOfRange) {
+  ASSERT_TRUE(tiered_.Put(clock_, 0, "k", ShareBytes(Bytes(100, 1))).ok());
+  auto r = tiered_.GetRange(clock_, 0, "k", UINT64_MAX - 7, 16);
+  EXPECT_EQ(r.status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(tiered_.stats().slow_hits, 1u);
+}
+
 TEST_F(TieredStoreTest, FirstReadMissesThenPromotes) {
-  ASSERT_TRUE(tiered_.Put(clock_, 0, "k", Bytes(10, 1)).ok());
+  ASSERT_TRUE(tiered_.Put(clock_, 0, "k", ShareBytes(Bytes(10, 1))).ok());
   ASSERT_TRUE(tiered_.Get(clock_, 0, "k").ok());
   auto stats = tiered_.stats();
   EXPECT_EQ(stats.slow_hits, 1u);
@@ -37,7 +48,7 @@ TEST_F(TieredStoreTest, FirstReadMissesThenPromotes) {
 TEST_F(TieredStoreTest, RangeMissPromotesWholeObject) {
   Bytes data(100);
   for (int i = 0; i < 100; ++i) data[i] = static_cast<uint8_t>(i);
-  ASSERT_TRUE(tiered_.Put(clock_, 0, "k", data).ok());
+  ASSERT_TRUE(tiered_.Put(clock_, 0, "k", ShareBytes(data)).ok());
   auto r = tiered_.GetRange(clock_, 0, "k", 10, 5);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value(), Bytes({10, 11, 12, 13, 14}));
@@ -48,9 +59,9 @@ TEST_F(TieredStoreTest, RangeMissPromotesWholeObject) {
 
 TEST_F(TieredStoreTest, CapacityBoundEvictsFifo) {
   TieredStore small(&fast_, &slow_, /*capacity=*/250);
-  ASSERT_TRUE(small.Put(clock_, 0, "a", Bytes(100, 1)).ok());
-  ASSERT_TRUE(small.Put(clock_, 0, "b", Bytes(100, 2)).ok());
-  ASSERT_TRUE(small.Put(clock_, 0, "c", Bytes(100, 3)).ok());
+  ASSERT_TRUE(small.Put(clock_, 0, "a", ShareBytes(Bytes(100, 1))).ok());
+  ASSERT_TRUE(small.Put(clock_, 0, "b", ShareBytes(Bytes(100, 2))).ok());
+  ASSERT_TRUE(small.Put(clock_, 0, "c", ShareBytes(Bytes(100, 3))).ok());
   ASSERT_TRUE(small.Get(clock_, 0, "a").ok());
   ASSERT_TRUE(small.Get(clock_, 0, "b").ok());
   EXPECT_TRUE(fast_.Contains("a"));
@@ -65,13 +76,13 @@ TEST_F(TieredStoreTest, CapacityBoundEvictsFifo) {
 
 TEST_F(TieredStoreTest, OversizedObjectIsNotPromoted) {
   TieredStore small(&fast_, &slow_, /*capacity=*/50);
-  ASSERT_TRUE(small.Put(clock_, 0, "big", Bytes(100, 1)).ok());
+  ASSERT_TRUE(small.Put(clock_, 0, "big", ShareBytes(Bytes(100, 1))).ok());
   ASSERT_TRUE(small.Get(clock_, 0, "big").ok());
   EXPECT_FALSE(fast_.Contains("big"));
 }
 
 TEST_F(TieredStoreTest, DeleteDropsBothTiers) {
-  ASSERT_TRUE(tiered_.Put(clock_, 0, "k", Bytes(10, 1)).ok());
+  ASSERT_TRUE(tiered_.Put(clock_, 0, "k", ShareBytes(Bytes(10, 1))).ok());
   ASSERT_TRUE(tiered_.Get(clock_, 0, "k").ok());  // promote
   ASSERT_TRUE(tiered_.Delete(clock_, 0, "k").ok());
   EXPECT_FALSE(fast_.Contains("k"));
@@ -79,8 +90,8 @@ TEST_F(TieredStoreTest, DeleteDropsBothTiers) {
 }
 
 TEST_F(TieredStoreTest, ListAndSizeComeFromSlowTier) {
-  ASSERT_TRUE(tiered_.Put(clock_, 0, "x/1", Bytes(5, 1)).ok());
-  ASSERT_TRUE(tiered_.Put(clock_, 0, "x/2", Bytes(6, 1)).ok());
+  ASSERT_TRUE(tiered_.Put(clock_, 0, "x/1", ShareBytes(Bytes(5, 1))).ok());
+  ASSERT_TRUE(tiered_.Put(clock_, 0, "x/2", ShareBytes(Bytes(6, 1))).ok());
   auto keys = tiered_.List(clock_, 0, "x/");
   ASSERT_TRUE(keys.ok());
   EXPECT_EQ(keys->size(), 2u);

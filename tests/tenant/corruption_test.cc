@@ -7,10 +7,13 @@
 // verified copy instead of re-detecting the corruption forever.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "cache/task_cache.h"
+#include "common/crc32.h"
 #include "core/deployment.h"
 #include "dlt/dataset_gen.h"
 #include "net/fault_injector.h"
@@ -121,6 +124,77 @@ TEST(TenantCorruptionTest, CorruptPublishIsInvalidatedNeverMarkedVerified) {
   EXPECT_EQ(c.cache->stats().chunk_loads, 0u);
   EXPECT_GE(c.cache->stats().adopted_chunks, 1u);
 
+  dep.fabric().set_fault_injector(nullptr);
+}
+
+// Injected payload corruption is copy-on-write: the fetch that is corrupted
+// gets a private copy with the flipped byte, while the object store's blob —
+// shared by reference with every other fetch — stays clean, so the refetch
+// after detection hands back the store's own buffer.
+TEST(TenantCorruptionTest, InjectedCorruptionCopiesAndLeavesStoreClean) {
+  dlt::DatasetSpec spec = MakeSpec();
+  core::DeploymentOptions dopts;
+  dopts.num_client_nodes = 1;
+  core::Deployment dep(dopts);
+  auto writer = dep.MakeClient(0, 0, spec.name, 16 * 1024);
+  ASSERT_TRUE(dlt::ForEachFile(spec, [&](const dlt::GeneratedFile& f) {
+                return writer->Put(f.path, f.content);
+              }).ok());
+  ASSERT_TRUE(writer->Flush().ok());
+  auto reader = dep.MakeClient(0, 1, spec.name);
+  cache::TaskRegistry registry;
+  registry.Register(reader->endpoint());
+  ASSERT_TRUE(reader->FetchSnapshot().ok());
+  const core::MetadataSnapshot& snap = *reader->snapshot();
+
+  sim::VirtualClock clock;
+  const std::string key = core::ChunkObjectKey(spec.name, snap.chunks().at(0));
+  const SharedBytes stored = dep.store().Get(clock, 0, key).value();
+  const uint32_t stored_crc = Crc32c(*stored);
+
+  // Find the file the flipped byte lands in by corrupting a private copy
+  // the way the injector will, and one clean file of the same chunk.
+  net::FaultPlan plan;
+  plan.corrupt_chunk_fetches.push_back(0);
+  net::FaultInjector inj(plan);
+  const uint32_t header_len = core::ChunkView::Parse(*stored)->header_len();
+  Bytes probe = *stored;
+  inj.CorruptPayload(probe, header_len, 0);
+  const uint64_t flipped =
+      std::mismatch(probe.begin(), probe.end(), stored->begin()).first -
+      probe.begin() - header_len;
+  size_t bad = SIZE_MAX, good = SIZE_MAX;
+  for (size_t i = 0; i < spec.total_files(); ++i) {
+    const core::FileMeta* fm = snap.Lookup(dlt::FilePath(spec, i));
+    ASSERT_NE(fm, nullptr);
+    if (!(fm->chunk == snap.chunks().at(0))) continue;
+    bool hit = flipped >= fm->offset && flipped < fm->offset + fm->length;
+    (hit ? bad : good) = i;
+  }
+  ASSERT_NE(bad, SIZE_MAX);
+  ASSERT_NE(good, SIZE_MAX);
+
+  dep.fabric().set_fault_injector(&inj);
+  cache::TaskCache tc(dep.fabric(), dep.server(0), snap, registry, {});
+  const net::EndpointId ep = reader->endpoint();
+  // The miss fetches the corrupted copy; the clean file passes its CRC and
+  // the copy becomes resident.
+  auto meta = [&](size_t i) { return *snap.Lookup(dlt::FilePath(spec, i)); };
+  auto first = tc.GetFileSlice(clock, ep, meta(good));
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(inj.stats().corruptions_injected, 1u);
+  EXPECT_NE(first->shared_owner(), stored);
+  EXPECT_TRUE(dlt::VerifyContent(spec, good, first->view()));
+  EXPECT_EQ(Crc32c(*stored), stored_crc);
+  // The flipped file fails its CRC: evict, refetch, and the refetch is the
+  // store's own clean buffer.
+  auto second = tc.GetFileSlice(clock, ep, meta(bad));
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(tc.stats().corruptions_detected, 1u);
+  EXPECT_EQ(second->shared_owner(), stored);
+  EXPECT_TRUE(dlt::VerifyContent(spec, bad, second->view()));
+  EXPECT_EQ(Crc32c(*stored), stored_crc);
+  EXPECT_EQ(dep.store().Get(clock, 0, key).value(), stored);
   dep.fabric().set_fault_injector(nullptr);
 }
 

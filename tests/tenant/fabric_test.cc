@@ -11,8 +11,7 @@ namespace diesel::tenant {
 namespace {
 
 core::ChunkBuffer MakeBuffer(size_t bytes, uint8_t fill) {
-  Bytes blob(bytes, fill);
-  return core::ChunkBuffer::Wrap(std::move(blob), 0);
+  return core::ChunkBuffer::Wrap(ShareBytes(Bytes(bytes, fill)), 0);
 }
 
 class FabricTest : public ::testing::Test {
