@@ -2,18 +2,25 @@
 // paths: chunk build/parse, snapshot lookup (FlatHashMap vs unordered_map —
 // the parallel-hashmap substitution in §5), CRC32C, and base64lex; plus
 // info rows for the CRC32C kernel and sim::Device::Serve at a full
-// interval list, the two host hot spots of the simulator, and for the
-// zero-copy chunk fetch from the object store.
+// interval list, the two host hot spots of the simulator, for the
+// zero-copy chunk fetch from the object store, and for the snapshot build's
+// time and heap allocations.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <limits>
+#include <new>
 #include <unordered_map>
 
 #include "bench/bench_util.h"
 #include "common/base64lex.h"
 #include "common/crc32.h"
 #include "common/flat_hash_map.h"
+#include "common/hash.h"
 #include "common/rng.h"
 #include "core/chunk_buffer.h"
 #include "core/chunk_format.h"
@@ -24,6 +31,23 @@
 #include "sim/calibration.h"
 #include "sim/device.h"
 #include "sim/node.h"
+
+// Every heap allocation in this process, for the snapshot allocation rows.
+namespace {
+std::atomic<uint64_t> g_heap_allocs{0};
+}  // namespace
+
+void* operator new(std::size_t n) {
+  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+// Out of line, so the compiler does not pair an inlined free() with the
+// operator new at each delete site and warn of a mismatch.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace diesel {
 namespace {
@@ -479,6 +503,81 @@ void ReportDeviceServe() {
   bench::Info("device.serve_full_vs_empty_x", "x", full_ns / empty_ns);
 }
 
+/// Snapshot build and lookup cost on perfbench's dataset shape: 8,192
+/// files "/bench/train/clsNNN/imgNNNNNN.bin" over 64 class directories, 32
+/// files per chunk, handed to Create in the server's order (KV key order:
+/// parent-directory hash, then base name). Build time is best of three;
+/// allocations are counted over one build and over 1,024 Lookup +
+/// ChunkIndex pairs.
+void ReportSnapshotBuild() {
+  constexpr size_t kFiles = 8192;
+  constexpr size_t kClasses = 64;
+  constexpr size_t kPerChunk = 32;
+  std::vector<core::ChunkId> chunks;
+  std::vector<core::FileMeta> files;
+  for (size_t i = 0; i < kFiles; ++i) {
+    if (i % kPerChunk == 0) {
+      chunks.push_back(core::ChunkId::Make(
+          1000, 7, 1, static_cast<uint32_t>(i / kPerChunk)));
+    }
+    char path[64];
+    std::snprintf(path, sizeof(path), "/bench/train/cls%03zu/img%06zu.bin",
+                  i % kClasses, i / kClasses);
+    core::FileMeta m;
+    m.chunk = chunks.back();
+    m.offset = (i % kPerChunk) * 8192;
+    m.length = 8192;
+    m.index_in_chunk = static_cast<uint32_t>(i % kPerChunk);
+    m.full_name = path;
+    files.push_back(std::move(m));
+  }
+  std::sort(files.begin(), files.end(),
+            [](const core::FileMeta& a, const core::FileMeta& b) {
+              uint64_t ha = PathHash(core::ParentPath(a.full_name));
+              uint64_t hb = PathHash(core::ParentPath(b.full_name));
+              if (ha != hb) return ha < hb;
+              return core::BaseName(a.full_name) < core::BaseName(b.full_name);
+            });
+
+  double best_ns = std::numeric_limits<double>::infinity();
+  uint64_t build_allocs = 0;
+  core::MetadataSnapshot snap;
+  for (int rep = 0; rep < 3; ++rep) {
+    std::vector<core::ChunkId> c = chunks;
+    std::vector<core::FileMeta> f = files;
+    const uint64_t allocs0 = g_heap_allocs.load();
+    auto t0 = std::chrono::steady_clock::now();
+    snap = core::MetadataSnapshot::Create("bench", 1, std::move(c),
+                                          std::move(f));
+    auto t1 = std::chrono::steady_clock::now();
+    build_allocs = g_heap_allocs.load() - allocs0;
+    best_ns = std::min(best_ns, static_cast<double>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
+            .count()));
+  }
+
+  constexpr size_t kProbes = 1024;
+  std::vector<std::string> probes;
+  for (size_t i = 0; i < kProbes; ++i) {
+    probes.push_back(files[(i * 7919) % kFiles].full_name);
+  }
+  size_t found = 0;
+  const uint64_t allocs0 = g_heap_allocs.load();
+  for (const std::string& p : probes) {
+    const core::FileMeta* m = snap.Lookup(p);
+    if (m != nullptr && snap.ChunkIndex(m->chunk) != static_cast<size_t>(-1))
+      ++found;
+  }
+  const uint64_t lookup_allocs = g_heap_allocs.load() - allocs0;
+  if (found != kProbes) std::abort();
+
+  bench::Info("snapshot.build_us", "us", best_ns / 1e3);
+  bench::Info("snapshot.build_allocs_per_file", "allocs",
+              static_cast<double>(build_allocs) / kFiles);
+  bench::Info("snapshot.lookup_allocs", "allocs",
+              static_cast<double>(lookup_allocs) / kProbes);
+}
+
 }  // namespace diesel
 
 // Custom main instead of BENCHMARK_MAIN(): the google-benchmark timings are
@@ -498,5 +597,6 @@ int main(int argc, char** argv) {
   diesel::ReportChunkGetVsCopy();
   diesel::ReportCrcKernel();
   diesel::ReportDeviceServe();
+  diesel::ReportSnapshotBuild();
   return diesel::bench::CloseReport();
 }

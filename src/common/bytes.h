@@ -40,6 +40,14 @@ inline std::string ToString(BytesView b) {
   return {reinterpret_cast<const char*>(b.data()), b.size()};
 }
 
+/// Little-endian load of a T from `p`, which the caller has bounds-checked.
+template <typename T>
+T LoadLE(const uint8_t* p) {
+  T v;
+  std::memcpy(&v, p, sizeof(T));  // little-endian hosts only, as PutLE
+  return v;
+}
+
 /// Append-only little-endian encoder.
 class BinaryWriter {
  public:
@@ -166,8 +174,7 @@ class BinaryReader {
   Result<T> ReadLE() {
     if (remaining() < sizeof(T))
       return Status::Corruption("BinaryReader: truncated fixed read");
-    T v;
-    std::memcpy(&v, data_.data() + pos_, sizeof(T));
+    T v = LoadLE<T>(data_.data() + pos_);
     pos_ += sizeof(T);
     return v;
   }

@@ -43,24 +43,28 @@ class FlatHashMap {
 
   /// Insert or overwrite. Returns true if a new key was inserted.
   bool InsertOrAssign(Key key, Value value) {
-    MaybeGrow();
-    size_t mask = slots_.size() - 1;
-    size_t idx = Hash{}(key)&mask;
-    for (;;) {
-      Slot& s = slots_[idx];
-      if (!s.used) {
-        s.used = true;
-        s.kv.first = std::move(key);
-        s.kv.second = std::move(value);
-        ++size_;
-        return true;
-      }
-      if (Eq{}(s.kv.first, key)) {
-        s.kv.second = std::move(value);
-        return false;
-      }
-      idx = (idx + 1) & mask;
+    Slot& s = SlotFor(key);
+    const bool inserted = !s.used;
+    if (inserted) {
+      s.used = true;
+      s.kv.first = std::move(key);
+      ++size_;
     }
+    s.kv.second = std::move(value);
+    return inserted;
+  }
+
+  /// Insert `value` under `key` unless the key is present. Returns the
+  /// stored value (valid until the next insertion) and whether it was
+  /// inserted.
+  std::pair<Value*, bool> Emplace(Key key, Value value) {
+    Slot& s = SlotFor(key);
+    if (s.used) return {&s.kv.second, false};
+    s.used = true;
+    s.kv.first = std::move(key);
+    s.kv.second = std::move(value);
+    ++size_;
+    return {&s.kv.second, true};
   }
 
   Value* Find(const Key& key) {
@@ -137,6 +141,18 @@ class FlatHashMap {
     size_t p = 16;
     while (p < n) p <<= 1;
     return p;
+  }
+
+  /// Grow if needed, then the slot holding `key`, or the empty slot where
+  /// it belongs.
+  Slot& SlotFor(const Key& key) {
+    MaybeGrow();
+    size_t mask = slots_.size() - 1;
+    size_t idx = Hash{}(key)&mask;
+    while (slots_[idx].used && !Eq{}(slots_[idx].kv.first, key)) {
+      idx = (idx + 1) & mask;
+    }
+    return slots_[idx];
   }
 
   void MaybeGrow() {

@@ -114,6 +114,12 @@ Result<ChunkView> ChunkView::ParseInternal(BytesView data,
   DIESEL_ASSIGN_OR_RETURN(BytesView bitmap, r.ReadRaw(bitmap_bytes));
   view.bitmap_.assign(bitmap.begin(), bitmap.end());
 
+  // Each entry takes at least a name length, offset, length and crc, and
+  // the header CRC follows them: bound the count before reserving for it.
+  constexpr size_t kMinEntryBytes = 4 + 8 + 8 + 4;
+  if (r.pos() + 4 > header_len ||
+      num_files > (header_len - 4 - r.pos()) / kMinEntryBytes)
+    return Status::Corruption("chunk: file count exceeds header");
   view.entries_.reserve(num_files);
   for (uint32_t i = 0; i < num_files; ++i) {
     ChunkFileEntry e;

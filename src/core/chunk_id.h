@@ -11,9 +11,11 @@
 #include <array>
 #include <compare>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 
+#include "common/hash.h"
 #include "common/status.h"
 
 namespace diesel::core {
@@ -48,6 +50,20 @@ class ChunkId {
 
  private:
   std::array<uint8_t, kSize> bytes_{};
+};
+
+/// Hash of the 16 raw ID bytes (no encoding). IDs minted in sequence differ
+/// only in their low counter and timestamp bytes, so both halves go through
+/// a full-avalanche mix: a plain fold of the halves clusters such IDs under
+/// linear probing.
+struct ChunkIdHash {
+  size_t operator()(const ChunkId& id) const {
+    uint64_t hi = 0;
+    uint64_t lo = 0;
+    std::memcpy(&hi, id.bytes().data(), sizeof(hi));
+    std::memcpy(&lo, id.bytes().data() + sizeof(hi), sizeof(lo));
+    return static_cast<size_t>(HashCombine(Mix64(hi), lo));
+  }
 };
 
 /// Mints monotonically increasing chunk IDs for one (machine, process).

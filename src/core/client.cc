@@ -167,7 +167,14 @@ Result<std::vector<DirEntry>> DieselClient::List(const std::string& dir_path) {
   if (snapshot_) {
     clock_.Advance(sim::kSnapshotLookupCost);
     ++stats_.local_metadata_hits;
-    return snapshot_->ListDir(dir_path);
+    DIESEL_ASSIGN_OR_RETURN(std::span<const DirEntryView> children,
+                            snapshot_->ListDir(dir_path));
+    std::vector<DirEntry> out;
+    out.reserve(children.size());
+    for (const DirEntryView& c : children) {
+      out.push_back({std::string(c.name), c.is_dir});
+    }
+    return out;
   }
   ++stats_.server_metadata_ops;
   return WithServerRetry<std::vector<DirEntry>>([&](DieselServer& s) {

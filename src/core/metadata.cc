@@ -1,6 +1,8 @@
 #include "core/metadata.h"
 
 #include <algorithm>
+#include <cstring>
+#include <optional>
 #include <set>
 
 #include "common/hash.h"
@@ -21,15 +23,21 @@ Bytes FileMeta::Serialize() const {
 }
 
 Result<FileMeta> FileMeta::Deserialize(BytesView data) {
+  // One bounds check covers the fixed-width fields: this decoder runs once
+  // per file in every snapshot build.
+  constexpr size_t kFixedBytes = ChunkId::kSize + 8 + 8 + 4 + 4;
   BinaryReader r(data);
+  DIESEL_ASSIGN_OR_RETURN(BytesView fixed, r.ReadRaw(kFixedBytes));
+  DIESEL_ASSIGN_OR_RETURN(BytesView name, r.ReadBytes());
   FileMeta m;
-  DIESEL_ASSIGN_OR_RETURN(BytesView idb, r.ReadRaw(ChunkId::kSize));
-  std::copy(idb.begin(), idb.end(), m.chunk.mutable_bytes().begin());
-  DIESEL_ASSIGN_OR_RETURN(m.offset, r.ReadU64());
-  DIESEL_ASSIGN_OR_RETURN(m.length, r.ReadU64());
-  DIESEL_ASSIGN_OR_RETURN(m.crc, r.ReadU32());
-  DIESEL_ASSIGN_OR_RETURN(m.index_in_chunk, r.ReadU32());
-  DIESEL_ASSIGN_OR_RETURN(m.full_name, r.ReadString());
+  const uint8_t* p = fixed.data();
+  std::copy_n(p, ChunkId::kSize, m.chunk.mutable_bytes().begin());
+  p += ChunkId::kSize;
+  m.offset = LoadLE<uint64_t>(p);
+  m.length = LoadLE<uint64_t>(p + 8);
+  m.crc = LoadLE<uint32_t>(p + 16);
+  m.index_in_chunk = LoadLE<uint32_t>(p + 20);
+  m.full_name.assign(reinterpret_cast<const char*>(name.data()), name.size());
   return m;
 }
 
@@ -78,41 +86,40 @@ Result<DatasetMeta> DatasetMeta::Deserialize(BytesView data) {
 
 // ---- path helpers ----------------------------------------------------------
 
-namespace {
-
-// View forms of ParentPath/BaseName: substrings of `path` (or "/").
-std::string_view ParentView(std::string_view path) {
+std::string_view ParentPath(std::string_view path) {
   size_t pos = path.find_last_of('/');
   if (pos == std::string_view::npos || pos == 0) return "/";
   return path.substr(0, pos);
 }
 
-std::string_view BaseView(std::string_view path) {
+std::string_view BaseName(std::string_view path) {
   size_t pos = path.find_last_of('/');
   return pos == std::string_view::npos ? path : path.substr(pos + 1);
 }
 
-}  // namespace
-
-std::string ParentPath(std::string_view path) {
-  return std::string(ParentView(path));
-}
-
-std::string BaseName(std::string_view path) {
-  return std::string(BaseView(path));
+Status ValidateDatasetName(std::string_view dataset) {
+  if (dataset.empty() || dataset.find('/') != std::string_view::npos) {
+    return Status::InvalidArgument("dataset name must be non-empty and "
+                                   "contain no '/': '" +
+                                   std::string(dataset) + "'");
+  }
+  return Status::Ok();
 }
 
 // ---- keys -------------------------------------------------------------------
 
 namespace {
 
+constexpr size_t kDirHashDigits = 16;
+
 /// "F/<dataset>/<hex(hash(dir))>/<kind>/<name>", built in one allocation;
-/// the hash is 16 zero-padded lowercase hex digits.
+/// the hash is 16 zero-padded lowercase hex digits, so key order within a
+/// dataset is (dir hash, kind, name).
 std::string DirEntryKey(std::string_view dataset, std::string_view dir,
                         char kind, std::string_view name) {
   static constexpr char kHex[] = "0123456789abcdef";
   std::string key;
-  key.reserve(2 + dataset.size() + 1 + 16 + 3 + name.size());
+  key.reserve(2 + dataset.size() + 1 + kDirHashDigits + 3 + name.size());
   key.append("F/").append(dataset).push_back('/');
   uint64_t h = PathHash(dir);
   for (int shift = 60; shift >= 0; shift -= 4) {
@@ -123,6 +130,30 @@ std::string DirEntryKey(std::string_view dataset, std::string_view dir,
   key.push_back('/');
   key.append(name);
   return key;
+}
+
+/// The dir hash of a file key's remainder after "F/<dataset>/"
+/// ("<hex16>/f/<name>"); nullopt unless it is a well-formed file key.
+std::optional<uint64_t> FileKeyDirHash(std::string_view rest) {
+  if (rest.size() < kDirHashDigits + 3 ||
+      rest.substr(kDirHashDigits, 3) != "/f/") {
+    return std::nullopt;
+  }
+  uint64_t h = 0;
+  for (char c : rest.substr(0, kDirHashDigits)) {
+    int digit = c >= '0' && c <= '9'   ? c - '0'
+                : c >= 'a' && c <= 'f' ? c - 'a' + 10
+                                       : -1;
+    if (digit < 0) return std::nullopt;
+    h = h << 4 | static_cast<uint64_t>(digit);
+  }
+  return h;
+}
+
+/// The 8 bytes at `p` as a big-endian integer, so that integer order is
+/// byte-string order.
+uint64_t LoadBE64(const uint8_t* p) {
+  return __builtin_bswap64(LoadLE<uint64_t>(p));
 }
 
 }  // namespace
@@ -139,12 +170,16 @@ std::string ChunkKeyPrefix(std::string_view dataset) {
   return "C/" + std::string(dataset) + "/";
 }
 
+std::string FileKeyPrefix(std::string_view dataset) {
+  return "F/" + std::string(dataset) + "/";
+}
+
 std::string FileKey(std::string_view dataset, std::string_view full_path) {
-  return DirEntryKey(dataset, ParentView(full_path), 'f', BaseView(full_path));
+  return DirEntryKey(dataset, ParentPath(full_path), 'f', BaseName(full_path));
 }
 
 std::string DirMarkerKey(std::string_view dataset, std::string_view dir_path) {
-  return DirEntryKey(dataset, ParentView(dir_path), 'd', BaseView(dir_path));
+  return DirEntryKey(dataset, ParentPath(dir_path), 'd', BaseName(dir_path));
 }
 
 std::string DirFilePrefix(std::string_view dataset, std::string_view dir_path) {
@@ -162,6 +197,7 @@ Status MetadataService::AddChunk(sim::VirtualClock& clock,
                                  std::string_view dataset, const ChunkId& id,
                                  const ChunkMeta& chunk_meta,
                                  const std::vector<FileMeta>& files) {
+  DIESEL_RETURN_IF_ERROR(ValidateDatasetName(dataset));
   std::vector<std::pair<std::string, std::string>> batch;
   batch.reserve(files.size() * 2 + 1);
   batch.emplace_back(ChunkKey(dataset, id), ToString(chunk_meta.Serialize()));
@@ -170,8 +206,8 @@ Status MetadataService::AddChunk(sim::VirtualClock& clock,
     batch.emplace_back(FileKey(dataset, f.full_name),
                        ToString(f.Serialize()));
     // Ancestor directory markers so readdir discovers the hierarchy.
-    for (std::string_view dir = ParentView(f.full_name); dir != "/";
-         dir = ParentView(dir)) {
+    for (std::string_view dir = ParentPath(f.full_name); dir != "/";
+         dir = ParentPath(dir)) {
       if (!dirs_added.insert(dir).second) break;  // ancestors already queued
       batch.emplace_back(DirMarkerKey(dataset, dir), "");
     }
@@ -182,6 +218,7 @@ Status MetadataService::AddChunk(sim::VirtualClock& clock,
 Result<FileMeta> MetadataService::GetFile(sim::VirtualClock& clock,
                                           std::string_view dataset,
                                           std::string_view path) {
+  DIESEL_RETURN_IF_ERROR(ValidateDatasetName(dataset));
   DIESEL_ASSIGN_OR_RETURN(std::string raw,
                           kv_.Get(clock, node_, FileKey(dataset, path)));
   return FileMeta::Deserialize(AsBytesView(raw));
@@ -190,6 +227,7 @@ Result<FileMeta> MetadataService::GetFile(sim::VirtualClock& clock,
 Result<ChunkMeta> MetadataService::GetChunk(sim::VirtualClock& clock,
                                             std::string_view dataset,
                                             const ChunkId& id) {
+  DIESEL_RETURN_IF_ERROR(ValidateDatasetName(dataset));
   DIESEL_ASSIGN_OR_RETURN(std::string raw,
                           kv_.Get(clock, node_, ChunkKey(dataset, id)));
   return ChunkMeta::Deserialize(AsBytesView(raw));
@@ -198,6 +236,7 @@ Result<ChunkMeta> MetadataService::GetChunk(sim::VirtualClock& clock,
 Result<std::vector<DirEntry>> MetadataService::ListDir(
     sim::VirtualClock& clock, std::string_view dataset,
     std::string_view dir_path) {
+  DIESEL_RETURN_IF_ERROR(ValidateDatasetName(dataset));
   // pscan hash(dir)/d  union  pscan hash(dir)/f (paper §4.1.1).
   DIESEL_ASSIGN_OR_RETURN(
       std::vector<kv::ScanEntry> subdirs,
@@ -220,6 +259,7 @@ Result<std::vector<DirEntry>> MetadataService::ListDir(
 
 Result<std::vector<ChunkId>> MetadataService::ListChunks(
     sim::VirtualClock& clock, std::string_view dataset) {
+  DIESEL_RETURN_IF_ERROR(ValidateDatasetName(dataset));
   DIESEL_ASSIGN_OR_RETURN(std::vector<kv::ScanEntry> entries,
                           kv_.PScan(clock, node_, ChunkKeyPrefix(dataset)));
   std::vector<ChunkId> out;
@@ -234,8 +274,88 @@ Result<std::vector<ChunkId>> MetadataService::ListChunks(
   return out;
 }
 
+Result<std::vector<FileMeta>> MetadataService::ListFiles(
+    sim::VirtualClock& clock, std::string_view dataset, size_t expected) {
+  DIESEL_RETURN_IF_ERROR(ValidateDatasetName(dataset));
+  const std::string prefix = FileKeyPrefix(dataset);
+  // Decode each shard's file records in its key order, remembering the dir
+  // hash from the key, then merge the per-shard runs on (dir hash, base
+  // name): that is the global key order, because the hash is fixed-width
+  // hex and the key's name is the base name of the record's full_name. The
+  // merge compares the base names' first 16 bytes as two big-endian words
+  // (zero-padded) and reads the names only when those tie.
+  struct SortKey {
+    uint64_t dir_hash;
+    uint64_t base_head[2];
+  };
+  // `expected` usually comes from the dataset record: a hint, capped so a
+  // bad count cannot reserve unbounded memory.
+  expected = std::min<size_t>(expected, size_t{1} << 22);
+  std::vector<FileMeta> files;  // keys[i] belongs to files[i]
+  std::vector<SortKey> keys;
+  files.reserve(expected);
+  keys.reserve(expected);
+  std::vector<size_t> runs;  // files[runs[i], runs[i+1]) is one shard's run
+  uint32_t run_shard = 0;
+  Status decode = Status::Ok();
+  DIESEL_RETURN_IF_ERROR(kv_.Scan(
+      clock, node_, prefix,
+      [&](uint32_t shard, std::string_view key, std::string_view value) {
+        if (value.empty() || !decode.ok()) return;  // directory marker
+        std::optional<uint64_t> dir_hash =
+            FileKeyDirHash(key.substr(prefix.size()));
+        if (!dir_hash) {
+          decode = Status::Corruption("metadata: malformed file key");
+          return;
+        }
+        Result<FileMeta> fm = FileMeta::Deserialize(AsBytesView(value));
+        if (!fm.ok()) {
+          decode = fm.status();
+          return;
+        }
+        if (runs.empty() || shard != run_shard) {
+          runs.push_back(files.size());
+          run_shard = shard;
+        }
+        std::string_view base = BaseName(fm->full_name);
+        uint8_t head[16] = {};
+        std::memcpy(head, base.data(), std::min<size_t>(base.size(), 16));
+        keys.push_back({*dir_hash, {LoadBE64(head), LoadBE64(head + 8)}});
+        files.push_back(std::move(fm).value());
+      }));
+  DIESEL_RETURN_IF_ERROR(decode);
+  runs.push_back(files.size());
+  std::vector<uint32_t> order =
+      kv::MergedOrder(std::move(runs), [&](uint32_t a, uint32_t b) {
+        const SortKey& ka = keys[a];
+        const SortKey& kb = keys[b];
+        if (ka.dir_hash != kb.dir_hash) return ka.dir_hash < kb.dir_hash;
+        if (ka.base_head[0] != kb.base_head[0])
+          return ka.base_head[0] < kb.base_head[0];
+        if (ka.base_head[1] != kb.base_head[1])
+          return ka.base_head[1] < kb.base_head[1];
+        return BaseName(files[a].full_name) < BaseName(files[b].full_name);
+      });
+  // Permute in place, cycle by cycle: position i takes files[order[i]].
+  // A finished position is marked order[i] == i.
+  for (uint32_t i = 0; i < order.size(); ++i) {
+    if (order[i] == i) continue;
+    FileMeta held = std::move(files[i]);
+    uint32_t j = i;
+    for (uint32_t from = order[j]; from != i; from = order[j]) {
+      files[j] = std::move(files[from]);
+      order[j] = j;
+      j = from;
+    }
+    files[j] = std::move(held);
+    order[j] = j;
+  }
+  return files;
+}
+
 Result<DatasetMeta> MetadataService::GetDataset(sim::VirtualClock& clock,
                                                 std::string_view dataset) {
+  DIESEL_RETURN_IF_ERROR(ValidateDatasetName(dataset));
   DIESEL_ASSIGN_OR_RETURN(std::string raw,
                           kv_.Get(clock, node_, DatasetKey(dataset)));
   return DatasetMeta::Deserialize(AsBytesView(raw));
@@ -244,6 +364,7 @@ Result<DatasetMeta> MetadataService::GetDataset(sim::VirtualClock& clock,
 Status MetadataService::PutDataset(sim::VirtualClock& clock,
                                    std::string_view dataset,
                                    const DatasetMeta& meta) {
+  DIESEL_RETURN_IF_ERROR(ValidateDatasetName(dataset));
   return kv_.Put(clock, node_, DatasetKey(dataset),
                  ToString(meta.Serialize()));
 }
@@ -251,6 +372,7 @@ Status MetadataService::PutDataset(sim::VirtualClock& clock,
 Status MetadataService::DeleteFile(sim::VirtualClock& clock,
                                    std::string_view dataset,
                                    std::string_view path) {
+  DIESEL_RETURN_IF_ERROR(ValidateDatasetName(dataset));
   DIESEL_ASSIGN_OR_RETURN(FileMeta fm, GetFile(clock, dataset, path));
   DIESEL_ASSIGN_OR_RETURN(ChunkMeta cm, GetChunk(clock, dataset, fm.chunk));
   size_t byte_index = fm.index_in_chunk / 8;
@@ -269,15 +391,15 @@ Status MetadataService::DeleteFile(sim::VirtualClock& clock,
 
 Result<std::vector<ChunkId>> MetadataService::DeleteDataset(
     sim::VirtualClock& clock, std::string_view dataset) {
+  DIESEL_RETURN_IF_ERROR(ValidateDatasetName(dataset));
   DIESEL_ASSIGN_OR_RETURN(std::vector<ChunkId> chunks,
                           ListChunks(clock, dataset));
   for (const ChunkId& id : chunks) {
     DIESEL_RETURN_IF_ERROR(kv_.Delete(clock, node_, ChunkKey(dataset, id)));
   }
   // File and directory keys: scan the dataset's file namespace.
-  DIESEL_ASSIGN_OR_RETURN(
-      std::vector<kv::ScanEntry> file_keys,
-      kv_.PScan(clock, node_, "F/" + std::string(dataset) + "/"));
+  DIESEL_ASSIGN_OR_RETURN(std::vector<kv::ScanEntry> file_keys,
+                          kv_.PScan(clock, node_, FileKeyPrefix(dataset)));
   for (const auto& e : file_keys) {
     DIESEL_RETURN_IF_ERROR(kv_.Delete(clock, node_, e.key));
   }

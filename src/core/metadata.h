@@ -1,6 +1,8 @@
 // Metadata schema and FS-op -> KV-op translation (paper Fig. 5b, §4.1.1).
 //
-// Key layout in the key-value database (one namespace per dataset):
+// Key layout in the key-value database (one namespace per dataset; dataset
+// names are non-empty and contain no '/', so no dataset's prefix covers
+// another's keys):
 //   "D/<dataset>"                         -> DatasetMeta
 //   "C/<dataset>/<chunk_id_b64>"          -> ChunkMeta
 //   "F/<dataset>/<hex(hash(parent))>/d/<name>" -> "" (directory marker)
@@ -66,16 +68,24 @@ struct DirEntry {
 
 // ---- path helpers ----------------------------------------------------------
 
-/// Normalized parent of an absolute path ("/a/b/c" -> "/a/b"; "/x" -> "/").
-std::string ParentPath(std::string_view path);
-/// Final component ("/a/b/c" -> "c").
-std::string BaseName(std::string_view path);
+/// Normalized parent of an absolute path ("/a/b/c" -> "/a/b"; "/x" -> "/"):
+/// a view into `path`, or of a static "/".
+std::string_view ParentPath(std::string_view path);
+/// Final component ("/a/b/c" -> "c"): a view into `path`.
+std::string_view BaseName(std::string_view path);
+
+/// InvalidArgument unless `dataset` is non-empty and free of '/'. Every
+/// MetadataService entry point checks it: a '/' would make "F/<ds>/" a
+/// prefix of another dataset's keys.
+Status ValidateDatasetName(std::string_view dataset);
 
 // ---- key construction ------------------------------------------------------
 
 std::string DatasetKey(std::string_view dataset);
 std::string ChunkKey(std::string_view dataset, const ChunkId& id);
 std::string ChunkKeyPrefix(std::string_view dataset);
+/// "F/<dataset>/": the pscan prefix of every file and directory key.
+std::string FileKeyPrefix(std::string_view dataset);
 std::string FileKey(std::string_view dataset, std::string_view full_path);
 std::string DirMarkerKey(std::string_view dataset, std::string_view dir_path);
 /// pscan prefixes for one directory's files / subdirectories.
@@ -109,6 +119,13 @@ class MetadataService {
   /// All chunk IDs of a dataset in write (ID) order.
   Result<std::vector<ChunkId>> ListChunks(sim::VirtualClock& clock,
                                           std::string_view dataset);
+
+  /// Every file record of a dataset in global key order, i.e. by (parent
+  /// directory hash, base name), decoded straight from the shards' value
+  /// bytes in one visiting scan. `expected` only sizes the buffers.
+  Result<std::vector<FileMeta>> ListFiles(sim::VirtualClock& clock,
+                                          std::string_view dataset,
+                                          size_t expected = 0);
 
   Result<DatasetMeta> GetDataset(sim::VirtualClock& clock,
                                  std::string_view dataset);

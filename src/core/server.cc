@@ -62,7 +62,10 @@ Nanos DieselServer::IngestChunkAt(Nanos arrival, const std::string& dataset,
   ingests.Inc();
   ingest_bytes.Inc(chunk->size());
 
-  // Blob to object storage.
+  // Blob to object storage, once the name is known to be a valid key
+  // namespace (the metadata put would refuse it, orphaning the blob).
+  out_status = ValidateDatasetName(dataset);
+  if (!out_status.ok()) return srv.now();
   std::string key = ChunkObjectKey(dataset, view->id());
   out_status = store_.Put(srv, options_.node, key, chunk);
   if (!out_status.ok()) return srv.now();
@@ -417,27 +420,15 @@ Result<MetadataSnapshot> DieselServer::BuildSnapshot(
           result = chunks.status();
           return srv.now();
         }
-        // All file records of the dataset.
-        Result<std::vector<kv::ScanEntry>> entries = meta_.kvstore().PScan(
-            srv, options_.node, "F/" + dataset + "/");
-        if (!entries.ok()) {
-          result = entries.status();
+        Result<std::vector<FileMeta>> files =
+            meta_.ListFiles(srv, dataset, dm.value().num_files);
+        if (!files.ok()) {
+          result = files.status();
           return srv.now();
-        }
-        std::vector<FileMeta> files;
-        files.reserve(entries.value().size());
-        for (const auto& e : entries.value()) {
-          if (e.value.empty()) continue;  // directory marker
-          Result<FileMeta> fm = FileMeta::Deserialize(AsBytesView(e.value));
-          if (!fm.ok()) {
-            result = fm.status();
-            return srv.now();
-          }
-          files.push_back(std::move(fm).value());
         }
         result = MetadataSnapshot::Create(dataset, dm.value().update_ts_ns,
                                           std::move(chunks).value(),
-                                          std::move(files));
+                                          std::move(files).value());
         return srv.now();
       }));
   if (result.ok()) {

@@ -10,7 +10,7 @@
 // file names at load time.
 #pragma once
 
-#include <map>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -22,9 +22,21 @@
 
 namespace diesel::core {
 
+/// A directory listing entry that views a name owned by the snapshot.
+struct DirEntryView {
+  std::string_view name;
+  bool is_dir = false;
+};
+
 class MetadataSnapshot {
  public:
   MetadataSnapshot() = default;
+  // The derived indexes view the file names. A move keeps the names in
+  // place; a copy rebuilds the indexes over its own names.
+  MetadataSnapshot(MetadataSnapshot&&) = default;
+  MetadataSnapshot& operator=(MetadataSnapshot&&) = default;
+  MetadataSnapshot(const MetadataSnapshot& other);
+  MetadataSnapshot& operator=(const MetadataSnapshot& other);
 
   /// Build from in-memory records (server side). `files` keep their
   /// index_in_chunk; chunk list must be in write (ID) order.
@@ -47,18 +59,23 @@ class MetadataSnapshot {
     return update_ts_ns_ == current.update_ts_ns;
   }
 
+  // The lookups below allocate nothing; returned views live as long as
+  // the snapshot.
+
   /// O(1) point lookup by full path; nullptr when absent.
   const FileMeta* Lookup(std::string_view path) const;
 
-  /// readdir from the reconstructed hierarchy.
-  Result<std::vector<DirEntry>> ListDir(std::string_view dir_path) const;
+  /// readdir from the reconstructed hierarchy: subdirectories, then files,
+  /// each name-sorted.
+  Result<std::span<const DirEntryView>> ListDir(
+      std::string_view dir_path) const;
   bool HasDir(std::string_view dir_path) const;
 
   /// Index of a chunk ID within chunks(); SIZE_MAX if unknown.
   size_t ChunkIndex(const ChunkId& id) const;
 
   /// File indices (into files()) stored in the given chunk, offset order.
-  const std::vector<uint32_t>& FilesOfChunk(size_t chunk_index) const;
+  std::span<const uint32_t> FilesOfChunk(size_t chunk_index) const;
 
  private:
   void BuildIndexes();
@@ -68,11 +85,18 @@ class MetadataSnapshot {
   std::vector<ChunkId> chunks_;
   std::vector<FileMeta> files_;
 
-  // Derived (rebuilt on load, not serialized):
-  FlatHashMap<std::string, uint32_t> path_index_;
-  FlatHashMap<std::string, uint32_t> chunk_index_;   // encoded id -> index
-  std::vector<std::vector<uint32_t>> files_by_chunk_;
-  std::map<std::string, std::vector<DirEntry>> tree_;  // dir -> children
+  // Derived (rebuilt on load, not serialized). Every string_view points
+  // into a files_[i].full_name, or at a static "/".
+  FlatHashMap<std::string_view, uint32_t> path_index_;
+  FlatHashMap<ChunkId, uint32_t, ChunkIdHash> chunk_index_;
+  // Chunk c's files are chunk_files_[chunk_begin_[c], chunk_begin_[c + 1]).
+  std::vector<uint32_t> chunk_files_;
+  std::vector<uint32_t> chunk_begin_;
+  // Directory d (dir_index_ maps its path to d) lists
+  // children_[dir_begin_[d], dir_begin_[d + 1]).
+  FlatHashMap<std::string_view, uint32_t> dir_index_;
+  std::vector<DirEntryView> children_;
+  std::vector<uint32_t> dir_begin_;
 };
 
 }  // namespace diesel::core

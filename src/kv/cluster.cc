@@ -244,17 +244,14 @@ Result<std::vector<std::optional<std::string>>> KvCluster::MGet(
   return out;
 }
 
-Result<std::vector<ScanEntry>> KvCluster::PScan(sim::VirtualClock& clock,
-                                                sim::NodeId client,
-                                                const std::string& prefix,
-                                                size_t limit) {
+Status KvCluster::Scan(sim::VirtualClock& clock, sim::NodeId client,
+                       std::string_view prefix, const ScanVisitor& visit,
+                       size_t limit) {
   static OpMetrics metrics("pscan");
   obs::ScopedSpan span(fabric_.tracer(), "kv.pscan", clock, client);
-  std::vector<ScanEntry> merged;
-  std::vector<size_t> runs{0};  // merged[runs[i], runs[i+1]) is shard i's part
   for (uint32_t s = 0; s < shards_.size(); ++s) {
     Shard& shard = *shards_[s];
-    Result<std::vector<ScanEntry>> part = Status::Internal("unset");
+    Status scan_status = Status::Internal("unset");
     uint32_t attempts = 0;
     Status shard_status = options_.retry.Run(clock, [&]() -> Status {
       ++attempts;
@@ -263,39 +260,50 @@ Result<std::vector<ScanEntry>> KvCluster::PScan(sim::VirtualClock& clock,
           clock, client, shard_node_[s], prefix.size() + kOpOverheadBytes,
           /*resp guess=*/1024,
           [&](Nanos arrival) {
-            part = shard.Scan(prefix, limit);
+            // The handler runs only once the request is delivered, and
+            // nothing after it can fail the call, so it runs at most once.
             uint64_t resp = 0;
-            if (part.ok()) {
-              for (const auto& e : part.value())
-                resp += e.key.size() + e.value.size();
-            }
+            scan_status = shard.Scan(
+                prefix, limit, [&](std::string_view key, std::string_view value) {
+                  resp += key.size() + value.size();
+                  visit(s, key, value);
+                });
             return shard.service().Serve(arrival, resp + kOpOverheadBytes);
           });
     });
     metrics.Record(attempts, shard_status, span);
     DIESEL_RETURN_IF_ERROR(shard_status);
-    DIESEL_RETURN_IF_ERROR(part.status());
-    auto& items = part.value();
-    merged.insert(merged.end(), std::make_move_iterator(items.begin()),
-                  std::make_move_iterator(items.end()));
-    runs.push_back(merged.size());
+    DIESEL_RETURN_IF_ERROR(scan_status);
   }
-  // Each shard's part is already in key order and every key lives on exactly
-  // one shard, so merging adjacent runs pairwise (log2(shards) passes) yields
-  // the global key order without re-sorting.
-  auto by_key = [](const ScanEntry& a, const ScanEntry& b) {
-    return a.key < b.key;
-  };
-  const size_t num_runs = runs.size() - 1;
-  for (size_t width = 1; width < num_runs; width *= 2) {
-    for (size_t i = 0; i + width < num_runs; i += 2 * width) {
-      auto first = merged.begin();
-      std::inplace_merge(first + runs[i], first + runs[i + width],
-                         first + runs[std::min(i + 2 * width, num_runs)],
-                         by_key);
-    }
-  }
-  if (limit != 0 && merged.size() > limit) merged.resize(limit);
+  return Status::Ok();
+}
+
+Result<std::vector<ScanEntry>> KvCluster::PScan(sim::VirtualClock& clock,
+                                                sim::NodeId client,
+                                                const std::string& prefix,
+                                                size_t limit) {
+  std::vector<ScanEntry> entries;
+  std::vector<size_t> runs;  // entries[runs[i], runs[i+1]) is one shard's run
+  uint32_t run_shard = 0;
+  DIESEL_RETURN_IF_ERROR(Scan(
+      clock, client, prefix,
+      [&](uint32_t shard, std::string_view key, std::string_view value) {
+        if (runs.empty() || shard != run_shard) {
+          runs.push_back(entries.size());
+          run_shard = shard;
+        }
+        entries.push_back({std::string(key), std::string(value)});
+      },
+      limit));
+  runs.push_back(entries.size());
+  std::vector<uint32_t> order =
+      MergedOrder(std::move(runs), [&entries](uint32_t a, uint32_t b) {
+        return entries[a].key < entries[b].key;
+      });
+  if (limit != 0 && order.size() > limit) order.resize(limit);
+  std::vector<ScanEntry> merged;
+  merged.reserve(order.size());
+  for (uint32_t i : order) merged.push_back(std::move(entries[i]));
   return merged;
 }
 

@@ -8,9 +8,13 @@
 // what lets DIESEL servers ingest chunk metadata at high rates.
 #pragma once
 
+#include <algorithm>
+#include <functional>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -63,7 +67,24 @@ class KvCluster {
       sim::VirtualClock& clock, sim::NodeId client,
       const std::vector<std::string>& keys);
 
-  /// Prefix scan across all shards, merged in key order.
+  /// Visiting prefix scan: one RPC per shard, in shard order, each shard
+  /// visiting its entries whose key starts with `prefix` in key order, up to
+  /// `limit` per shard (0 = unlimited), as visit(shard, key, value). So the
+  /// calls form one key-ordered run per shard that holds a match. `visit`
+  /// runs under the shard's lock, inside the RPC handler: it must not call
+  /// back into the KV store, and the views die when it returns. Each shard
+  /// is visited at most once: a retry only repeats attempts that failed
+  /// before the handler ran. On an error, the shards before the failing one
+  /// have already been visited. Charged like every pscan: the request, then
+  /// Serve(arrival, sum of key + value sizes + framing) on the shard.
+  using ScanVisitor = std::function<void(uint32_t shard, std::string_view key,
+                                         std::string_view value)>;
+  Status Scan(sim::VirtualClock& clock, sim::NodeId client,
+              std::string_view prefix, const ScanVisitor& visit,
+              size_t limit = 0);
+
+  /// Prefix scan across all shards, merged in key order: Scan collected into
+  /// owned entries.
   Result<std::vector<ScanEntry>> PScan(sim::VirtualClock& clock,
                                        sim::NodeId client,
                                        const std::string& prefix,
@@ -94,5 +115,33 @@ class KvCluster {
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<sim::NodeId> shard_node_;
 };
+
+/// The sorted order of items 0..n-1 (n = runs.back()), given that each
+/// range [runs[i], runs[i+1]) is already sorted by `less(index, index)`:
+/// adjacent runs merge pairwise, log2(runs) passes, so per-shard scan
+/// results reach global order without a full re-sort. Only indices move,
+/// between two buffers.
+template <typename Less>
+std::vector<uint32_t> MergedOrder(std::vector<size_t> runs, Less less) {
+  const size_t n = runs.empty() ? 0 : runs.back();
+  std::vector<uint32_t> order(n);
+  std::vector<uint32_t> other(n);
+  std::iota(order.begin(), order.end(), 0u);
+  std::vector<size_t> next;
+  while (runs.size() > 2) {
+    next.assign(1, 0);
+    for (size_t i = 0; i + 1 < runs.size(); i += 2) {
+      const size_t mid = runs[i + 1];
+      const size_t hi = i + 2 < runs.size() ? runs[i + 2] : mid;
+      std::merge(order.begin() + runs[i], order.begin() + mid,
+                 order.begin() + mid, order.begin() + hi,
+                 other.begin() + runs[i], less);
+      next.push_back(hi);
+    }
+    order.swap(other);
+    runs.swap(next);
+  }
+  return order;
+}
 
 }  // namespace diesel::kv

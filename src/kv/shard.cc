@@ -34,17 +34,4 @@ Status Shard::Delete(const std::string& key) {
                               : Status::NotFound("key: " + key);
 }
 
-Result<std::vector<ScanEntry>> Shard::Scan(const std::string& prefix,
-                                           size_t limit) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (!up_) return Status::Unavailable("shard down");
-  std::vector<ScanEntry> out;
-  for (auto it = data_.lower_bound(prefix); it != data_.end(); ++it) {
-    if (it->first.compare(0, prefix.size(), prefix) != 0) break;
-    out.push_back({it->first, it->second});
-    if (limit != 0 && out.size() >= limit) break;
-  }
-  return out;
-}
-
 }  // namespace diesel::kv

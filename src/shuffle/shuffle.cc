@@ -41,7 +41,7 @@ ShufflePlan ChunkWiseShuffle(const core::MetadataSnapshot& snapshot,
                                  chunk_order.begin() + hi);
     std::vector<uint32_t> files;
     for (uint32_t ci : chunks) {
-      const std::vector<uint32_t>& in_chunk = snapshot.FilesOfChunk(ci);
+      std::span<const uint32_t> in_chunk = snapshot.FilesOfChunk(ci);
       files.insert(files.end(), in_chunk.begin(), in_chunk.end());
     }
     rng.Shuffle(files);

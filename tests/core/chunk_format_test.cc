@@ -424,5 +424,28 @@ TEST(CompactChunkTest, RejectsShortBitmap) {
   EXPECT_FALSE(CompactChunk(chunk, {0}, TestId(), 0).ok());
 }
 
+TEST(ChunkFormatTest, ParseBoundsFileCountByHeaderBytes) {
+  // 4096 bitmap bytes back a count of 32768 entries at 8 per byte, but the
+  // header holds no entry bytes at all: the count must be refused before
+  // any table is reserved for it.
+  constexpr uint32_t kNumFiles = 8 * 4096;
+  BinaryWriter w;
+  w.PutU32(kChunkMagic);
+  w.PutU32(kChunkVersion);
+  const size_t header_len_at = w.size();
+  w.PutU32(0);
+  w.PutRaw(TestId().bytes().data(), ChunkId::kSize);
+  w.PutU64(1);
+  w.PutU32(kNumFiles);
+  w.PutU32(0);
+  w.PutRaw(Bytes(kNumFiles / 8, 0));
+  w.PutU32(0);  // header crc
+  w.PatchU32(header_len_at, static_cast<uint32_t>(w.size()));
+  Result<ChunkView> view = ChunkView::ParseHeaderOnly(w.data());
+  ASSERT_TRUE(view.status().IsCorruption());
+  EXPECT_NE(view.status().message().find("file count"), std::string::npos)
+      << view.status().ToString();
+}
+
 }  // namespace
 }  // namespace diesel::core

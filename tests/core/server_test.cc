@@ -132,6 +132,31 @@ TEST_F(ServerTest, DeleteDatasetRemovesBlobsAndKeys) {
                   .status().IsNotFound());
 }
 
+TEST_F(ServerTest, DatasetNamesCannotAliasAnotherNamespace) {
+  // "srv/x" would put its keys under "F/srv/x/...", inside "srv"'s scan
+  // prefix: the snapshot build of "srv" would then try to decode them, and
+  // deleting "srv" would delete them. Such names are refused up front.
+  ChunkBuilder builder(0);
+  builder.Add("/f", Bytes(64, 7));
+  SharedBytes chunk = ShareBytes(builder.Finish(ChunkId::Make(9, 9, 9, 9), 1));
+  const size_t keys = deployment_->kv().TotalKeys();
+  const size_t objects = deployment_->store().NumObjects();
+  for (const std::string bad : {"srv/x", "", "/"}) {
+    EXPECT_EQ(server().IngestChunk(clock_, 0, bad, chunk).code(),
+              StatusCode::kInvalidArgument) << bad;
+    EXPECT_EQ(server().DeleteDataset(clock_, 0, bad).code(),
+              StatusCode::kInvalidArgument) << bad;
+    EXPECT_EQ(server().metadata().ListFiles(clock_, bad).status().code(),
+              StatusCode::kInvalidArgument) << bad;
+  }
+  EXPECT_EQ(deployment_->kv().TotalKeys(), keys);
+  EXPECT_EQ(deployment_->store().NumObjects(), objects);
+
+  auto snap = server().BuildSnapshot(clock_, 0, spec_.name);
+  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+  EXPECT_EQ(snap->num_files(), spec_.num_classes * spec_.files_per_class);
+}
+
 TEST_F(ServerTest, PartialRecoveryAfterSingleShardLoss) {
   // Scenario (a): one KV shard dies and restarts empty -> some keys lost.
   size_t keys_before = deployment_->kv().TotalKeys();

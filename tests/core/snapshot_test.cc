@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 namespace diesel::core {
 namespace {
 
@@ -105,6 +107,46 @@ TEST(SnapshotTest, DeserializeRejectsCorruption) {
   Bytes trailing = data;
   trailing.push_back(0);
   EXPECT_FALSE(MetadataSnapshot::Deserialize(trailing).ok());
+}
+
+TEST(SnapshotTest, DeserializeBoundsCountsByRemainingBytes) {
+  // magic, version, "", ts, then a count no remaining bytes can back: must
+  // be Corruption before anything is sized from it.
+  auto header = [] {
+    BinaryWriter w;
+    w.PutU32(0x50414E53);
+    w.PutU32(1);
+    w.PutString("");
+    w.PutU64(0);
+    return w;
+  };
+  BinaryWriter chunks = header();
+  chunks.PutU32(0xFFFFFFFF);  // num_chunks
+  chunks.PutU8(0);
+  ASSERT_EQ(chunks.size(), 25u);
+  EXPECT_TRUE(MetadataSnapshot::Deserialize(chunks.data())
+                  .status().IsCorruption());
+
+  BinaryWriter files = header();
+  files.PutU32(0);           // num_chunks
+  files.PutU32(0xFFFFFFFF);  // num_files
+  files.PutRaw(Bytes(31, 0));
+  EXPECT_TRUE(MetadataSnapshot::Deserialize(files.data())
+                  .status().IsCorruption());
+}
+
+TEST(SnapshotTest, CopyIndexesItsOwnNames) {
+  auto original = std::make_unique<MetadataSnapshot>(MakeSnapshot(2, 3));
+  MetadataSnapshot copy = *original;
+  const std::string path = original->files()[4].full_name;
+  original.reset();
+  const FileMeta* found = copy.Lookup(path);
+  ASSERT_NE(found, nullptr);
+  EXPECT_EQ(found->full_name, path);
+  auto ls = copy.ListDir("/ds/train");
+  ASSERT_TRUE(ls.ok());
+  EXPECT_EQ(ls->size(), 3u);
+  EXPECT_EQ((*ls)[0].name, "cls0");
 }
 
 TEST(SnapshotTest, StalenessCheck) {

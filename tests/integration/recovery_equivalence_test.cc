@@ -15,11 +15,11 @@ namespace {
 std::map<std::string, std::string> DumpKv(kv::KvCluster& kv) {
   std::map<std::string, std::string> out;
   for (uint32_t s = 0; s < kv.NumShards(); ++s) {
-    auto entries = kv.shard(s).Scan("");
-    EXPECT_TRUE(entries.ok());
-    for (auto& e : entries.value()) {
-      EXPECT_TRUE(out.emplace(e.key, e.value).second) << "dup " << e.key;
-    }
+    Status st = kv.shard(s).Scan(
+        "", 0, [&](std::string_view key, std::string_view value) {
+          EXPECT_TRUE(out.emplace(key, value).second) << "dup " << key;
+        });
+    EXPECT_TRUE(st.ok());
   }
   return out;
 }

@@ -139,6 +139,28 @@ TEST_F(KvClusterTest, PScanMergeMatchesSortedOrder) {
   }
 }
 
+TEST_F(KvClusterTest, ScanVisitsOneKeyOrderedRunPerShard) {
+  std::vector<std::pair<std::string, std::string>> batch;
+  for (int i = 0; i < 300; ++i) {
+    batch.emplace_back("v/" + std::to_string(i * 104729), std::to_string(i));
+  }
+  batch.emplace_back("w/0", "other prefix");
+  ASSERT_TRUE(kv_->BatchPut(clock_, 0, batch).ok());
+  std::vector<std::pair<uint32_t, std::string>> seen;
+  ASSERT_TRUE(kv_->Scan(clock_, 0, "v/",
+                        [&](uint32_t shard, std::string_view key,
+                            std::string_view value) {
+                          EXPECT_EQ(shard, kv_->OwnerShard(std::string(key)));
+                          EXPECT_FALSE(value.empty());
+                          seen.emplace_back(shard, key);
+                        })
+                  .ok());
+  ASSERT_EQ(seen.size(), 300u);
+  // (shard, key) ascending: shards in order, each shard's keys in order.
+  EXPECT_TRUE(std::is_sorted(seen.begin(), seen.end()));
+  EXPECT_EQ(std::adjacent_find(seen.begin(), seen.end()), seen.end());
+}
+
 TEST_F(KvClusterTest, FailedShardReturnsUnavailable) {
   // Find a key owned by shard 5 deterministically.
   std::string key;
