@@ -15,7 +15,7 @@ BUILD=build
 SEEDS=32
 FIRST=1
 OUT=chaos-sweep-out
-TESTS="integration_chaos_equivalence_test membership_churn_test integration_rescale_test integration_telemetry_determinism_test tenant_chaos_test"
+TESTS="integration_chaos_equivalence_test membership_churn_test integration_rescale_test integration_telemetry_determinism_test tenant_chaos_test cache_batched_read_equivalence_test"
 
 while getopts "B:n:s:o:t:h" opt; do
   case "$opt" in

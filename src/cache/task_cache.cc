@@ -138,9 +138,10 @@ TenantCacheCounters& TnCounters() {
 
 /// Critical-path attribution for the hot read path: every phase a
 /// GetFile/GetFiles request can spend virtual time in, observed as
-/// durations into "read.path.*" histograms. total_ns additionally captures
-/// tail exemplars (the active cache.get_file span id) so `dlcmd tail` can
-/// resolve a p99 read straight to its span tree. parse_ns exists for
+/// durations into "read.path.*" histograms. total_ns is observed once per
+/// request and additionally captures tail exemplars (the request's
+/// cache.get_file / cache.get_files span id) so `dlcmd tail` can resolve a
+/// p99 read straight to its span tree. parse_ns exists for
 /// completeness: header parsing charges no virtual time under the current
 /// calibration, so it records zeros — the histogram documents that the
 /// phase is free, not that it is unmeasured.
@@ -163,6 +164,28 @@ ReadPathMetrics& RpMetrics() {
   static ReadPathMetrics m;
   return m;
 }
+
+/// Observes one read request's end-to-end latency into read.path.total_ns
+/// on every exit, errors included, with the request span's id riding along
+/// as a tail exemplar (span.id() is 0 without a tracer, which captures
+/// nothing).
+class RequestLatency {
+ public:
+  RequestLatency(const sim::VirtualClock& clock, const obs::ScopedSpan& span)
+      : clock_(clock), span_(span), start_(clock.now()) {}
+  ~RequestLatency() {
+    RpMetrics().total_ns.Observe(static_cast<double>(clock_.now() - start_),
+                                 span_.id(), static_cast<double>(clock_.now()));
+  }
+
+  RequestLatency(const RequestLatency&) = delete;
+  RequestLatency& operator=(const RequestLatency&) = delete;
+
+ private:
+  const sim::VirtualClock& clock_;
+  const obs::ScopedSpan& span_;
+  const Nanos start_;
+};
 
 }  // namespace
 
@@ -630,62 +653,113 @@ Result<Bytes> TaskCache::GetFile(sim::VirtualClock& clock,
 Result<core::FileSlice> TaskCache::GetFileSlice(sim::VirtualClock& clock,
                                                 net::EndpointId requester,
                                                 const core::FileMeta& meta) {
-  obs::ScopedSpan span(fabric_.tracer(), "cache.get_file", clock,
-                       requester.node);
-  const Nanos t0 = clock.now();
-  Result<core::FileSlice> result = GetFileSliceImpl(clock, requester, meta,
-                                                    span);
-  // End-to-end request latency, with the span id riding along as a tail
-  // exemplar (span.id() is 0 without a tracer, which captures nothing).
-  RpMetrics().total_ns.Observe(static_cast<double>(clock.now() - t0),
-                               span.id(), static_cast<double>(clock.now()));
-  return result;
+  DIESEL_ASSIGN_OR_RETURN(std::vector<core::FileSlice> one,
+                          GetFiles(clock, requester, {&meta, 1}));
+  return std::move(one.front());
 }
 
-Result<core::FileSlice> TaskCache::GetFileSliceImpl(sim::VirtualClock& clock,
-                                                    net::EndpointId requester,
-                                                    const core::FileMeta& meta,
-                                                    obs::ScopedSpan& span) {
-  size_t chunk_index = snapshot_.ChunkIndex(meta.chunk);
-  if (chunk_index == static_cast<size_t>(-1))
-    return Status::NotFound("chunk not in snapshot: " + meta.chunk.Encoded());
-  // The serving owner indirects through in-flight migrations: until a move
-  // lands, the old owner keeps answering for the chunk (graceful
-  // degradation — a rescale never stalls the read path).
-  DIESEL_ASSIGN_OR_RETURN(sim::NodeId owner,
-                          ServingOwner(chunk_index, clock.now()));
-  if (span.active()) {
-    span.Note("phase.snapshot_lookup chunk=" + std::to_string(chunk_index) +
-              " owner=n" + std::to_string(owner));
-  }
+Result<std::vector<core::FileSlice>> TaskCache::GetFiles(
+    sim::VirtualClock& clock, net::EndpointId requester,
+    std::span<const core::FileMeta> metas) {
+  std::vector<core::FileSlice> out(metas.size());
+  if (metas.empty()) return out;
+  obs::ScopedSpan span(fabric_.tracer(),
+                       metas.size() == 1 ? "cache.get_file" : "cache.get_files",
+                       clock, requester.node);
+  if (metas.size() > 1) span.Note("files=" + std::to_string(metas.size()));
+  RequestLatency latency(clock, span);
 
-  if (owner == requester.node) {
-    // Local partition: memory-bus copy.
-    const Nanos local0 = clock.now();
-    DIESEL_ASSIGN_OR_RETURN(core::FileSlice content,
-                            ReadFromPartition(clock, owner, chunk_index, meta));
-    const Nanos slice0 = clock.now();
-    Nanos t = fabric_.cluster().node(owner).membus().Serve(clock.now(),
-                                                           meta.length);
-    clock.AdvanceTo(t);
-    RpMetrics().slice_ns.Observe(static_cast<double>(clock.now() - slice0));
-    RpMetrics().local_ns.Observe(static_cast<double>(clock.now() - local0));
-    Counters().local_hits.Inc();
-    span.Note("cache.local_hit");
+  // Resolve every file's serving owner up front, grouping remote files per
+  // owner node (std::map: deterministic owner order). The serving owner
+  // indirects through in-flight migrations: until a move lands, the old
+  // owner keeps answering for the chunk (a rescale never stalls reads).
+  std::vector<BatchSub> local;
+  std::map<sim::NodeId, std::vector<BatchSub>> remote;
+  for (size_t i = 0; i < metas.size(); ++i) {
+    size_t chunk_index = snapshot_.ChunkIndex(metas[i].chunk);
+    if (chunk_index == static_cast<size_t>(-1))
+      return Status::NotFound("chunk not in snapshot: " +
+                              metas[i].chunk.Encoded());
+    DIESEL_ASSIGN_OR_RETURN(sim::NodeId owner,
+                            ServingOwner(chunk_index, clock.now()));
     if (span.active()) {
-      span.Note("phase.slice ns=" + std::to_string(clock.now() - slice0));
+      span.Note("phase.snapshot_lookup chunk=" + std::to_string(chunk_index) +
+                " owner=n" + std::to_string(owner));
     }
-    {
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.local_hits;
-    }
-    return content;
+    (owner == requester.node ? local : remote[owner])
+        .push_back(BatchSub{i, chunk_index});
   }
 
-  // One-hop fetch from the owner's master client. The owner sits behind a
-  // per-node circuit breaker: transient failures retry with backoff; an
-  // unreachable owner opens the breaker (its in-RAM partition is presumed
-  // lost) and the read degrades to a direct server fetch.
+  for (const BatchSub& sub : local) {
+    DIESEL_ASSIGN_OR_RETURN(
+        out[sub.pos],
+        ReadLocal(clock, requester.node, sub.chunk_index, metas[sub.pos],
+                  span));
+  }
+  for (const auto& [owner, subs] : remote) {
+    std::vector<Result<core::FileSlice>> got(subs.size(),
+                                             Status::Internal("unset"));
+    const Status exchange =
+        FetchFromOwner(clock, requester, owner, subs, metas, got, span);
+    for (size_t j = 0; j < subs.size(); ++j) {
+      const core::FileMeta& meta = metas[subs[j].pos];
+      if (subs.size() > 1 && !got[j].ok()) {
+        // Left unserved by a multi-get: retry it alone. The batch of one
+        // owns the breaker/degraded handling and reproduces any hard error
+        // (e.g. persistent corruption) exactly as an unbatched read would.
+        got[j] = GetFileSlice(clock, requester, meta);
+      } else if (!exchange.ok()) {
+        if (!options_.degraded_reads) return exchange;
+        got[j] = DegradedRead(clock, requester, meta, span);
+      }
+      if (!got[j].ok()) return got[j].status();
+      out[subs[j].pos] = std::move(got[j]).value();
+    }
+  }
+  return out;
+}
+
+Result<core::FileSlice> TaskCache::ReadLocal(sim::VirtualClock& clock,
+                                             sim::NodeId node,
+                                             size_t chunk_index,
+                                             const core::FileMeta& meta,
+                                             obs::ScopedSpan& span) {
+  // Local partition: memory-bus copy.
+  const Nanos local0 = clock.now();
+  DIESEL_ASSIGN_OR_RETURN(core::FileSlice content,
+                          ReadFromPartition(clock, node, chunk_index, meta));
+  const Nanos slice0 = clock.now();
+  clock.AdvanceTo(
+      fabric_.cluster().node(node).membus().Serve(clock.now(), meta.length));
+  RpMetrics().slice_ns.Observe(static_cast<double>(clock.now() - slice0));
+  RpMetrics().local_ns.Observe(static_cast<double>(clock.now() - local0));
+  Counters().local_hits.Inc();
+  span.Note("cache.local_hit");
+  if (span.active()) {
+    span.Note("phase.slice ns=" + std::to_string(clock.now() - slice0));
+  }
+  std::lock_guard<std::mutex> lock(stats_mutex_);
+  ++stats_.local_hits;
+  return content;
+}
+
+Status TaskCache::FetchFromOwner(sim::VirtualClock& clock,
+                                 net::EndpointId requester, sim::NodeId owner,
+                                 std::span<const BatchSub> subs,
+                                 std::span<const core::FileMeta> metas,
+                                 std::vector<Result<core::FileSlice>>& got,
+                                 obs::ScopedSpan& span) {
+  const size_t k = subs.size();
+  uint64_t resp_bytes = 0;
+  for (const BatchSub& sub : subs) resp_bytes += metas[sub.pos].length;
+  if (k > 1 && span.active()) {
+    span.Note("multi_get owner=n" + std::to_string(owner) +
+              " k=" + std::to_string(k));
+  }
+
+  // The owner sits behind a per-node circuit breaker: transient failures
+  // retry with backoff; an unreachable owner opens the breaker (its in-RAM
+  // partition is presumed lost) and the caller falls back.
   CircuitBreaker& breaker = BreakerFor(owner);
   const RetryPolicy& retry = options_.retry;
   const uint32_t max_attempts = std::max<uint32_t>(1, retry.max_attempts);
@@ -693,23 +767,24 @@ Result<core::FileSlice> TaskCache::GetFileSliceImpl(sim::VirtualClock& clock,
   Status last = Status::Unavailable("peer fetch not attempted");
   for (uint32_t attempt = 1; attempt <= max_attempts; ++attempt) {
     if (!breaker.AllowRequest(clock.now())) {
-      last = Status::Unavailable("circuit open: owner node " +
+      return Status::Unavailable("circuit open: owner node " +
                                  std::to_string(owner));
-      break;
     }
-    Result<core::FileSlice> content = Status::Internal("unset");
     const Nanos rpc0 = clock.now();
     if (attempt > 1) RpMetrics().retries.Inc();
-    Status call = fabric_.Call(
-        clock, requester.node, owner, kPeerRequestBytes, meta.length,
+    Status call = fabric_.CallBatch(
+        clock, requester.node, owner, k, kPeerRequestBytes * k, resp_bytes,
         [&](Nanos arrival) {
           sim::VirtualClock peer(arrival);
-          content = ReadFromPartition(peer, owner, chunk_index, meta);
-          const Nanos slice0 = peer.now();
-          Nanos t = fabric_.cluster().node(owner).membus().Serve(peer.now(),
-                                                                 meta.length);
-          peer.AdvanceTo(t);
-          RpMetrics().slice_ns.Observe(static_cast<double>(peer.now() - slice0));
+          for (size_t j = 0; j < k; ++j) {
+            const core::FileMeta& meta = metas[subs[j].pos];
+            got[j] = ReadFromPartition(peer, owner, subs[j].chunk_index, meta);
+            const Nanos slice0 = peer.now();
+            peer.AdvanceTo(fabric_.cluster().node(owner).membus().Serve(
+                peer.now(), meta.length));
+            RpMetrics().slice_ns.Observe(
+                static_cast<double>(peer.now() - slice0));
+          }
           return peer.now();
         });
     RpMetrics().rpc_ns.Observe(static_cast<double>(clock.now() - rpc0));
@@ -717,7 +792,10 @@ Result<core::FileSlice> TaskCache::GetFileSliceImpl(sim::VirtualClock& clock,
       span.Note("phase.rpc attempt=" + std::to_string(attempt) +
                 " ns=" + std::to_string(clock.now() - rpc0));
     }
-    if (call.ok() && !content.status().IsUnavailable()) {
+    // A lone file the owner could not produce (its backend load was
+    // unavailable) fails the call; in a multi-get it only leaves that file
+    // unserved for the caller to retry alone.
+    if (call.ok() && (k > 1 || !got[0].status().IsUnavailable())) {
       if (breaker.OnSuccess(clock.now()) ==
           CircuitBreaker::Transition::kRecovered) {
         span.Note("breaker.recovered node=" + std::to_string(owner));
@@ -726,15 +804,19 @@ Result<core::FileSlice> TaskCache::GetFileSliceImpl(sim::VirtualClock& clock,
                              span.id());
         OnOwnerRecovered(owner, clock.now());
       }
-      if (content.ok()) {
-        Counters().peer_hits.Inc();
-        span.Note("cache.peer_hit");
+      const uint64_t hits = static_cast<uint64_t>(std::count_if(
+          got.begin(), got.end(), [](const auto& r) { return r.ok(); }));
+      if (hits > 0) {
+        Counters().peer_hits.Inc(hits);
+        span.Note("cache.peer_hits=" + std::to_string(hits));
         std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.peer_hits;
+        stats_.peer_hits += hits;
       }
-      return content;
+      return Status::Ok();
     }
-    last = call.ok() ? content.status() : call;
+    // The exchange failed (drop/flap): every file in it failed at once.
+    last = call.ok() ? got[0].status() : call;
+    std::fill(got.begin(), got.end(), last);
     // A flap of the requester's own node also fails the call; that says
     // nothing about the owner, so only remote failures charge its breaker
     // (a held half-open probe slot must still report its outcome).
@@ -766,171 +848,7 @@ Result<core::FileSlice> TaskCache::GetFileSliceImpl(sim::VirtualClock& clock,
     }
     clock.Advance(wait);
   }
-  if (!options_.degraded_reads) return last;
-  Counters().failovers.Inc();
-  span.Note("cache.degraded_read");
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.failovers;
-  }
-  const Nanos degraded0 = clock.now();
-  DIESEL_ASSIGN_OR_RETURN(Bytes content, DegradedRead(clock, requester, meta));
-  RpMetrics().degraded_ns.Observe(static_cast<double>(clock.now() - degraded0));
-  if (span.active()) {
-    span.Note("phase.degraded ns=" + std::to_string(clock.now() - degraded0));
-  }
-  return core::FileSlice::Own(std::move(content));
-}
-
-Result<std::vector<core::FileSlice>> TaskCache::GetFiles(
-    sim::VirtualClock& clock, net::EndpointId requester,
-    std::span<const core::FileMeta> metas) {
-  std::vector<core::FileSlice> out(metas.size());
-  if (metas.empty()) return out;
-  obs::ScopedSpan span(fabric_.tracer(), "cache.get_files", clock,
-                       requester.node);
-  span.Note("files=" + std::to_string(metas.size()));
-
-  // Resolve every file's serving owner up front, grouping remote files per
-  // owner node (std::map: deterministic owner order). Local files and
-  // singleton groups take the per-file path — the batch machinery only
-  // engages where there is overhead to amortize.
-  std::vector<BatchSub> local;
-  std::map<sim::NodeId, std::vector<BatchSub>> remote;
-  for (size_t i = 0; i < metas.size(); ++i) {
-    size_t chunk_index = snapshot_.ChunkIndex(metas[i].chunk);
-    if (chunk_index == static_cast<size_t>(-1))
-      return Status::NotFound("chunk not in snapshot: " +
-                              metas[i].chunk.Encoded());
-    DIESEL_ASSIGN_OR_RETURN(sim::NodeId owner,
-                            ServingOwner(chunk_index, clock.now()));
-    if (owner == requester.node) {
-      local.push_back(BatchSub{i, chunk_index});
-    } else {
-      remote[owner].push_back(BatchSub{i, chunk_index});
-    }
-  }
-
-  for (const BatchSub& sub : local) {
-    DIESEL_ASSIGN_OR_RETURN(out[sub.pos],
-                            GetFileSlice(clock, requester, metas[sub.pos]));
-  }
-  for (const auto& [owner, subs] : remote) {
-    if (subs.size() < 2) {
-      DIESEL_ASSIGN_OR_RETURN(
-          out[subs[0].pos], GetFileSlice(clock, requester, metas[subs[0].pos]));
-      continue;
-    }
-    std::vector<Result<core::FileSlice>> got(subs.size(),
-                                             Status::Internal("unset"));
-    FetchOwnerBatch(clock, requester, owner, subs, metas, got);
-    for (size_t j = 0; j < subs.size(); ++j) {
-      if (got[j].ok()) {
-        out[subs[j].pos] = std::move(got[j].value());
-        continue;
-      }
-      // Unserved or failed sub-request: the per-file path owns the
-      // retry/breaker/degraded handling (and reproduces any hard error,
-      // e.g. persistent corruption, exactly as an unbatched run would).
-      DIESEL_ASSIGN_OR_RETURN(
-          out[subs[j].pos], GetFileSlice(clock, requester, metas[subs[j].pos]));
-    }
-  }
-  return out;
-}
-
-void TaskCache::FetchOwnerBatch(sim::VirtualClock& clock,
-                                net::EndpointId requester, sim::NodeId owner,
-                                std::span<const BatchSub> subs,
-                                std::span<const core::FileMeta> metas,
-                                std::vector<Result<core::FileSlice>>& out) {
-  obs::ScopedSpan span(fabric_.tracer(), "cache.multi_get", clock,
-                       requester.node);
-  span.Note("owner=n" + std::to_string(owner) +
-            " k=" + std::to_string(subs.size()));
-  uint64_t resp_bytes = 0;
-  for (const BatchSub& sub : subs) resp_bytes += metas[sub.pos].length;
-
-  CircuitBreaker& breaker = BreakerFor(owner);
-  const RetryPolicy& retry = options_.retry;
-  const uint32_t max_attempts = std::max<uint32_t>(1, retry.max_attempts);
-  const Nanos start = clock.now();
-  for (uint32_t attempt = 1; attempt <= max_attempts; ++attempt) {
-    if (!breaker.AllowRequest(clock.now())) return;  // fallback handles it
-    const Nanos rpc0 = clock.now();
-    if (attempt > 1) RpMetrics().retries.Inc();
-    Status call = fabric_.CallBatch(
-        clock, requester.node, owner, subs.size(),
-        kPeerRequestBytes * subs.size(), resp_bytes, [&](Nanos arrival) {
-          sim::VirtualClock peer(arrival);
-          for (size_t j = 0; j < subs.size(); ++j) {
-            const core::FileMeta& meta = metas[subs[j].pos];
-            out[j] = ReadFromPartition(peer, owner, subs[j].chunk_index, meta);
-            const Nanos slice0 = peer.now();
-            Nanos t = fabric_.cluster().node(owner).membus().Serve(
-                peer.now(), meta.length);
-            peer.AdvanceTo(t);
-            RpMetrics().slice_ns.Observe(
-                static_cast<double>(peer.now() - slice0));
-          }
-          return peer.now();
-        });
-    RpMetrics().rpc_ns.Observe(static_cast<double>(clock.now() - rpc0));
-    if (span.active()) {
-      span.Note("phase.rpc attempt=" + std::to_string(attempt) +
-                " ns=" + std::to_string(clock.now() - rpc0));
-    }
-    if (call.ok()) {
-      if (breaker.OnSuccess(clock.now()) ==
-          CircuitBreaker::Transition::kRecovered) {
-        span.Note("breaker.recovered node=" + std::to_string(owner));
-        obs::Flight().Record(obs::FlightEventKind::kBreaker, clock.now(),
-                             "breaker recovered: n" + std::to_string(owner),
-                             span.id());
-        OnOwnerRecovered(owner, clock.now());
-      }
-      uint64_t hits = 0;
-      for (const auto& r : out) {
-        if (r.ok()) ++hits;
-      }
-      if (hits > 0) {
-        Counters().peer_hits.Inc(hits);
-        span.Note("cache.peer_hits=" + std::to_string(hits));
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        stats_.peer_hits += hits;
-      }
-      return;
-    }
-    // The whole exchange failed (drop/flap): every sub-request failed at
-    // once. Same breaker discipline as the per-file path.
-    for (auto& r : out) r = Status::Internal("unset");
-    if (fabric_.NodeAvailable(requester.node, clock.now()) ||
-        breaker.state() == CircuitBreaker::State::kHalfOpen) {
-      if (breaker.OnFailure(clock.now()) ==
-          CircuitBreaker::Transition::kOpened) {
-        DropNode(owner);
-        Counters().breaker_opens.Inc();
-        BreakerGauge(owner).Set(1.0);
-        span.Note("breaker.open node=" + std::to_string(owner));
-        obs::Flight().Record(obs::FlightEventKind::kBreaker, clock.now(),
-                             "breaker open: n" + std::to_string(owner),
-                             span.id());
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.breaker_opens;
-      }
-    }
-    if (attempt >= max_attempts) return;
-    Nanos wait = retry.BackoffBefore(attempt);
-    if (retry.deadline_budget != 0 &&
-        clock.now() - start + wait > retry.deadline_budget) {
-      return;
-    }
-    RpMetrics().backoff_ns.Observe(static_cast<double>(wait));
-    if (span.active()) {
-      span.Note("phase.backoff ns=" + std::to_string(wait));
-    }
-    clock.Advance(wait);
-  }
+  return last;
 }
 
 CircuitBreaker& TaskCache::BreakerFor(sim::NodeId node) {
@@ -941,13 +859,28 @@ CircuitBreaker& TaskCache::BreakerFor(sim::NodeId node) {
   return it->second;
 }
 
-Result<Bytes> TaskCache::DegradedRead(sim::VirtualClock& clock,
-                                      net::EndpointId requester,
-                                      const core::FileMeta& meta) {
-  return options_.retry.RunResult<Bytes>(clock, [&]() -> Result<Bytes> {
-    return server_.ReadFile(clock, requester.node, snapshot_.dataset(),
-                            meta.full_name);
-  });
+Result<core::FileSlice> TaskCache::DegradedRead(sim::VirtualClock& clock,
+                                                net::EndpointId requester,
+                                                const core::FileMeta& meta,
+                                                obs::ScopedSpan& span) {
+  Counters().failovers.Inc();
+  span.Note("cache.degraded_read");
+  {
+    std::lock_guard<std::mutex> lock(stats_mutex_);
+    ++stats_.failovers;
+  }
+  const Nanos degraded0 = clock.now();
+  DIESEL_ASSIGN_OR_RETURN(
+      Bytes content,
+      options_.retry.RunResult<Bytes>(clock, [&]() -> Result<Bytes> {
+        return server_.ReadFile(clock, requester.node, snapshot_.dataset(),
+                                meta.full_name);
+      }));
+  RpMetrics().degraded_ns.Observe(static_cast<double>(clock.now() - degraded0));
+  if (span.active()) {
+    span.Note("phase.degraded ns=" + std::to_string(clock.now() - degraded0));
+  }
+  return core::FileSlice::Own(std::move(content));
 }
 
 void TaskCache::OnOwnerRecovered(sim::NodeId owner, Nanos now) {

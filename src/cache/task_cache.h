@@ -162,18 +162,17 @@ class TaskCache : public membership::MembershipListener {
 
   /// Zero-copy read: returns a FileSlice viewing the shared cached chunk
   /// blob. The slice holds a reference, so it stays valid after the chunk is
-  /// evicted or migrated. Identical virtual-time behavior to GetFile.
+  /// evicted or migrated. A batch of one: GetFiles with a single file.
   Result<core::FileSlice> GetFileSlice(sim::VirtualClock& clock,
                                        net::EndpointId requester,
                                        const core::FileMeta& meta);
 
-  /// Batched read (results in input order). Files are grouped by serving
-  /// owner; each remote group of two or more goes out as ONE multi-get
+  /// The read path (results in input order). Files are grouped by serving
+  /// owner: local files are sliced from the requester's own partition, and
+  /// each remote group of k files goes out as ONE exchange
   /// (Fabric::CallBatch), amortizing the per-RPC overhead across the group.
-  /// Per-file semantics (hit/miss accounting, CRC checks, corruption
-  /// re-fetch, degraded fallback) are preserved: a failed batch falls back
-  /// to the per-file path, so contents and cache stats match an unbatched
-  /// run byte for byte.
+  /// A file a k >= 2 exchange leaves unserved is retried alone (k = 1); a
+  /// lone file whose owner stays unreachable degrades to a server read.
   Result<std::vector<core::FileSlice>> GetFiles(
       sim::VirtualClock& clock, net::EndpointId requester,
       std::span<const core::FileMeta> metas);
@@ -284,21 +283,14 @@ class TaskCache : public membership::MembershipListener {
                                      sim::NodeId reader, size_t chunk_index,
                                      uint32_t* header_len);
 
-  /// Body of GetFileSlice under its already-open span: phase annotations
-  /// and the read.path.* attribution attach to the request's span while the
-  /// wrapper observes end-to-end latency (with a tail exemplar carrying the
-  /// span id).
-  Result<core::FileSlice> GetFileSliceImpl(sim::VirtualClock& clock,
-                                           net::EndpointId requester,
-                                           const core::FileMeta& meta,
-                                           obs::ScopedSpan& span);
-
   CircuitBreaker& BreakerFor(sim::NodeId node);
 
   /// Peer-path fallback when the owner is unreachable: read the file range
-  /// straight from the server (degraded but correct).
-  Result<Bytes> DegradedRead(sim::VirtualClock& clock, net::EndpointId requester,
-                             const core::FileMeta& meta);
+  /// straight from the server (degraded but correct), counted as a failover.
+  Result<core::FileSlice> DegradedRead(sim::VirtualClock& clock,
+                                       net::EndpointId requester,
+                                       const core::FileMeta& meta,
+                                       obs::ScopedSpan& span);
 
   /// Owner came back from a flap: count it and, under the oneshot policy,
   /// re-own its partition chunk-by-chunk (charged to a detached clock — the
@@ -357,18 +349,30 @@ class TaskCache : public membership::MembershipListener {
                                             size_t chunk_index,
                                             const core::FileMeta& meta);
 
-  /// One coalesced multi-get against remote `owner` for `subs` (positions
-  /// into `metas`/`out`). Mirrors GetFileSlice's breaker/retry handling at
-  /// batch granularity; sub-requests it could not serve are left unset in
-  /// `out` for the caller's per-file fallback.
+  /// One file of a GetFiles request, resolved to its chunk.
   struct BatchSub {
     size_t pos = 0;          // index into metas/out
     size_t chunk_index = 0;  // resolved chunk of metas[pos]
   };
-  void FetchOwnerBatch(sim::VirtualClock& clock, net::EndpointId requester,
-                       sim::NodeId owner, std::span<const BatchSub> subs,
-                       std::span<const core::FileMeta> metas,
-                       std::vector<Result<core::FileSlice>>& out);
+
+  /// Serve one file from the requester's own partition (loads on miss) and
+  /// charge the memory-bus copy and the local hit.
+  Result<core::FileSlice> ReadLocal(sim::VirtualClock& clock, sim::NodeId node,
+                                    size_t chunk_index,
+                                    const core::FileMeta& meta,
+                                    obs::ScopedSpan& span);
+
+  /// One-hop fetch of `subs` from remote `owner` as a k-file exchange
+  /// (Fabric::CallBatch; k = 1 is a plain call), behind the owner's circuit
+  /// breaker with retry and backoff. Returns Ok once an exchange landed:
+  /// `got[j]` then holds each file's slice or error. Otherwise returns the
+  /// last failure with every `got[j]` failed. At k = 1 an Unavailable slice
+  /// fails the call; in a multi-get it only leaves that file unserved.
+  Status FetchFromOwner(sim::VirtualClock& clock, net::EndpointId requester,
+                        sim::NodeId owner, std::span<const BatchSub> subs,
+                        std::span<const core::FileMeta> metas,
+                        std::vector<Result<core::FileSlice>>& got,
+                        obs::ScopedSpan& span);
 
   InsertResult InsertChunk(sim::NodeId owner, size_t chunk_index,
                            core::ChunkBuffer buffer, bool prefetched = false,

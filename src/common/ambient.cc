@@ -1,9 +1,13 @@
 #include "common/ambient.h"
 
+#include <iterator>
+#include <utility>
+#include <vector>
+
 namespace diesel {
 namespace {
 
-thread_local Ambient::Frames t_frames;
+thread_local std::vector<std::pair<const void*, uint64_t>> t_frames;
 
 }  // namespace
 
@@ -26,13 +30,5 @@ uint64_t Ambient::Top(const void* domain, uint64_t fallback) {
   }
   return fallback;
 }
-
-Ambient::Frames Ambient::Capture() { return t_frames; }
-
-Ambient::Scope::Scope(Frames frames) : saved_(std::move(t_frames)) {
-  t_frames = std::move(frames);
-}
-
-Ambient::Scope::~Scope() { t_frames = std::move(saved_); }
 
 }  // namespace diesel

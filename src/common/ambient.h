@@ -2,24 +2,17 @@
 // higher layers use to carry implicit context — e.g. the tracer's open-span
 // stack — without plumbing it through every call signature.
 //
-// Living in `common` (below every other layer) lets `ThreadPool::Submit`
-// capture the submitting thread's frames and restore them inside the worker,
-// so work handed to a pool keeps its logical parent context even though it
-// runs on a different OS thread. Domains are opaque pointers (typically the
-// address of the owning object), so independent facilities never collide.
+// Frames are per OS thread: work handed to another thread starts with an
+// empty stack. Domains are opaque pointers (typically the address of the
+// owning object), so independent facilities never collide.
 #pragma once
 
 #include <cstdint>
-#include <utility>
-#include <vector>
 
 namespace diesel {
 
 class Ambient {
  public:
-  using Frame = std::pair<const void*, uint64_t>;
-  using Frames = std::vector<Frame>;
-
   /// Push a frame onto the calling thread's stack.
   static void Push(const void* domain, uint64_t value);
 
@@ -29,24 +22,6 @@ class Ambient {
 
   /// Innermost value for `domain`, or `fallback` when none is open.
   static uint64_t Top(const void* domain, uint64_t fallback);
-
-  /// Snapshot of the calling thread's full stack (all domains).
-  static Frames Capture();
-
-  /// RAII: installs a captured stack on the current thread for the scope's
-  /// lifetime and restores the previous stack on destruction. Used by
-  /// ThreadPool workers to run each task under its submitter's context.
-  class Scope {
-   public:
-    explicit Scope(Frames frames);
-    ~Scope();
-
-    Scope(const Scope&) = delete;
-    Scope& operator=(const Scope&) = delete;
-
-   private:
-    Frames saved_;
-  };
 };
 
 }  // namespace diesel

@@ -11,7 +11,7 @@ namespace {
 
 // The open-span stack rides on the thread-ambient context (domain = the
 // owning tracer, value = span id), so independent tracers never adopt each
-// other's spans and ThreadPool::Submit propagates the stack into workers.
+// other's spans.
 uint64_t CurrentFor(Tracer* tracer) { return Ambient::Top(tracer, kNoSpan); }
 
 }  // namespace

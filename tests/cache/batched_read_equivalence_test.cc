@@ -5,8 +5,14 @@
 // change virtual time and RPC counts, never what was read or how the cache
 // behaved. Runs include fault injection (drops, latency spikes, payload
 // corruption) with a generous retry budget so every read still succeeds
-// through the peer path.
+// through the peer path. Each pinned seed also pins both runs' virtual end
+// time and RPC count, so the timing of the retry/backoff path is guarded.
+//
+// DIESEL_CHAOS_SEED=<n> replays one fresh fault schedule instead (the
+// nightly sweep); pins apply only to the seeds that have them.
 #include <gtest/gtest.h>
+
+#include <cstdlib>
 
 #include "cache/task_cache.h"
 #include "common/rng.h"
@@ -112,6 +118,31 @@ RunOutput RunReads(uint64_t seed, bool batched) {
   return out;
 }
 
+/// Virtual end time and fabric RPC count of both runs for one seed.
+struct Pin {
+  uint64_t seed;
+  Nanos unbatched_end;
+  uint64_t unbatched_rpcs;
+  Nanos batched_end;
+  uint64_t batched_rpcs;
+};
+
+constexpr Pin kPins[] = {
+    {1, 34845684, 292, 11056611, 239},  {2, 29059072, 292, 54564000, 241},
+    {3, 56400492, 296, 22081035, 240},  {5, 45339971, 293, 21364497, 240},
+    {7, 29059072, 292, 16525422, 239},  {11, 46168457, 293, 15895678, 240},
+    {13, 62328825, 294, 27447570, 238}, {42, 23660495, 293, 21994241, 239},
+};
+
+std::vector<uint64_t> SeedsUnderTest() {
+  if (const char* env = std::getenv("DIESEL_CHAOS_SEED")) {
+    return {std::strtoull(env, nullptr, 10)};
+  }
+  std::vector<uint64_t> seeds;
+  for (const Pin& pin : kPins) seeds.push_back(pin.seed);
+  return seeds;
+}
+
 class BatchedReadEquivalenceTest : public ::testing::TestWithParam<uint64_t> {
 };
 
@@ -141,11 +172,18 @@ TEST_P(BatchedReadEquivalenceTest, BatchedMatchesUnbatchedUnderFaults) {
 
   // Coalescing must cut the RPC count.
   EXPECT_LT(batched.rpcs, unbatched.rpcs);
+
+  for (const Pin& pin : kPins) {
+    if (pin.seed != seed) continue;
+    EXPECT_EQ(unbatched.end, pin.unbatched_end);
+    EXPECT_EQ(unbatched.rpcs, pin.unbatched_rpcs);
+    EXPECT_EQ(batched.end, pin.batched_end);
+    EXPECT_EQ(batched.rpcs, pin.batched_rpcs);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BatchedReadEquivalenceTest,
-                         ::testing::Values(1u, 2u, 3u, 5u, 7u, 11u, 13u,
-                                           42u));
+                         ::testing::ValuesIn(SeedsUnderTest()));
 
 }  // namespace
 }  // namespace diesel::cache

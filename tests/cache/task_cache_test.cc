@@ -50,6 +50,40 @@ class TaskCacheTest : public ::testing::Test {
                      *snapshot_, registry_, opts);
   }
 
+  /// Dataset indices of the first `n` files whose chunks `node` owns.
+  std::vector<size_t> FilesOwnedBy(TaskCache& cache, sim::NodeId node,
+                                   size_t n) const {
+    std::vector<size_t> out;
+    for (size_t i = 0; i < spec_.total_files() && out.size() < n; ++i) {
+      const core::FileMeta* m = snapshot_->Lookup(dlt::FilePath(spec_, i));
+      if (cache.OwnerNodeOfChunk(snapshot_->ChunkIndex(m->chunk)).value() ==
+          node) {
+        out.push_back(i);
+      }
+    }
+    return out;
+  }
+
+  /// Read files `indices` as client 0 through GetFiles, `group` files per
+  /// call; contents in input order.
+  Result<std::vector<Bytes>> ReadInGroups(TaskCache& cache,
+                                          sim::VirtualClock& clock,
+                                          const std::vector<size_t>& indices,
+                                          size_t group) {
+    std::vector<Bytes> out;
+    for (size_t g = 0; g < indices.size(); g += group) {
+      std::vector<core::FileMeta> metas;
+      for (size_t i = g; i < std::min(g + group, indices.size()); ++i) {
+        metas.push_back(*snapshot_->Lookup(dlt::FilePath(spec_, indices[i])));
+      }
+      DIESEL_ASSIGN_OR_RETURN(
+          std::vector<core::FileSlice> slices,
+          cache.GetFiles(clock, clients_[0]->endpoint(), metas));
+      for (const core::FileSlice& s : slices) out.push_back(s.ToBytes());
+    }
+    return out;
+  }
+
   std::unique_ptr<core::Deployment> deployment_;
   dlt::DatasetSpec spec_;
   std::vector<std::unique_ptr<core::DieselClient>> clients_;
@@ -204,69 +238,98 @@ TEST_F(TaskCacheTest, CapacityBoundEvicts) {
 }
 
 TEST_F(TaskCacheTest, DownOwnerNodeFailsOverToServer) {
-  TaskCache cache = MakeCache(Oneshot());
-  ASSERT_TRUE(cache.Preload(0).ok());
+  // Files owned by node 1, requested from node 0: the peer path fails, the
+  // owner's breaker eventually opens, and each read degrades to a direct
+  // server fetch instead of failing the task. Read alone (groups of 1) or
+  // as one multi-get to the down owner (a group of 4), the outcome is the
+  // same.
+  TaskCache alone = MakeCache(Oneshot());
+  TaskCache grouped = MakeCache(Oneshot());
+  ASSERT_TRUE(alone.Preload(0).ok());
+  ASSERT_TRUE(grouped.Preload(0).ok());
   deployment_->cluster().FailNode(1);
-  // A file owned by node 1, requested from node 0: the peer path fails, the
-  // owner's breaker eventually opens, and the read degrades to a direct
-  // server fetch instead of failing the task.
-  const core::FileMeta* victim = nullptr;
-  for (size_t i = 0; i < spec_.total_files(); ++i) {
-    const core::FileMeta* m = snapshot_->Lookup(dlt::FilePath(spec_, i));
-    if (cache.OwnerNodeOfChunk(snapshot_->ChunkIndex(m->chunk)).value() == 1) {
-      victim = m;
-      break;
-    }
+  const std::vector<size_t> victims = FilesOwnedBy(alone, 1, 4);
+  ASSERT_EQ(victims.size(), 4u);
+  sim::VirtualClock alone_clock;
+  sim::VirtualClock grouped_clock;
+  auto one = ReadInGroups(alone, alone_clock, victims, 1);
+  auto four = ReadInGroups(grouped, grouped_clock, victims, 4);
+  ASSERT_TRUE(one.ok()) << one.status().ToString();
+  ASSERT_TRUE(four.ok()) << four.status().ToString();
+  EXPECT_EQ(one.value(), four.value());
+  for (size_t i = 0; i < victims.size(); ++i) {
+    EXPECT_TRUE(dlt::VerifyContent(spec_, victims[i], four.value()[i]));
   }
-  ASSERT_NE(victim, nullptr);
-  sim::VirtualClock clock;
-  auto content = cache.GetFile(clock, clients_[0]->endpoint(), *victim);
-  ASSERT_TRUE(content.ok()) << content.status().ToString();
-  EXPECT_GT(cache.stats().failovers, 0u);
+  EXPECT_GT(alone.stats().failovers, 0u);
+  EXPECT_EQ(grouped.stats().failovers, alone.stats().failovers);
+  EXPECT_EQ(grouped.stats().breaker_opens, alone.stats().breaker_opens);
   // Degraded reads are opt-out: with them disabled the old containment
-  // behavior (visible, immediate failure) is preserved.
-  TaskCacheOptions strict;
-  strict.policy = CachePolicy::kOneshot;
+  // behavior (visible, immediate failure) is preserved at any group size.
+  TaskCacheOptions strict = Oneshot();
   strict.degraded_reads = false;
-  TaskCache contained = MakeCache(strict);
-  sim::VirtualClock clock2;
-  EXPECT_TRUE(contained.GetFile(clock2, clients_[0]->endpoint(), *victim)
-                  .status().IsUnavailable());
+  for (size_t group : {1u, 4u}) {
+    TaskCache contained = MakeCache(strict);
+    sim::VirtualClock clock;
+    EXPECT_TRUE(ReadInGroups(contained, clock, victims, group)
+                    .status().IsUnavailable())
+        << "group " << group;
+  }
 }
 
 TEST_F(TaskCacheTest, RepeatedPeerFailuresOpenBreaker) {
-  TaskCache cache = MakeCache(Oneshot());
-  ASSERT_TRUE(cache.Preload(0).ok());
+  TaskCache alone = MakeCache(Oneshot());
+  TaskCache grouped = MakeCache(Oneshot());
+  ASSERT_TRUE(alone.Preload(0).ok());
+  ASSERT_TRUE(grouped.Preload(0).ok());
   deployment_->cluster().FailNode(1);
-  sim::VirtualClock clock;
-  size_t reads = 0;
-  for (size_t i = 0; i < spec_.total_files(); ++i) {
-    const core::FileMeta* m = snapshot_->Lookup(dlt::FilePath(spec_, i));
-    if (cache.OwnerNodeOfChunk(snapshot_->ChunkIndex(m->chunk)).value() != 1)
-      continue;
-    auto content = cache.GetFile(clock, clients_[0]->endpoint(), *m);
-    ASSERT_TRUE(content.ok()) << content.status().ToString();
-    ASSERT_TRUE(dlt::VerifyContent(spec_, i, content.value()));
-    if (++reads >= 8) break;
-  }
-  ASSERT_GE(reads, 4u);
-  auto stats = cache.stats();
-  EXPECT_GE(stats.breaker_opens, 1u);
-  EXPECT_EQ(stats.failovers, reads);
-  // Once open, reads skip the RPC timeout entirely: the fast-failing read
-  // must be much cheaper than the first (which burned retries + timeouts).
-  sim::VirtualClock probe;
-  const core::FileMeta* m = nullptr;
-  for (size_t i = 0; i < spec_.total_files(); ++i) {
-    const core::FileMeta* c = snapshot_->Lookup(dlt::FilePath(spec_, i));
-    if (cache.OwnerNodeOfChunk(snapshot_->ChunkIndex(c->chunk)).value() == 1) {
-      m = c;
-      break;
+  const std::vector<size_t> victims = FilesOwnedBy(alone, 1, 8);
+  ASSERT_GE(victims.size(), 4u);
+  // The same reads one at a time and as multi-gets of 4 to the down owner.
+  for (auto [cache, group] : {std::pair{&alone, size_t{1}},
+                              std::pair{&grouped, size_t{4}}}) {
+    SCOPED_TRACE("group " + std::to_string(group));
+    sim::VirtualClock clock;
+    auto contents = ReadInGroups(*cache, clock, victims, group);
+    ASSERT_TRUE(contents.ok()) << contents.status().ToString();
+    for (size_t i = 0; i < victims.size(); ++i) {
+      ASSERT_TRUE(dlt::VerifyContent(spec_, victims[i], contents.value()[i]));
     }
+    auto stats = cache->stats();
+    EXPECT_GE(stats.breaker_opens, 1u);
+    EXPECT_EQ(stats.failovers, victims.size());
+    // Once open, reads skip the RPC timeout entirely: the fast-failing read
+    // must be much cheaper than the first (which burned retries + timeouts).
+    sim::VirtualClock probe;
+    ASSERT_TRUE(ReadInGroups(*cache, probe, {victims[0]}, 1).ok());
+    EXPECT_LT(probe.now(), Millis(5));  // no fault-detect timeout paid
   }
-  ASSERT_NE(m, nullptr);
-  ASSERT_TRUE(cache.GetFile(probe, clients_[0]->endpoint(), *m).ok());
-  EXPECT_LT(probe.now(), Millis(5));  // no fault-detect timeout paid
+  EXPECT_EQ(grouped.stats().breaker_opens, alone.stats().breaker_opens);
+}
+
+TEST_F(TaskCacheTest, OwnerBackendOutageFailsALoneCallButNotAMultiGet) {
+  // The owner is up but its backend is not: the owner answers every
+  // exchange, yet cannot load the (never-cached) chunk. Alone, that
+  // Unavailable slice counts as a failed call: three RPCs open the
+  // breaker, then the read fails over to a server read, which is down
+  // too. In a multi-get the exchange itself lands, so only its files are
+  // unserved; the first is retried alone and ends the same way, one RPC
+  // later.
+  deployment_->cluster().FailNode(deployment_->server_node(0));
+  for (size_t group : {1u, 2u}) {
+    SCOPED_TRACE("group " + std::to_string(group));
+    TaskCache cache = MakeCache();
+    const std::vector<size_t> files = FilesOwnedBy(cache, 1, group);
+    ASSERT_EQ(files.size(), group);
+    const uint64_t rpcs0 = deployment_->fabric().rpcs_issued();
+    sim::VirtualClock clock;
+    EXPECT_TRUE(ReadInGroups(cache, clock, files, group)
+                    .status().IsUnavailable());
+    EXPECT_EQ(deployment_->fabric().rpcs_issued() - rpcs0,
+              group == 1 ? 3u : 4u);
+    EXPECT_EQ(cache.stats().breaker_opens, 1u);
+    EXPECT_EQ(cache.stats().failovers, 1u);
+    EXPECT_EQ(cache.stats().peer_hits, 0u);
+  }
 }
 
 TEST_F(TaskCacheTest, EvictedBytesTracksCapacityEvictions) {

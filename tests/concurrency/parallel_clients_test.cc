@@ -8,7 +8,6 @@
 
 #include "cache/registry.h"
 #include "cache/task_cache.h"
-#include "common/thread_pool.h"
 #include "core/deployment.h"
 #include "dlt/dataset_gen.h"
 
@@ -245,10 +244,10 @@ TEST_F(ParallelClientsTest, ConcurrentKvOpsSurviveShardFailureAndRecovery) {
 
 TEST_F(ParallelClientsTest, ConcurrentWritersToDistinctDatasets) {
   constexpr int kThreads = 6;
-  ThreadPool pool(kThreads);
   std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
-    pool.Submit([&, t] {
+    threads.emplace_back([&, t] {
       std::string ds = "writer" + std::to_string(t);
       auto client = deployment_->MakeClient(t % 4, 60, ds);
       for (int i = 0; i < 100; ++i) {
@@ -261,7 +260,7 @@ TEST_F(ParallelClientsTest, ConcurrentWritersToDistinctDatasets) {
       if (!client->Flush().ok()) failures.fetch_add(1);
     });
   }
-  pool.Wait();
+  for (auto& th : threads) th.join();
   ASSERT_EQ(failures.load(), 0);
   // Read each dataset back, cross-checking isolation.
   for (int t = 0; t < kThreads; ++t) {

@@ -1,11 +1,10 @@
 #include "obs/trace.h"
 
-#include <mutex>
 #include <string>
+#include <thread>
 
 #include <gtest/gtest.h>
 
-#include "common/thread_pool.h"
 #include "net/fabric.h"
 #include "net/fault_injector.h"
 #include "obs/metrics.h"
@@ -182,75 +181,22 @@ TEST(TracerTest, JsonDumpListsSpansInIdOrder) {
   EXPECT_NE(json.find("\"parent\": 1"), std::string::npos);
 }
 
-TEST(TracerTest, SpanContextPropagatesAcrossThreadPoolSubmit) {
-  // A task submitted while a span is open must run with that span as its
-  // ambient parent, even though it executes on a pool worker thread.
+TEST(TracerTest, SpanOnAnotherThreadIsARoot) {
+  // The open-span stack is per thread: a span opened on a fresh thread
+  // does not adopt a span still open on the thread that started it.
   Tracer tracer;
   sim::VirtualClock clock;
-  ThreadPool pool(2);
   {
-    ScopedSpan parent(&tracer, "submit.parent", clock, 0);
-    clock.Advance(5);
-    for (int i = 0; i < 4; ++i) {
-      pool.Submit([&tracer, i] {
-        sim::VirtualClock worker_clock(100 + 10 * i);
-        ScopedSpan child(&tracer, "pool.task", worker_clock, 1);
-        worker_clock.Advance(1);
-      });
-    }
-    pool.Wait();
+    ScopedSpan parent(&tracer, "parent", clock, 0);
+    std::thread([&tracer] {
+      sim::VirtualClock thread_clock;
+      ScopedSpan s(&tracer, "other.thread", thread_clock, 1);
+    }).join();
   }
   auto spans = tracer.spans();
-  ASSERT_EQ(spans.size(), 5u);
-  EXPECT_EQ(spans[0].name, "submit.parent");
-  EXPECT_EQ(spans[0].parent, kNoSpan);
-  for (size_t i = 1; i < spans.size(); ++i) {
-    EXPECT_EQ(spans[i].name, "pool.task");
-    EXPECT_EQ(spans[i].parent, spans[0].id)
-        << "pool task must inherit the submitter's open span";
-  }
-}
-
-TEST(TracerTest, PoolTaskWithoutAmbientSpanIsARoot) {
-  Tracer tracer;
-  ThreadPool pool(1);
-  pool.Submit([&tracer] {
-    sim::VirtualClock clock;
-    ScopedSpan s(&tracer, "orphan", clock, 0);
-  });
-  pool.Wait();
-  ASSERT_EQ(tracer.size(), 1u);
-  EXPECT_EQ(tracer.spans()[0].parent, kNoSpan);
-}
-
-TEST(TracerTest, NestedSubmitCapturesInnermostSpanAtSubmitTime) {
-  // The context captured is the one open at Submit() time, not at run time:
-  // the span may already be closed when the task runs, and the edge must
-  // still point at it.
-  Tracer tracer;
-  sim::VirtualClock clock;
-  ThreadPool pool(1);
-  // Park the worker so the submitted task runs strictly after `inner` closes.
-  std::mutex m;
-  m.lock();
-  pool.Submit([&m] { m.lock(); m.unlock(); });
-  {
-    ScopedSpan outer(&tracer, "outer", clock, 0);
-    {
-      ScopedSpan inner(&tracer, "inner", clock, 0);
-      pool.Submit([&tracer] {
-        sim::VirtualClock wclock(50);
-        ScopedSpan task(&tracer, "late.task", wclock, 1);
-      });
-    }
-  }
-  m.unlock();
-  pool.Wait();
-  auto spans = tracer.spans();
-  ASSERT_EQ(spans.size(), 3u);
-  EXPECT_EQ(spans[1].name, "inner");
-  EXPECT_EQ(spans[2].name, "late.task");
-  EXPECT_EQ(spans[2].parent, spans[1].id);
+  ASSERT_EQ(spans.size(), 2u);
+  EXPECT_EQ(spans[1].name, "other.thread");
+  EXPECT_EQ(spans[1].parent, kNoSpan);
 }
 
 TEST(TracerTest, NoteCurrentAttachesToInnermostOpenSpan) {
