@@ -187,6 +187,16 @@ class RequestLatency {
   const Nanos start_;
 };
 
+/// The stream whose clock is earliest (the first on ties): a multi-stream
+/// load hands its next chunk to it (closed loop).
+sim::VirtualClock& EarliestStream(std::vector<sim::VirtualClock>& streams) {
+  return *std::min_element(
+      streams.begin(), streams.end(),
+      [](const sim::VirtualClock& a, const sim::VirtualClock& b) {
+        return a.now() < b.now();
+      });
+}
+
 }  // namespace
 
 TaskCache::TaskCache(net::Fabric& fabric, core::DieselServer& server,
@@ -331,35 +341,39 @@ size_t TaskCache::PickVictimLocked(const NodePartition& part,
   return best;
 }
 
-void TaskCache::EvictAtLocked(NodePartition& part, size_t victim) {
-  size_t ci = part.fifo[victim];
-  part.fifo.erase(part.fifo.begin() + static_cast<ptrdiff_t>(victim));
-  auto it = part.chunks.find(ci);
-  if (it == part.chunks.end()) return;
-  uint64_t size = it->second.buffer.size();
-  bool wasted = it->second.prefetched && !it->second.accessed;
+TaskCache::CachedChunk TaskCache::RemoveAtLocked(NodePartition& part,
+                                                 size_t pos) {
+  auto node = part.chunks.extract(part.fifo[pos]);
+  part.fifo.erase(part.fifo.begin() + static_cast<ptrdiff_t>(pos));
+  CachedChunk& cc = node.mapped();
+  const uint64_t size = cc.buffer.size();
+  const bool wasted = cc.prefetched && !cc.accessed;
   part.bytes -= size;
-  part.chunks.erase(it);
-  Counters().evictions.Inc();
   Counters().bytes_cached.Add(-static_cast<double>(size));
-  PfCounters().evicted_bytes.Inc(size);
   if (wasted) PfCounters().wasted.Inc();
+  std::lock_guard<std::mutex> slock(stats_mutex_);
+  stats_.bytes_cached -= size;
+  if (wasted) ++stats_.prefetch_wasted;
+  return std::move(cc);
+}
+
+void TaskCache::EvictAtLocked(NodePartition& part, size_t victim) {
+  const uint64_t size = RemoveAtLocked(part, victim).buffer.size();
+  Counters().evictions.Inc();
+  PfCounters().evicted_bytes.Inc(size);
   std::lock_guard<std::mutex> slock(stats_mutex_);
   ++stats_.evictions;
   stats_.evicted_bytes += size;
-  stats_.bytes_cached -= size;
-  if (wasted) ++stats_.prefetch_wasted;
 }
 
 TaskCache::InsertResult TaskCache::InsertChunk(sim::NodeId owner,
                                                size_t chunk_index,
-                                               core::ChunkBuffer buffer,
-                                               bool prefetched, Nanos ready_at,
-                                               std::vector<bool> verified) {
+                                               CachedChunk chunk) {
   NodePartition& part = PartitionFor(owner);
   std::lock_guard<std::mutex> lock(part.mutex);
   if (part.chunks.count(chunk_index) > 0) return InsertResult::kAlreadyResident;
-  uint64_t size = buffer.size();
+  const uint64_t size = chunk.buffer.size();
+  const bool prefetched = chunk.prefetched;
   if (options_.per_node_capacity_bytes != 0) {
     while (part.bytes + size > options_.per_node_capacity_bytes &&
            !part.fifo.empty()) {
@@ -381,12 +395,7 @@ TaskCache::InsertResult TaskCache::InsertChunk(sim::NodeId owner,
         return InsertResult::kDenied;  // single blob exceeds capacity
     }
   }
-  CachedChunk cc;
-  cc.buffer = std::move(buffer);
-  cc.ready_at = ready_at;
-  cc.prefetched = prefetched;
-  cc.verified = std::move(verified);
-  part.chunks.emplace(chunk_index, std::move(cc));
+  part.chunks.emplace(chunk_index, std::move(chunk));
   part.fifo.push_back(chunk_index);
   part.bytes += size;
   Counters().bytes_cached.Add(static_cast<double>(size));
@@ -437,49 +446,90 @@ Result<SharedBytes> TaskCache::FetchChunkBlob(sim::VirtualClock& clock,
   return blob;
 }
 
-Status TaskCache::EnsureLoaded(sim::VirtualClock& clock, sim::NodeId owner,
-                               size_t chunk_index) {
-  NodePartition& part = PartitionFor(owner);
-  {
-    std::lock_guard<std::mutex> lock(part.mutex);
-    if (part.chunks.count(chunk_index) > 0) return Status::Ok();
-  }
+Result<TaskCache::Fill> TaskCache::FillChunk(sim::VirtualClock& clock,
+                                             sim::NodeId owner,
+                                             size_t chunk_index,
+                                             const core::FileMeta* verify,
+                                             bool prefetched) {
+  Fill fill;
+  CachedChunk local;
   SharedCacheTier* tier = shared_tier_.load(std::memory_order_acquire);
   if (tier != nullptr) {
     // Warm start: another task already holds these bytes — adopt the shared
-    // buffer (a refcount bump plus the simulated transfer) instead of
-    // re-reading the object store. Adoptions are NOT chunk_loads: the
-    // backend never saw this request.
+    // buffer (a refcount bump plus the simulated transfer) with its CRC memo
+    // instead of re-reading the object store. Adoptions are NOT
+    // chunk_loads: the backend never saw this request.
     auto adopted = tier->Adopt(clock, owner, chunk_index);
     if (adopted.ok()) {
-      CountAdoption(adopted->buffer.size());
-      InsertChunk(owner, chunk_index, std::move(adopted->buffer),
-                  /*prefetched=*/false, /*ready_at=*/0,
-                  std::move(adopted->verified));
-      return Status::Ok();
+      local.buffer = std::move(adopted->buffer);
+      local.verified = std::move(adopted->verified);
+      fill.adopted = true;
+      if (verify != nullptr) {
+        Result<core::FileSlice> content = SliceFile(local, *verify);
+        if (content.ok()) {
+          fill.slice = std::move(content).value();
+        } else {
+          // Adopted copy is corrupt: purge it from the shared tier so other
+          // adopters stop paying the transfer + scan + refetch for the same
+          // bad blob, then fall through to a fresh backend fetch.
+          tier->Invalidate(chunk_index, local.buffer);
+          CountCorruption();
+          fill.adopted = false;
+        }
+      }
     }
   }
-  // Miss: pull the whole chunk from the server (on-demand policy / recovery).
-  uint32_t header_len = 0;
-  DIESEL_ASSIGN_OR_RETURN(SharedBytes blob,
-                          FetchChunkBlob(clock, owner, chunk_index, &header_len));
-  Counters().chunk_loads.Inc();
-  {
+  if (fill.adopted) {
+    TnCounters().adopted_chunks.Inc();
+    TnCounters().adopted_bytes.Inc(local.buffer.size());
     std::lock_guard<std::mutex> slock(stats_mutex_);
-    ++stats_.chunk_loads;
+    ++stats_.adopted_chunks;
+    stats_.adopted_bytes += local.buffer.size();
+  } else {
+    // Pull the whole chunk from the server. A verified fill slices from this
+    // local copy (immune to concurrent eviction); a corrupted fetch is caught
+    // by the slice CRC and re-fetched once (injected corruption is one-shot,
+    // so the second copy is clean; a persistently corrupt chunk still
+    // surfaces Corruption).
+    for (int fetch = 0;; ++fetch) {
+      uint32_t header_len = 0;
+      DIESEL_ASSIGN_OR_RETURN(
+          SharedBytes blob,
+          FetchChunkBlob(clock, owner, chunk_index, &header_len));
+      local = CachedChunk{};
+      local.buffer = core::ChunkBuffer::Wrap(std::move(blob), header_len);
+      if (verify == nullptr) break;
+      Result<core::FileSlice> content = SliceFile(local, *verify);
+      if (content.ok()) {
+        fill.slice = std::move(content).value();
+        break;
+      }
+      if (fetch > 0) return content.status();
+      CountCorruption();
+    }
+    Counters().chunk_loads.Inc();
+    {
+      std::lock_guard<std::mutex> slock(stats_mutex_);
+      ++stats_.chunk_loads;
+    }
+    // Publish the shared buffer along with the CRC memo of the file just
+    // verified — the resident copy is the same immutable bytes.
+    if (tier != nullptr) {
+      tier->Publish(owner, chunk_index, local.buffer, local.verified,
+                    clock.now());
+    }
   }
-  core::ChunkBuffer buffer = core::ChunkBuffer::Wrap(std::move(blob), header_len);
-  if (tier != nullptr) tier->Publish(owner, chunk_index, buffer, {}, clock.now());
-  InsertChunk(owner, chunk_index, std::move(buffer));
-  return Status::Ok();
+  fill.bytes = local.buffer.size();
+  local.prefetched = prefetched;
+  if (prefetched) local.ready_at = clock.now();
+  fill.insert = InsertChunk(owner, chunk_index, std::move(local));
+  return fill;
 }
 
-void TaskCache::CountAdoption(uint64_t bytes) {
-  TnCounters().adopted_chunks.Inc();
-  TnCounters().adopted_bytes.Inc(bytes);
+void TaskCache::CountCorruption() {
+  Counters().corruptions.Inc();
   std::lock_guard<std::mutex> slock(stats_mutex_);
-  ++stats_.adopted_chunks;
-  stats_.adopted_bytes += bytes;
+  ++stats_.corruptions_detected;
 }
 
 Result<core::FileSlice> TaskCache::ReadFromPartition(sim::VirtualClock& clock,
@@ -521,18 +571,13 @@ Result<core::FileSlice> TaskCache::ReadFromPartition(sim::VirtualClock& clock,
       Result<core::FileSlice> sliced = SliceFile(cc, meta);
       if (!sliced.status().IsCorruption()) return sliced;
       // Cached copy failed its checksum: evict it and fall through to a
-      // fresh fetch below. Remember the blob so the shared tier's copy —
-      // the same bytes if this chunk was ever published/adopted — can be
+      // fresh fill below. Remember the blob so the shared tier's copy — the
+      // same bytes if this chunk was ever published/adopted — can be
       // invalidated too.
-      corrupt_evicted = it->second.buffer;
-      part.bytes -= it->second.buffer.size();
-      part.fifo.erase(std::remove(part.fifo.begin(), part.fifo.end(),
-                                  chunk_index),
-                      part.fifo.end());
-      part.chunks.erase(it);
-      Counters().corruptions.Inc();
-      std::lock_guard<std::mutex> slock(stats_mutex_);
-      ++stats_.corruptions_detected;
+      const auto pos = std::find(part.fifo.begin(), part.fifo.end(),
+                                 chunk_index) - part.fifo.begin();
+      corrupt_evicted = RemoveAtLocked(part, pos).buffer;
+      CountCorruption();
     }
   }
   SharedCacheTier* tier = shared_tier_.load(std::memory_order_acquire);
@@ -542,87 +587,24 @@ Result<core::FileSlice> TaskCache::ReadFromPartition(sim::VirtualClock& clock,
     // every other task's — doesn't hand the corruption straight back.
     tier->Invalidate(chunk_index, corrupt_evicted);
   }
-  if (tier != nullptr) {
-    // Warm start before touching the backend: adopt a copy another task has
-    // resident. The adopted blob carries its CRC memo; an adopted copy that
-    // fails its checksum falls through to a fresh backend fetch exactly
-    // like a corrupt cached one.
-    auto adopted = tier->Adopt(clock, owner, chunk_index);
-    if (adopted.ok()) {
-      CachedChunk local;
-      local.buffer = std::move(adopted->buffer);
-      local.verified = std::move(adopted->verified);
-      Result<core::FileSlice> content = SliceFile(local, meta);
-      if (!content.status().IsCorruption()) {
-        DIESEL_RETURN_IF_ERROR(content.status());
-        CountAdoption(local.buffer.size());
-        InsertChunk(owner, chunk_index, std::move(local.buffer),
-                    /*prefetched=*/false, /*ready_at=*/0,
-                    std::move(local.verified));
-        return content;
-      }
-      // Adopted copy is corrupt: purge it from the shared tier so other
-      // adopters stop paying the transfer + scan + refetch for the same
-      // bad blob, then fall through to a fresh backend fetch.
-      tier->Invalidate(chunk_index, local.buffer);
-      Counters().corruptions.Inc();
-      std::lock_guard<std::mutex> slock(stats_mutex_);
-      ++stats_.corruptions_detected;
-    }
-  }
-  // Miss: fetch the chunk, slice from the local copy (immune to concurrent
-  // eviction), then install it for subsequent readers. A corrupted fetch is
-  // detected by the slice CRC and re-fetched once (injected corruption is
-  // one-shot, so the second copy is clean; a persistently corrupt chunk
-  // still surfaces Corruption).
-  for (int fetch = 0;; ++fetch) {
-    uint32_t header_len = 0;
-    DIESEL_ASSIGN_OR_RETURN(
-        SharedBytes blob,
-        FetchChunkBlob(clock, owner, chunk_index, &header_len));
-    CachedChunk local;
-    local.buffer = core::ChunkBuffer::Wrap(std::move(blob), header_len);
-    Result<core::FileSlice> content = SliceFile(local, meta);
-    if (content.status().IsCorruption() && fetch == 0) {
-      Counters().corruptions.Inc();
-      std::lock_guard<std::mutex> slock(stats_mutex_);
-      ++stats_.corruptions_detected;
-      continue;
-    }
-    DIESEL_RETURN_IF_ERROR(content.status());
-    Counters().chunk_loads.Inc();
-    {
-      std::lock_guard<std::mutex> slock(stats_mutex_);
-      ++stats_.chunk_loads;
-    }
-    // Install the shared buffer along with the CRC memo of the file just
-    // verified — the resident copy is the same immutable bytes.
-    if (tier != nullptr) {
-      tier->Publish(owner, chunk_index, local.buffer, local.verified,
-                    clock.now());
-    }
-    InsertChunk(owner, chunk_index, std::move(local.buffer),
-                /*prefetched=*/false, /*ready_at=*/0,
-                std::move(local.verified));
-    return content;
-  }
+  DIESEL_ASSIGN_OR_RETURN(
+      Fill fill, FillChunk(clock, owner, chunk_index, &meta,
+                           /*prefetched=*/false));
+  return std::move(fill.slice);
 }
 
-Result<Nanos> TaskCache::PreloadPartition(sim::NodeId node, Nanos start) {
+Result<Nanos> TaskCache::PreloadPartition(sim::NodeId node,
+                                          std::span<const size_t> chunks,
+                                          Nanos start, uint64_t* loaded) {
   const size_t streams = std::max<uint32_t>(1, options_.preload_streams);
-  std::vector<size_t> mine;
-  for (size_t ci = 0; ci < snapshot_.chunks().size(); ++ci) {
-    DIESEL_ASSIGN_OR_RETURN(sim::NodeId owner, OwnerNodeOfChunk(ci));
-    if (owner == node) mine.push_back(ci);
-  }
   std::vector<sim::VirtualClock> clocks(streams, sim::VirtualClock(start));
-  for (size_t next = 0; next < mine.size(); ++next) {
-    // Earliest-clock stream fetches the next chunk (closed loop).
-    size_t s = 0;
-    for (size_t k = 1; k < streams; ++k) {
-      if (clocks[k].now() < clocks[s].now()) s = k;
-    }
-    DIESEL_RETURN_IF_ERROR(EnsureLoaded(clocks[s], node, mine[next]));
+  for (size_t ci : chunks) {
+    if (ChunkResident(ci)) continue;
+    DIESEL_RETURN_IF_ERROR(FillChunk(EarliestStream(clocks), node, ci,
+                                     /*verify=*/nullptr,
+                                     /*prefetched=*/false)
+                               .status());
+    if (loaded != nullptr) ++*loaded;
   }
   Nanos finish = start;
   for (const auto& c : clocks) finish = std::max(finish, c.now());
@@ -635,7 +617,8 @@ Result<Nanos> TaskCache::Preload(Nanos start) {
   // node's finish time.
   Nanos makespan = start;
   for (sim::NodeId node : CurrentOwnerNodes()) {
-    DIESEL_ASSIGN_OR_RETURN(Nanos finish, PreloadPartition(node, start));
+    DIESEL_ASSIGN_OR_RETURN(Nanos finish,
+                            PreloadPartition(node, OwnedChunkList(node), start));
     makespan = std::max(makespan, finish);
   }
   return makespan;
@@ -920,24 +903,19 @@ Result<Nanos> TaskCache::ReownChunks(sim::NodeId node,
     oracle = oracle_;
   }
   const uint64_t cursor = cursor_.load(std::memory_order_relaxed);
-  const size_t streams = std::max<uint32_t>(1, options_.preload_streams);
-  std::vector<sim::VirtualClock> clocks(streams, sim::VirtualClock(start));
-  uint64_t loaded = 0;
+  std::vector<size_t> live;
   uint64_t skipped = 0;
   for (size_t ci : chunks) {
     if (oracle != nullptr &&
         oracle->NextAccessAfter(ci, cursor) == EvictionOracle::kNever) {
       ++skipped;
-      continue;
+    } else {
+      live.push_back(ci);
     }
-    if (ChunkResident(ci)) continue;
-    size_t s = 0;
-    for (size_t k = 1; k < streams; ++k) {
-      if (clocks[k].now() < clocks[s].now()) s = k;
-    }
-    DIESEL_RETURN_IF_ERROR(EnsureLoaded(clocks[s], node, ci));
-    ++loaded;
   }
+  uint64_t loaded = 0;
+  DIESEL_ASSIGN_OR_RETURN(Nanos finish,
+                          PreloadPartition(node, live, start, &loaded));
   if (loaded > 0) {
     MemCounters().reown_chunks.Inc(loaded);
     obs::Metrics()
@@ -951,8 +929,6 @@ Result<Nanos> TaskCache::ReownChunks(sim::NodeId node,
     stats_.reown_chunks += loaded;
     stats_.reown_skipped += skipped;
   }
-  Nanos finish = start;
-  for (const auto& c : clocks) finish = std::max(finish, c.now());
   return finish;
 }
 
@@ -981,31 +957,16 @@ Result<sim::NodeId> TaskCache::ServingOwner(size_t chunk_index, Nanos now) {
 
 void TaskCache::FinalizeMigration(size_t chunk_index, sim::NodeId from) {
   NodePartition& part = PartitionFor(from);
-  uint64_t freed = 0;
-  bool wasted = false;
-  bool unpinned = false;
-  {
-    std::lock_guard<std::mutex> lock(part.mutex);
-    auto it = part.chunks.find(chunk_index);
-    if (it == part.chunks.end()) return;
-    freed = it->second.buffer.size();
-    wasted = it->second.prefetched && !it->second.accessed;
-    part.fifo.erase(
-        std::remove(part.fifo.begin(), part.fifo.end(), chunk_index),
-        part.fifo.end());
-    part.bytes -= freed;
-    part.chunks.erase(it);
-    unpinned = part.pinned.erase(chunk_index) > 0;
-  }
+  std::lock_guard<std::mutex> lock(part.mutex);
+  const auto pos = std::find(part.fifo.begin(), part.fifo.end(), chunk_index);
+  if (pos == part.fifo.end()) return;
   // Dropping the source copy is not an eviction (the chunk is still
   // resident, on its new owner) — only the byte accounting moves.
-  Counters().bytes_cached.Add(-static_cast<double>(freed));
-  if (wasted) PfCounters().wasted.Inc();
-  if (unpinned) PfCounters().pinned_chunks.Add(-1.0);
+  RemoveAtLocked(part, pos - part.fifo.begin());
+  if (part.pinned.erase(chunk_index) == 0) return;
+  PfCounters().pinned_chunks.Add(-1.0);
   std::lock_guard<std::mutex> slock(stats_mutex_);
-  stats_.bytes_cached -= freed;
-  if (wasted) ++stats_.prefetch_wasted;
-  if (unpinned) --stats_.pinned_chunks;
+  --stats_.pinned_chunks;
 }
 
 void TaskCache::OnMembershipChange(const membership::MembershipChange& change) {
@@ -1126,36 +1087,31 @@ void TaskCache::MigrateForChange(const membership::MembershipChange& change) {
       // bump, and outstanding slices keep the old bytes alive regardless of
       // which partition drops its reference first. The CRC memo travels with
       // the buffer — same immutable bytes, same verification state.
-      core::ChunkBuffer buffer;
-      std::vector<bool> verified;
+      CachedChunk moved;
       {
         NodePartition& from = PartitionFor(m.from);
         std::lock_guard<std::mutex> lock(from.mutex);
         auto it = from.chunks.find(m.ci);
         if (it != from.chunks.end()) {
-          buffer = it->second.buffer;
-          verified = it->second.verified;
+          moved.buffer = it->second.buffer;
+          moved.verified = it->second.verified;
         }
       }
-      if (!buffer.valid()) continue;
+      if (!moved.buffer.valid()) continue;
       auto& clocks = dest_streams[m.to];
       if (clocks.empty()) clocks.assign(streams, sim::VirtualClock(start));
-      sim::VirtualClock* stream = &clocks.front();
-      for (sim::VirtualClock& st : clocks) {
-        if (st.now() < stream->now()) stream = &st;
-      }
-      const uint64_t size = buffer.size();
-      obs::ScopedSpan span(fabric_.tracer(), "membership.migrate", *stream,
+      sim::VirtualClock& stream = EarliestStream(clocks);
+      const uint64_t size = moved.buffer.size();
+      obs::ScopedSpan span(fabric_.tracer(), "membership.migrate", stream,
                            m.from);
       span.Note("chunk=" + std::to_string(m.ci) + " to=n" +
                 std::to_string(m.to));
-      Status call = fabric_.Call(*stream, m.from, m.to, kPeerRequestBytes,
+      Status call = fabric_.Call(stream, m.from, m.to, kPeerRequestBytes,
                                  size, [](Nanos arrival) { return arrival; });
       if (!call.ok()) continue;
-      Nanos ready = stream->now();
-      InsertResult r = InsertChunk(m.to, m.ci, std::move(buffer),
-                                   /*prefetched=*/false, /*ready_at=*/ready,
-                                   std::move(verified));
+      const Nanos ready = stream.now();
+      moved.ready_at = ready;
+      InsertResult r = InsertChunk(m.to, m.ci, std::move(moved));
       if (r == InsertResult::kDenied) continue;
       if (r == InsertResult::kInserted) {
         {
@@ -1219,32 +1175,17 @@ double TaskCache::HitRatio() const {
 }
 
 void TaskCache::DropPartitionLocked(NodePartition& part) {
-  // Prefetched chunks that never served a read die wasted; pins on the lost
-  // partition are released (the chunks they protected are gone — a pin must
-  // never outlive its chunk, or recovery would wedge on a full partition).
-  uint64_t wasted = 0;
-  for (const auto& [ci, cc] : part.chunks) {
-    if (cc.prefetched && !cc.accessed) ++wasted;
-  }
-  if (wasted > 0) {
-    PfCounters().wasted.Inc(wasted);
-    std::lock_guard<std::mutex> slock(stats_mutex_);
-    stats_.prefetch_wasted += wasted;
-  }
+  // Newest first, so each removal pops the fifo's tail. Prefetched chunks
+  // that never served a read die wasted; pins on the lost partition are
+  // released (the chunks they protected are gone — a pin must never outlive
+  // its chunk, or recovery would wedge on a full partition).
+  while (!part.fifo.empty()) RemoveAtLocked(part, part.fifo.size() - 1);
   if (!part.pinned.empty()) {
     PfCounters().pinned_chunks.Add(-static_cast<double>(part.pinned.size()));
     std::lock_guard<std::mutex> slock(stats_mutex_);
     stats_.pinned_chunks -= part.pinned.size();
     part.pinned.clear();
   }
-  if (part.bytes > 0) {
-    Counters().bytes_cached.Add(-static_cast<double>(part.bytes));
-    std::lock_guard<std::mutex> slock(stats_mutex_);
-    stats_.bytes_cached -= part.bytes;
-  }
-  part.chunks.clear();
-  part.fifo.clear();
-  part.bytes = 0;
 }
 
 void TaskCache::DropNode(sim::NodeId node) {
@@ -1380,57 +1321,23 @@ Result<TaskCache::PrefetchOutcome> TaskCache::PrefetchChunk(
     sim::VirtualClock& stream, size_t chunk_index) {
   PrefetchOutcome out;
   DIESEL_ASSIGN_OR_RETURN(sim::NodeId owner, OwnerNodeOfChunk(chunk_index));
-  {
-    NodePartition& part = PartitionFor(owner);
-    std::lock_guard<std::mutex> lock(part.mutex);
-    if (part.chunks.count(chunk_index) > 0) {
-      out.already_resident = true;
-      return out;
-    }
+  if (ChunkResident(chunk_index)) {
+    out.already_resident = true;
+    return out;
   }
   obs::ScopedSpan span(fabric_.tracer(), "prefetch.fill", stream, owner);
   span.Note("chunk=" + std::to_string(chunk_index));
-  SharedCacheTier* tier = shared_tier_.load(std::memory_order_acquire);
-  if (tier != nullptr) {
-    // Background fills adopt too: a fill satisfied from the shared tier
-    // frees the backend streams (and the prefetch byte budget drains at
-    // peer-transfer speed instead of object-store speed).
-    auto adopted = tier->Adopt(stream, owner, chunk_index);
-    if (adopted.ok()) {
-      span.Note("tenant.adopted");
-      CountAdoption(adopted->buffer.size());
-      out.bytes = adopted->buffer.size();
-      out.ready_at = stream.now();
-      InsertResult r = InsertChunk(owner, chunk_index,
-                                   std::move(adopted->buffer),
-                                   /*prefetched=*/true,
-                                   /*ready_at=*/stream.now(),
-                                   std::move(adopted->verified));
-      out.inserted = r == InsertResult::kInserted;
-      out.already_resident = r == InsertResult::kAlreadyResident;
-      return out;
-    }
-  }
-  uint32_t header_len = 0;
+  // Background fills adopt too: a fill satisfied from the shared tier frees
+  // the backend streams (and the prefetch byte budget drains at
+  // peer-transfer speed instead of object-store speed).
   DIESEL_ASSIGN_OR_RETURN(
-      SharedBytes blob,
-      FetchChunkBlob(stream, owner, chunk_index, &header_len));
-  Counters().chunk_loads.Inc();
-  {
-    std::lock_guard<std::mutex> slock(stats_mutex_);
-    ++stats_.chunk_loads;
-  }
-  out.bytes = blob->size();
+      Fill fill, FillChunk(stream, owner, chunk_index, /*verify=*/nullptr,
+                           /*prefetched=*/true));
+  if (fill.adopted) span.Note("tenant.adopted");
+  out.inserted = fill.insert == InsertResult::kInserted;
+  out.already_resident = fill.insert == InsertResult::kAlreadyResident;
+  out.bytes = fill.bytes;
   out.ready_at = stream.now();
-  core::ChunkBuffer buffer = core::ChunkBuffer::Wrap(std::move(blob), header_len);
-  if (tier != nullptr) {
-    tier->Publish(owner, chunk_index, buffer, {}, stream.now());
-  }
-  InsertResult r =
-      InsertChunk(owner, chunk_index, std::move(buffer),
-                  /*prefetched=*/true, /*ready_at=*/stream.now());
-  out.inserted = r == InsertResult::kInserted;
-  out.already_resident = r == InsertResult::kAlreadyResident;
   return out;
 }
 

@@ -297,10 +297,15 @@ class TaskCache : public membership::MembershipListener {
   /// reload overlaps the requester's work).
   void OnOwnerRecovered(sim::NodeId owner, Nanos now);
 
-  /// Preload the partition of a single node; returns its finish time.
-  Result<Nanos> PreloadPartition(sim::NodeId node, Nanos start);
+  /// Fill every chunk of `chunks` not yet resident into `node` (unverified)
+  /// on `preload_streams` closed-loop stream clocks starting at `start`: the
+  /// earliest stream takes the next chunk. Returns the slowest stream's
+  /// finish time; `loaded`, when given, counts the chunks filled.
+  Result<Nanos> PreloadPartition(sim::NodeId node,
+                                 std::span<const size_t> chunks, Nanos start,
+                                 uint64_t* loaded = nullptr);
 
-  /// Re-own `chunks` into `node` from the backend on detached stream clocks,
+  /// PreloadPartition of `chunks` into `node` on detached stream clocks,
   /// skipping chunks the installed Belady oracle declares dead for the rest
   /// of the epoch (counted under reown_skipped — bytes the training loop
   /// will never read are not worth re-loading). Returns the finish time.
@@ -333,13 +338,28 @@ class TaskCache : public membership::MembershipListener {
   /// last_transition_end_.
   void MigrateForChange(const membership::MembershipChange& change);
 
-  /// Make `chunk_index` resident on `owner`, loading from the server on a
-  /// miss (charges `clock`). No-op when already resident.
-  Status EnsureLoaded(sim::VirtualClock& clock, sim::NodeId owner,
-                      size_t chunk_index);
+  /// What FillChunk brought in.
+  struct Fill {
+    InsertResult insert = InsertResult::kDenied;
+    bool adopted = false;      // from the shared tier, not the backend
+    uint64_t bytes = 0;        // blob size
+    core::FileSlice slice;     // the verified file, when one was given
+  };
 
-  /// Charge the warm-start counters for one adopted chunk of `bytes`.
-  void CountAdoption(uint64_t bytes);
+  /// The one way a chunk enters a partition (preload, re-own, demand miss,
+  /// prefetch), charging `clock`: adopt the shared tier's copy, else fetch
+  /// from the server, count the adoption or the chunk load, publish a
+  /// fetched chunk with its CRC memo, and insert it into `owner`'s
+  /// partition. With `verify` the file is sliced and CRC-checked first: a
+  /// corrupt adopted copy is invalidated and fetched instead, a corrupt
+  /// fetch is re-fetched once, and a chunk load counts only once verified.
+  /// A `prefetched` fill is readable from `clock`'s finish time.
+  Result<Fill> FillChunk(sim::VirtualClock& clock, sim::NodeId owner,
+                         size_t chunk_index, const core::FileMeta* verify,
+                         bool prefetched);
+
+  /// Count one CRC mismatch caught on a cached, adopted or fetched copy.
+  void CountCorruption();
 
   /// Slice one file out of the owner's partition (loads on miss). The slice
   /// is taken under the partition lock and holds its own reference on the
@@ -375,9 +395,7 @@ class TaskCache : public membership::MembershipListener {
                         obs::ScopedSpan& span);
 
   InsertResult InsertChunk(sim::NodeId owner, size_t chunk_index,
-                           core::ChunkBuffer buffer, bool prefetched = false,
-                           Nanos ready_at = 0,
-                           std::vector<bool> verified = {});
+                           CachedChunk chunk);
 
   /// Victim-scan over `part.fifo` (deterministic order) with `part.mutex`
   /// held: FIFO picks the first unpinned entry; with an oracle installed,
@@ -388,13 +406,18 @@ class TaskCache : public membership::MembershipListener {
   size_t PickVictimLocked(const NodePartition& part,
                           bool ignore_pins = false) const;
 
-  /// Remove fifo[victim] from the partition (lock held) and charge the
-  /// eviction counters, including prefetch.wasted for fills that never
-  /// served a read.
+  /// The one removal of a resident chunk (lock held): erase fifo[pos] and
+  /// its chunk, and charge the partition bytes, the bytes_cached stat and
+  /// gauge, and prefetch.wasted for a fill that never served a read.
+  /// Callers add only their own counters. Returns the removed chunk.
+  CachedChunk RemoveAtLocked(NodePartition& part, size_t pos);
+
+  /// Capacity eviction of fifo[victim] (lock held): RemoveAtLocked plus
+  /// the eviction counters.
   void EvictAtLocked(NodePartition& part, size_t victim);
 
-  /// Shared body of DropNode/DropAll (lock held): counts wasted fills and
-  /// releases pins before clearing the partition.
+  /// Shared body of DropNode/DropAll (lock held): removes every chunk and
+  /// releases the partition's pins.
   void DropPartitionLocked(NodePartition& part);
 
   net::Fabric& fabric_;

@@ -14,7 +14,6 @@
 #include "ostore/dir_store.h"
 #include "ostore/mem_store.h"
 #include "ostore/modeled_store.h"
-#include "ostore/striped_store.h"
 #include "ostore/tiered_store.h"
 #include "sim/calibration.h"
 
@@ -157,21 +156,18 @@ TEST(BlobOwnershipTest, MemStoreGetReturnsThePutPointer) {
   EXPECT_EQ(store.Get(clock, 0, "k").value(), blob);
 }
 
-TEST(BlobOwnershipTest, ModeledAndStripedStoresShareThePutPointer) {
-  sim::Cluster cluster(3);
+TEST(BlobOwnershipTest, ModeledStoreSharesThePutPointer) {
+  sim::Cluster cluster(2);
   net::Fabric fabric(cluster);
-  MemStore b0, b1;
-  ModeledStore m0(fabric, 1, sim::SsdClusterSpec(), &b0);
-  ModeledStore m1(fabric, 2, sim::SsdClusterSpec(), &b1);
-  StripedStore striped({&m0, &m1});
+  MemStore backing;
+  ModeledStore modeled(fabric, 1, sim::SsdClusterSpec(), &backing);
   sim::VirtualClock clock;
   for (int i = 0; i < 8; ++i) {
     const std::string key = "k" + std::to_string(i);
     SharedBytes blob = Filled(4096, static_cast<uint8_t>(i));
-    ASSERT_TRUE(striped.Put(clock, 0, key, blob).ok());
-    EXPECT_EQ(striped.Get(clock, 0, key).value(), blob) << key;
-    ModeledStore& owner = striped.OwnerOf(key) == 0 ? m0 : m1;
-    EXPECT_EQ(owner.Get(clock, 0, key).value(), blob) << key;
+    ASSERT_TRUE(modeled.Put(clock, 0, key, blob).ok());
+    EXPECT_EQ(modeled.Get(clock, 0, key).value(), blob) << key;
+    EXPECT_EQ(backing.Get(clock, 0, key).value(), blob) << key;
   }
 }
 

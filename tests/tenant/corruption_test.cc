@@ -17,6 +17,7 @@
 #include "core/deployment.h"
 #include "dlt/dataset_gen.h"
 #include "net/fault_injector.h"
+#include "obs/metrics.h"
 #include "tenant/fabric.h"
 
 namespace diesel::tenant {
@@ -175,6 +176,8 @@ TEST(TenantCorruptionTest, InjectedCorruptionCopiesAndLeavesStoreClean) {
   ASSERT_NE(good, SIZE_MAX);
 
   dep.fabric().set_fault_injector(&inj);
+  const obs::Gauge& cached_gauge = obs::Metrics().GetGauge("cache.bytes_cached");
+  const double gauge0 = cached_gauge.value();
   cache::TaskCache tc(dep.fabric(), dep.server(0), snap, registry, {});
   const net::EndpointId ep = reader->endpoint();
   // The miss fetches the corrupted copy; the clean file passes its CRC and
@@ -191,6 +194,10 @@ TEST(TenantCorruptionTest, InjectedCorruptionCopiesAndLeavesStoreClean) {
   auto second = tc.GetFileSlice(clock, ep, meta(bad));
   ASSERT_TRUE(second.ok()) << second.status().ToString();
   EXPECT_EQ(tc.stats().corruptions_detected, 1u);
+  // Only the clean refetch is resident: dropping the corrupt copy released
+  // its bytes from the stat and the gauge.
+  EXPECT_EQ(tc.stats().bytes_cached, stored->size());
+  EXPECT_EQ(cached_gauge.value() - gauge0, static_cast<double>(stored->size()));
   EXPECT_EQ(second->shared_owner(), stored);
   EXPECT_TRUE(dlt::VerifyContent(spec, bad, second->view()));
   EXPECT_EQ(Crc32c(*stored), stored_crc);

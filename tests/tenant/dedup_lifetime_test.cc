@@ -2,8 +2,9 @@
 // chunks that task B loaded (and the shared fabric deduplicated) must stay
 // byte-stable after B — the last "owner" of the bytes — tears down,
 // crashes, or its home node dies. Run under ASan/TSan this is the
-// use-after-free proof for the cross-task shared-buffer design; every
-// scenario sweeps seeds 1..8 so the adopted subsets vary.
+// use-after-free proof for the cross-task shared-buffer design; the
+// lifetime scenarios sweep seeds 1..8 so the adopted subsets vary. The
+// background fill routes (prefetch and preload) adopt as well.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -80,6 +81,47 @@ class DedupLifetimeTest : public ::testing::Test {
   std::unique_ptr<core::Deployment> deployment_;
   dlt::DatasetSpec spec_;
 };
+
+// With task A's partition resident, task B's prefetch fill and oneshot
+// preload take A's bytes from the shared tier instead of loading them from
+// the backend.
+TEST_F(DedupLifetimeTest, PrefetchAndPreloadAdoptInsteadOfLoading) {
+  CacheFabric fabric(deployment_->fabric(), {});
+  auto a = MakeTask(fabric, 0, "a");
+  auto b = MakeTask(fabric, 1, "b");
+  const core::MetadataSnapshot& snap = *b->client->snapshot();
+  const size_t chunks = snap.chunks().size();
+  ASSERT_GT(chunks, 1u);
+  ASSERT_TRUE(a->cache->Preload(0).ok());
+  ASSERT_EQ(a->cache->stats().chunk_loads, chunks);
+
+  sim::VirtualClock clock;
+  const uint64_t chunk0_bytes =
+      deployment_->store()
+          .Get(clock, 0, core::ChunkObjectKey(spec_.name, snap.chunks().at(0)))
+          .value()
+          ->size();
+  const Nanos issue = 1'000'000;
+  sim::VirtualClock stream(issue);
+  auto fill = b->cache->PrefetchChunk(stream, 0);
+  ASSERT_TRUE(fill.ok()) << fill.status().ToString();
+  EXPECT_TRUE(fill->inserted);
+  EXPECT_FALSE(fill->already_resident);
+  EXPECT_EQ(fill->bytes, chunk0_bytes);
+  EXPECT_GT(stream.now(), issue);  // the peer transfer is charged
+  EXPECT_EQ(fill->ready_at, stream.now());
+  EXPECT_TRUE(b->cache->ChunkResident(0));
+  cache::TaskCacheStats bs = b->cache->stats();
+  EXPECT_EQ(bs.adopted_chunks, 1u);
+  EXPECT_EQ(bs.adopted_bytes, chunk0_bytes);
+  EXPECT_EQ(bs.chunk_loads, 0u);
+
+  ASSERT_TRUE(b->cache->Preload(0).ok());
+  bs = b->cache->stats();
+  EXPECT_EQ(bs.adopted_chunks, chunks);
+  EXPECT_EQ(bs.chunk_loads, 0u);
+  EXPECT_EQ(b->cache->HitRatio(), 1.0);
+}
 
 TEST_F(DedupLifetimeTest, SlicesSurviveProviderTeardown) {
   for (uint64_t seed = kSeedLo; seed <= kSeedHi; ++seed) {

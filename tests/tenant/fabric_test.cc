@@ -153,7 +153,7 @@ TEST_F(FabricTest, VerifiedMemoUnionsOnlyOnIdenticalBytes) {
   CacheFabric fabric(net_, {});
   TenantBinding* a = fabric.RegisterTenant("ds", {.name = "a"});
   TenantBinding* b = fabric.RegisterTenant("ds", {.name = "b"});
-  // A corrupt blob published before any CRC scan (EnsureLoaded/prefetch
+  // A corrupt blob published before any CRC scan (preload/prefetch fills
   // publish with an empty memo).
   core::ChunkBuffer corrupt = MakeBuffer(1024, 0xbd);
   a->Publish(0, 7, corrupt, {}, 0);
