@@ -3,8 +3,9 @@
 // the parallel-hashmap substitution in §5), CRC32C, and base64lex; plus
 // info rows for the CRC32C kernel and sim::Device::Serve at a full
 // interval list, the two host hot spots of the simulator, for the
-// zero-copy chunk fetch from the object store, and for the snapshot build's
-// time and heap allocations.
+// zero-copy chunk fetch from the object store, for the snapshot build's
+// time and heap allocations, and for the KV metadata plane's ingest
+// allocations, Get and Scan.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -14,6 +15,8 @@
 #include <cstdlib>
 #include <limits>
 #include <new>
+#include <set>
+#include <string_view>
 #include <unordered_map>
 
 #include "bench/bench_util.h"
@@ -24,7 +27,9 @@
 #include "common/rng.h"
 #include "core/chunk_buffer.h"
 #include "core/chunk_format.h"
+#include "core/metadata.h"
 #include "core/snapshot.h"
+#include "kv/cluster.h"
 #include "net/fabric.h"
 #include "ostore/mem_store.h"
 #include "ostore/modeled_store.h"
@@ -32,7 +37,7 @@
 #include "sim/device.h"
 #include "sim/node.h"
 
-// Every heap allocation in this process, for the snapshot allocation rows.
+// Every heap allocation in this process, for the allocation-count rows.
 namespace {
 std::atomic<uint64_t> g_heap_allocs{0};
 }  // namespace
@@ -503,34 +508,44 @@ void ReportDeviceServe() {
   bench::Info("device.serve_full_vs_empty_x", "x", full_ns / empty_ns);
 }
 
-/// Snapshot build and lookup cost on perfbench's dataset shape: 8,192
-/// files "/bench/train/clsNNN/imgNNNNNN.bin" over 64 class directories, 32
-/// files per chunk, handed to Create in the server's order (KV key order:
-/// parent-directory hash, then base name). Build time is best of three;
-/// allocations are counted over one build and over 1,024 Lookup +
-/// ChunkIndex pairs.
-void ReportSnapshotBuild() {
-  constexpr size_t kFiles = 8192;
-  constexpr size_t kClasses = 64;
-  constexpr size_t kPerChunk = 32;
+/// perfbench's dataset shape: 8,192 files "/bench/train/clsNNN/imgNNNNNN.bin"
+/// over 64 class directories, 32 files per chunk, in ingest order.
+constexpr size_t kFiles = 8192;
+constexpr size_t kClasses = 64;
+constexpr size_t kPerChunk = 32;
+
+struct BenchDataset {
   std::vector<core::ChunkId> chunks;
-  std::vector<core::FileMeta> files;
+  std::vector<core::FileMeta> files;  // chunk c holds files [32c, 32c + 32)
+};
+
+BenchDataset MakeBenchDataset() {
+  BenchDataset d;
   for (size_t i = 0; i < kFiles; ++i) {
     if (i % kPerChunk == 0) {
-      chunks.push_back(core::ChunkId::Make(
+      d.chunks.push_back(core::ChunkId::Make(
           1000, 7, 1, static_cast<uint32_t>(i / kPerChunk)));
     }
     char path[64];
     std::snprintf(path, sizeof(path), "/bench/train/cls%03zu/img%06zu.bin",
                   i % kClasses, i / kClasses);
     core::FileMeta m;
-    m.chunk = chunks.back();
+    m.chunk = d.chunks.back();
     m.offset = (i % kPerChunk) * 8192;
     m.length = 8192;
     m.index_in_chunk = static_cast<uint32_t>(i % kPerChunk);
     m.full_name = path;
-    files.push_back(std::move(m));
+    d.files.push_back(std::move(m));
   }
+  return d;
+}
+
+/// Snapshot build and lookup cost on the bench dataset, handed to Create in
+/// the server's order (KV key order: parent-directory hash, then base
+/// name). Build time is best of three; allocations are counted over one
+/// build and over 1,024 Lookup + ChunkIndex pairs.
+void ReportSnapshotBuild() {
+  auto [chunks, files] = MakeBenchDataset();
   std::sort(files.begin(), files.end(),
             [](const core::FileMeta& a, const core::FileMeta& b) {
               uint64_t ha = PathHash(core::ParentPath(a.full_name));
@@ -578,6 +593,97 @@ void ReportSnapshotBuild() {
               static_cast<double>(lookup_allocs) / kProbes);
 }
 
+/// The KV metadata plane on the bench dataset: one MetadataService::AddChunk
+/// per chunk into a 16-shard KvCluster (4 nodes x 4 shards, as Deployment),
+/// then 1,024 Gets of file keys and one visiting Scan of the file namespace.
+/// Allocations are counted over the whole ingest and divided by the batch
+/// entries it puts: chunk records, file records and directory markers.
+/// Each of three repetitions starts from an empty cluster, so the scan is
+/// the first after the ingest and includes the shards' key-order merge.
+/// Timings are best of three.
+void ReportKvMetadata() {
+  const BenchDataset data = MakeBenchDataset();
+  std::vector<std::vector<core::FileMeta>> per_chunk(data.chunks.size());
+  size_t entries = 0;
+  for (size_t c = 0; c < data.chunks.size(); ++c) {
+    per_chunk[c].assign(data.files.begin() + c * kPerChunk,
+                        data.files.begin() + (c + 1) * kPerChunk);
+    // Its record, its files, and one marker per ancestor directory.
+    std::set<std::string_view> dirs;
+    for (const core::FileMeta& f : per_chunk[c]) {
+      for (std::string_view dir = core::ParentPath(f.full_name); dir != "/";
+           dir = core::ParentPath(dir)) {
+        dirs.insert(dir);
+      }
+    }
+    entries += 1 + kPerChunk + dirs.size();
+  }
+  core::ChunkMeta chunk_meta;
+  chunk_meta.num_files = kPerChunk;
+  chunk_meta.size = kPerChunk * 8192;
+  chunk_meta.deletion_bitmap.assign(kPerChunk / 8, 0);
+  constexpr size_t kProbes = 1024;
+  std::vector<std::string> probes;
+  for (size_t i = 0; i < kProbes; ++i) {
+    probes.push_back(
+        core::FileKey("bench", data.files[(i * 7919) % kFiles].full_name));
+  }
+  const std::string prefix = core::FileKeyPrefix("bench");
+
+  double put_allocs = std::numeric_limits<double>::infinity();
+  double get_ns = std::numeric_limits<double>::infinity();
+  double scan_ns = std::numeric_limits<double>::infinity();
+  using Clock = std::chrono::steady_clock;
+  auto ns_since = [](Clock::time_point t0) {
+    return static_cast<double>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - t0)
+            .count());
+  };
+  for (int rep = 0; rep < 3; ++rep) {
+    sim::Cluster cluster(5);
+    net::Fabric fabric(cluster);
+    kv::KvClusterOptions opts;
+    opts.nodes = {1, 2, 3, 4};
+    kv::KvCluster kv(fabric, opts);
+    core::MetadataService meta(kv, 0);
+    sim::VirtualClock clock;
+
+    const uint64_t allocs0 = g_heap_allocs.load();
+    for (size_t c = 0; c < data.chunks.size(); ++c) {
+      if (!meta.AddChunk(clock, "bench", data.chunks[c], chunk_meta,
+                         per_chunk[c])
+               .ok()) {
+        std::abort();
+      }
+    }
+    put_allocs = std::min(
+        put_allocs,
+        static_cast<double>(g_heap_allocs.load() - allocs0) / entries);
+
+    auto t0 = Clock::now();
+    for (const std::string& key : probes) {
+      if (!kv.Get(clock, 0, key).ok()) std::abort();
+    }
+    get_ns = std::min(get_ns, ns_since(t0) / kProbes);
+
+    size_t visited = 0;
+    t0 = Clock::now();
+    Status st = kv.Scan(clock, 0, prefix,
+                        [&](uint32_t, std::string_view, std::string_view) {
+                          ++visited;
+                        });
+    const double scan_total_ns = ns_since(t0);
+    // Every key but the chunk records is under the file prefix.
+    if (!st.ok() || visited != kv.TotalKeys() - data.chunks.size()) {
+      std::abort();
+    }
+    scan_ns = std::min(scan_ns, scan_total_ns / visited);
+  }
+  bench::Info("kv.put_allocs_per_entry", "allocs", put_allocs);
+  bench::Info("kv.get_ns", "ns", get_ns);
+  bench::Info("kv.scan_ns_per_entry", "ns", scan_ns);
+}
+
 }  // namespace diesel
 
 // Custom main instead of BENCHMARK_MAIN(): the google-benchmark timings are
@@ -598,5 +704,6 @@ int main(int argc, char** argv) {
   diesel::ReportCrcKernel();
   diesel::ReportDeviceServe();
   diesel::ReportSnapshotBuild();
+  diesel::ReportKvMetadata();
   return diesel::bench::CloseReport();
 }

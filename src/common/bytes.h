@@ -36,6 +36,9 @@ inline BytesView AsBytesView(const std::string& s) {
 inline BytesView AsBytesView(std::string_view s) {
   return {reinterpret_cast<const uint8_t*>(s.data()), s.size()};
 }
+inline std::string_view AsStringView(BytesView b) {
+  return {reinterpret_cast<const char*>(b.data()), b.size()};
+}
 inline std::string ToString(BytesView b) {
   return {reinterpret_cast<const char*>(b.data()), b.size()};
 }
@@ -90,6 +93,8 @@ class BinaryWriter {
 
   size_t size() const { return buf_.size(); }
   const Bytes& data() const { return buf_; }
+  /// Empty the buffer but keep its capacity, to encode the next record.
+  void Clear() { buf_.clear(); }
   Bytes Take() && { return std::move(buf_); }
 
   /// Overwrite 4 bytes at `offset` (for back-patching lengths/checksums).

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cstring>
 #include <optional>
-#include <set>
 
+#include "common/flat_hash_map.h"
 #include "common/hash.h"
 
 namespace diesel::core {
@@ -13,13 +13,17 @@ namespace diesel::core {
 
 Bytes FileMeta::Serialize() const {
   BinaryWriter w(48 + full_name.size());
+  SerializeTo(w);
+  return std::move(w).Take();
+}
+
+void FileMeta::SerializeTo(BinaryWriter& w) const {
   w.PutRaw(chunk.bytes().data(), ChunkId::kSize);
   w.PutU64(offset);
   w.PutU64(length);
   w.PutU32(crc);
   w.PutU32(index_in_chunk);
   w.PutString(full_name);
-  return std::move(w).Take();
 }
 
 Result<FileMeta> FileMeta::Deserialize(BytesView data) {
@@ -112,13 +116,13 @@ namespace {
 
 constexpr size_t kDirHashDigits = 16;
 
-/// "F/<dataset>/<hex(hash(dir))>/<kind>/<name>", built in one allocation;
-/// the hash is 16 zero-padded lowercase hex digits, so key order within a
-/// dataset is (dir hash, kind, name).
-std::string DirEntryKey(std::string_view dataset, std::string_view dir,
-                        char kind, std::string_view name) {
+/// Set `key` to "F/<dataset>/<hex(hash(dir))>/<kind>/<name>", reusing its
+/// buffer; the hash is 16 zero-padded lowercase hex digits, so key order
+/// within a dataset is (dir hash, kind, name).
+void AssignDirEntryKey(std::string& key, std::string_view dataset,
+                       std::string_view dir, char kind, std::string_view name) {
   static constexpr char kHex[] = "0123456789abcdef";
-  std::string key;
+  key.clear();
   key.reserve(2 + dataset.size() + 1 + kDirHashDigits + 3 + name.size());
   key.append("F/").append(dataset).push_back('/');
   uint64_t h = PathHash(dir);
@@ -129,7 +133,26 @@ std::string DirEntryKey(std::string_view dataset, std::string_view dir,
   key.push_back(kind);
   key.push_back('/');
   key.append(name);
+}
+
+/// AssignDirEntryKey into a new string, built in one allocation.
+std::string DirEntryKey(std::string_view dataset, std::string_view dir,
+                        char kind, std::string_view name) {
+  std::string key;
+  AssignDirEntryKey(key, dataset, dir, kind, name);
   return key;
+}
+
+void AssignFileKey(std::string& key, std::string_view dataset,
+                   std::string_view full_path) {
+  AssignDirEntryKey(key, dataset, ParentPath(full_path), 'f',
+                    BaseName(full_path));
+}
+
+void AssignDirMarkerKey(std::string& key, std::string_view dataset,
+                        std::string_view dir_path) {
+  AssignDirEntryKey(key, dataset, ParentPath(dir_path), 'd',
+                    BaseName(dir_path));
 }
 
 /// The dir hash of a file key's remainder after "F/<dataset>/"
@@ -175,11 +198,15 @@ std::string FileKeyPrefix(std::string_view dataset) {
 }
 
 std::string FileKey(std::string_view dataset, std::string_view full_path) {
-  return DirEntryKey(dataset, ParentPath(full_path), 'f', BaseName(full_path));
+  std::string key;
+  AssignFileKey(key, dataset, full_path);
+  return key;
 }
 
 std::string DirMarkerKey(std::string_view dataset, std::string_view dir_path) {
-  return DirEntryKey(dataset, ParentPath(dir_path), 'd', BaseName(dir_path));
+  std::string key;
+  AssignDirMarkerKey(key, dataset, dir_path);
+  return key;
 }
 
 std::string DirFilePrefix(std::string_view dataset, std::string_view dir_path) {
@@ -198,21 +225,37 @@ Status MetadataService::AddChunk(sim::VirtualClock& clock,
                                  const ChunkMeta& chunk_meta,
                                  const std::vector<FileMeta>& files) {
   DIESEL_RETURN_IF_ERROR(ValidateDatasetName(dataset));
-  std::vector<std::pair<std::string, std::string>> batch;
-  batch.reserve(files.size() * 2 + 1);
-  batch.emplace_back(ChunkKey(dataset, id), ToString(chunk_meta.Serialize()));
-  std::set<std::string_view> dirs_added;  // views into `files`' names
+  // Every record goes into one batch buffer. A file's key and record each
+  // take about its name plus 40 bytes, and each file adds at most one new
+  // directory marker per path level (usually none or one).
+  size_t bytes = 128 + dataset.size();
+  size_t longest_name = 0;
   for (const FileMeta& f : files) {
-    batch.emplace_back(FileKey(dataset, f.full_name),
-                       ToString(f.Serialize()));
+    bytes += 3 * (f.full_name.size() + dataset.size() + 40);
+    longest_name = std::max(longest_name, f.full_name.size());
+  }
+  kv::WriteBatch batch;
+  batch.Reserve(files.size() * 2 + 1, bytes);
+  batch.Put(ChunkKey(dataset, id), AsStringView(chunk_meta.Serialize()));
+  // Each key and file record is built in these, then copied into the batch.
+  std::string key;
+  BinaryWriter record(64 + longest_name);
+  // Directories whose markers are queued: views into `files`' names.
+  FlatHashMap<std::string_view, bool> dirs_added(files.size());
+  for (const FileMeta& f : files) {
+    AssignFileKey(key, dataset, f.full_name);
+    record.Clear();
+    f.SerializeTo(record);
+    batch.Put(key, AsStringView(record.data()));
     // Ancestor directory markers so readdir discovers the hierarchy.
     for (std::string_view dir = ParentPath(f.full_name); dir != "/";
          dir = ParentPath(dir)) {
-      if (!dirs_added.insert(dir).second) break;  // ancestors already queued
-      batch.emplace_back(DirMarkerKey(dataset, dir), "");
+      if (!dirs_added.Emplace(dir, true).second) break;  // ancestors queued
+      AssignDirMarkerKey(key, dataset, dir);
+      batch.Put(key, "");
     }
   }
-  return kv_.BatchPut(clock, node_, std::move(batch));
+  return kv_.BatchPut(clock, node_, batch);
 }
 
 Result<FileMeta> MetadataService::GetFile(sim::VirtualClock& clock,

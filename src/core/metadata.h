@@ -35,6 +35,7 @@ struct FileMeta {
   std::string full_name;
 
   Bytes Serialize() const;
+  void SerializeTo(BinaryWriter& w) const;
   static Result<FileMeta> Deserialize(BytesView data);
 };
 

@@ -125,6 +125,10 @@ Status DecodeSample(BytesView data, uint32_t& label,
   BinaryReader r(data);
   DIESEL_ASSIGN_OR_RETURN(label, r.ReadU32());
   DIESEL_ASSIGN_OR_RETURN(uint32_t dims, r.ReadU32());
+  // Check the count against the bytes left before sizing anything by it.
+  if (dims > r.remaining() / 4) {
+    return Status::Corruption("sample: feature count exceeds the data");
+  }
   features.resize(dims);
   for (uint32_t i = 0; i < dims; ++i) {
     DIESEL_ASSIGN_OR_RETURN(uint32_t bits, r.ReadU32());

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
+#include <span>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -42,6 +44,47 @@ struct OpMetrics {
   }
 };
 
+/// Fabric::Call with `handler` passed by reference: a std::function keeps a
+/// reference_wrapper inline, where it would heap-allocate a lambda that
+/// captures more than two references, once per RPC.
+template <typename Handler>
+Status CallShard(net::Fabric& fabric, sim::VirtualClock& clock,
+                 sim::NodeId client, sim::NodeId shard_node, uint64_t req_bytes,
+                 uint64_t resp_bytes, Handler&& handler) {
+  return fabric.Call(clock, client, shard_node, req_bytes, resp_bytes,
+                     std::ref(handler));
+}
+
+/// Item indexes 0..n-1 grouped by owning shard, each group in item order
+/// (a counting sort): shard s's items are order[start[s], start[s+1]).
+struct ShardGroups {
+  std::vector<uint32_t> start;
+  std::vector<uint32_t> order;
+
+  std::span<const uint32_t> of(uint32_t s) const {
+    return std::span<const uint32_t>(order).subspan(start[s],
+                                                    start[s + 1] - start[s]);
+  }
+};
+
+template <typename OwnerOf>
+ShardGroups GroupByShard(size_t n, size_t num_shards, OwnerOf owner_of) {
+  ShardGroups g;
+  g.start.assign(num_shards + 1, 0);
+  g.order.resize(n);
+  for (size_t i = 0; i < n; ++i) ++g.start[owner_of(i) + 1];
+  for (size_t s = 0; s < num_shards; ++s) g.start[s + 1] += g.start[s];
+  // Fill each group with start[s] as its cursor. That leaves start[s] at
+  // the group's end, which is where group s + 1 starts, so every entry then
+  // moves up one slot.
+  for (size_t i = 0; i < n; ++i) {
+    g.order[g.start[owner_of(i)]++] = static_cast<uint32_t>(i);
+  }
+  for (size_t s = num_shards; s > 0; --s) g.start[s] = g.start[s - 1];
+  g.start[0] = 0;
+  return g;
+}
+
 }  // namespace
 
 KvCluster::KvCluster(net::Fabric& fabric, KvClusterOptions options)
@@ -68,10 +111,11 @@ Status KvCluster::CheckShardUp(uint32_t s) const {
 }
 
 Status KvCluster::Put(sim::VirtualClock& clock, sim::NodeId client,
-                      std::string key, std::string value) {
+                      std::string_view key, std::string_view value) {
   static OpMetrics metrics("put");
   obs::ScopedSpan span(fabric_.tracer(), "kv.put", clock, client);
-  uint32_t s = OwnerShard(key);
+  const HashedKey hkey(key);
+  uint32_t s = ring_.OwnerOfHash(hkey.hash);
   Shard& shard = *shards_[s];
   uint64_t req = key.size() + value.size() + kOpOverheadBytes;
   uint32_t attempts = 0;
@@ -79,12 +123,10 @@ Status KvCluster::Put(sim::VirtualClock& clock, sim::NodeId client,
     ++attempts;
     DIESEL_RETURN_IF_ERROR(CheckShardUp(s));
     Status op_status;
-    // Copy (not move) into the shard so a dropped-then-retried RPC still
-    // carries the full payload.
-    DIESEL_RETURN_IF_ERROR(fabric_.Call(
-        clock, client, shard_node_[s], req, kOpOverheadBytes,
+    DIESEL_RETURN_IF_ERROR(CallShard(
+        fabric_, clock, client, shard_node_[s], req, kOpOverheadBytes,
         [&](Nanos arrival) {
-          op_status = shard.Put(key, value);
+          op_status = shard.Put(hkey, value);
           return shard.service().Serve(arrival, req);
         }));
     return op_status;
@@ -97,7 +139,8 @@ Result<std::string> KvCluster::Get(sim::VirtualClock& clock, sim::NodeId client,
                                    const std::string& key) {
   static OpMetrics metrics("get");
   obs::ScopedSpan span(fabric_.tracer(), "kv.get", clock, client);
-  uint32_t s = OwnerShard(key);
+  const HashedKey hkey(key);
+  uint32_t s = ring_.OwnerOfHash(hkey.hash);
   Shard& shard = *shards_[s];
   uint64_t req = key.size() + kOpOverheadBytes;
   uint32_t attempts = 0;
@@ -106,10 +149,10 @@ Result<std::string> KvCluster::Get(sim::VirtualClock& clock, sim::NodeId client,
     ++attempts;
     DIESEL_RETURN_IF_ERROR(CheckShardUp(s));
     Result<std::string> result = Status::Internal("unset");
-    DIESEL_RETURN_IF_ERROR(fabric_.Call(
-        clock, client, shard_node_[s], req, /*resp guess=*/256,
+    DIESEL_RETURN_IF_ERROR(CallShard(
+        fabric_, clock, client, shard_node_[s], req, /*resp guess=*/256,
         [&](Nanos arrival) {
-          result = shard.Get(key);
+          result = shard.Get(hkey);
           uint64_t resp = result.ok() ? result.value().size() : 0;
           return shard.service().Serve(arrival, req + resp);
         }));
@@ -127,7 +170,8 @@ Status KvCluster::Delete(sim::VirtualClock& clock, sim::NodeId client,
                          const std::string& key) {
   static OpMetrics metrics("delete");
   obs::ScopedSpan span(fabric_.tracer(), "kv.delete", clock, client);
-  uint32_t s = OwnerShard(key);
+  const HashedKey hkey(key);
+  uint32_t s = ring_.OwnerOfHash(hkey.hash);
   Shard& shard = *shards_[s];
   uint64_t req = key.size() + kOpOverheadBytes;
   uint32_t attempts = 0;
@@ -135,10 +179,10 @@ Status KvCluster::Delete(sim::VirtualClock& clock, sim::NodeId client,
     ++attempts;
     DIESEL_RETURN_IF_ERROR(CheckShardUp(s));
     Status op_status;
-    DIESEL_RETURN_IF_ERROR(fabric_.Call(
-        clock, client, shard_node_[s], req, kOpOverheadBytes,
+    DIESEL_RETURN_IF_ERROR(CallShard(
+        fabric_, clock, client, shard_node_[s], req, kOpOverheadBytes,
         [&](Nanos arrival) {
-          op_status = shard.Delete(key);
+          op_status = shard.Delete(hkey);
           return shard.service().Serve(arrival, req);
         }));
     return op_status;
@@ -147,51 +191,36 @@ Status KvCluster::Delete(sim::VirtualClock& clock, sim::NodeId client,
   return final_status;
 }
 
-Status KvCluster::BatchPut(
-    sim::VirtualClock& clock, sim::NodeId client,
-    std::vector<std::pair<std::string, std::string>> entries) {
+Status KvCluster::BatchPut(sim::VirtualClock& clock, sim::NodeId client,
+                           const WriteBatch& batch) {
   static OpMetrics metrics("batch_put");
   obs::ScopedSpan span(fabric_.tracer(), "kv.batch_put", clock, client);
   // Group per owning shard, one pipelined RPC per shard.
-  std::vector<uint32_t> owner(entries.size());
-  std::vector<size_t> counts(shards_.size(), 0);
-  for (size_t i = 0; i < entries.size(); ++i) {
-    owner[i] = OwnerShard(entries[i].first);
-    ++counts[owner[i]];
-  }
-  std::vector<std::vector<std::pair<std::string, std::string>>> per_shard(
-      shards_.size());
-  for (uint32_t s = 0; s < per_shard.size(); ++s) {
-    per_shard[s].reserve(counts[s]);
-  }
-  for (size_t i = 0; i < entries.size(); ++i) {
-    per_shard[owner[i]].push_back(std::move(entries[i]));
-  }
-  for (uint32_t s = 0; s < per_shard.size(); ++s) {
-    auto& batch = per_shard[s];
-    if (batch.empty()) continue;
+  const ShardGroups groups =
+      GroupByShard(batch.size(), shards_.size(), [&](size_t i) {
+        return ring_.OwnerOfHash(batch.key(i).hash);
+      });
+  for (uint32_t s = 0; s < shards_.size(); ++s) {
+    const std::span<const uint32_t> group = groups.of(s);
+    if (group.empty()) continue;
     Shard& shard = *shards_[s];
     uint64_t req = 0;
-    for (const auto& [k, v] : batch) {
-      req += k.size() + v.size() + kOpOverheadBytes;
+    for (uint32_t i : group) {
+      req += batch.key(i).key.size() + batch.value(i).size() + kOpOverheadBytes;
     }
     uint32_t attempts = 0;
     Status shard_status = options_.retry.Run(clock, [&]() -> Status {
       ++attempts;
       DIESEL_RETURN_IF_ERROR(CheckShardUp(s));
       Status op_status;
-      DIESEL_RETURN_IF_ERROR(fabric_.Call(
-          clock, client, shard_node_[s], req, kOpOverheadBytes,
+      DIESEL_RETURN_IF_ERROR(CallShard(
+          fabric_, clock, client, shard_node_[s], req, kOpOverheadBytes,
           [&](Nanos arrival) {
             // Pipelined batch: the shard pays its per-command latency once
             // and a marginal per-entry cost for the rest (Redis pipelining).
-            // The handler runs only once the request is delivered, and
-            // nothing after it can fail the call, so the entries are moved
-            // in; a down shard refuses the batch before moving anything,
-            // leaving it intact for the retry.
-            op_status = shard.PutBatch(batch);
+            op_status = shard.PutBatch(batch, group);
             return shard.service().Serve(
-                arrival, req, sim::kKvBatchEntryCost * (batch.size() - 1));
+                arrival, req, sim::kKvBatchEntryCost * (group.size() - 1));
           }));
       return op_status;
     });
@@ -207,13 +236,14 @@ Result<std::vector<std::optional<std::string>>> KvCluster::MGet(
   static OpMetrics metrics("mget");
   obs::ScopedSpan span(fabric_.tracer(), "kv.mget", clock, client);
   std::vector<std::optional<std::string>> out(keys.size());
+  std::vector<uint64_t> hashes(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) hashes[i] = KeyHash(keys[i]);
   // Group request indices per owning shard.
-  std::vector<std::vector<size_t>> per_shard(shards_.size());
-  for (size_t i = 0; i < keys.size(); ++i) {
-    per_shard[OwnerShard(keys[i])].push_back(i);
-  }
-  for (uint32_t s = 0; s < per_shard.size(); ++s) {
-    const auto& indices = per_shard[s];
+  const ShardGroups groups =
+      GroupByShard(keys.size(), shards_.size(),
+                   [&](size_t i) { return ring_.OwnerOfHash(hashes[i]); });
+  for (uint32_t s = 0; s < shards_.size(); ++s) {
+    const std::span<const uint32_t> indices = groups.of(s);
     if (indices.empty()) continue;
     Shard& shard = *shards_[s];
     uint64_t req = kOpOverheadBytes;
@@ -222,12 +252,12 @@ Result<std::vector<std::optional<std::string>>> KvCluster::MGet(
     Status shard_status = options_.retry.Run(clock, [&]() -> Status {
       ++attempts;
       DIESEL_RETURN_IF_ERROR(CheckShardUp(s));
-      return fabric_.Call(
-          clock, client, shard_node_[s], req, kOpOverheadBytes,
+      return CallShard(
+          fabric_, clock, client, shard_node_[s], req, kOpOverheadBytes,
           [&](Nanos arrival) {
             uint64_t resp = 0;
-            for (size_t i : indices) {
-              Result<std::string> v = shard.Get(keys[i]);
+            for (uint32_t i : indices) {
+              Result<std::string> v = shard.Get(HashedKey(keys[i], hashes[i]));
               if (v.ok()) {
                 resp += v.value().size();
                 out[i] = std::move(v).value();
@@ -256,9 +286,9 @@ Status KvCluster::Scan(sim::VirtualClock& clock, sim::NodeId client,
     Status shard_status = options_.retry.Run(clock, [&]() -> Status {
       ++attempts;
       DIESEL_RETURN_IF_ERROR(CheckShardUp(s));
-      return fabric_.Call(
-          clock, client, shard_node_[s], prefix.size() + kOpOverheadBytes,
-          /*resp guess=*/1024,
+      return CallShard(
+          fabric_, clock, client, shard_node_[s],
+          prefix.size() + kOpOverheadBytes, /*resp guess=*/1024,
           [&](Nanos arrival) {
             // The handler runs only once the request is delivered, and
             // nothing after it can fail the call, so it runs at most once.

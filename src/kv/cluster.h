@@ -45,20 +45,22 @@ class KvCluster {
   size_t NumShards() const { return shards_.size(); }
   Shard& shard(uint32_t i) { return *shards_.at(i); }
   sim::NodeId ShardNode(uint32_t i) const { return shard_node_.at(i); }
-  uint32_t OwnerShard(const std::string& key) const { return ring_.Owner(key); }
+  uint32_t OwnerShard(std::string_view key) const { return ring_.Owner(key); }
 
   // -- data plane (all charge virtual time on `clock`) --------------------
-  Status Put(sim::VirtualClock& clock, sim::NodeId client, std::string key,
-             std::string value);
+  Status Put(sim::VirtualClock& clock, sim::NodeId client,
+             std::string_view key, std::string_view value);
   Result<std::string> Get(sim::VirtualClock& clock, sim::NodeId client,
                           const std::string& key);
   Status Delete(sim::VirtualClock& clock, sim::NodeId client,
                 const std::string& key);
 
   /// Pipelined multi-put: entries are grouped per owning shard, one RPC per
-  /// shard, per-entry service time still paid at the shard.
+  /// shard, per-entry service time still paid at the shard. The shards copy
+  /// from `batch`, so a dropped attempt, or one a down shard refuses,
+  /// re-sends that shard's whole group.
   Status BatchPut(sim::VirtualClock& clock, sim::NodeId client,
-                  std::vector<std::pair<std::string, std::string>> entries);
+                  const WriteBatch& batch);
 
   /// Pipelined multi-get (one RPC per owning shard). Result i corresponds to
   /// keys[i]; missing keys yield nullopt. Unavailable if any owning shard is

@@ -104,6 +104,20 @@ TEST(SampleTest, EncodeDecodeRoundTrip) {
   EXPECT_FALSE(DecodeSample({data.data(), 5}, label, back).ok());
 }
 
+TEST(SampleTest, DecodeRejectsFeatureCountPastTheData) {
+  // label 1, dims 0xFFFFFFFF, no features: the count must be checked
+  // against the bytes left before anything is sized by it.
+  const Bytes data{1, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF};
+  uint32_t label;
+  std::vector<float> back;
+  EXPECT_TRUE(DecodeSample(data, label, back).IsCorruption());
+  EXPECT_TRUE(back.empty());
+  // One feature short of the claimed count.
+  Bytes short_by_one = EncodeSample(2, {1.0f, 2.0f});
+  short_by_one.resize(short_by_one.size() - 4);
+  EXPECT_TRUE(DecodeSample(short_by_one, label, back).IsCorruption());
+}
+
 TEST(SampleTest, MakeSampleDeterministicWithCorrectLabel) {
   SampleSpec spec;
   for (size_t i = 0; i < 30; ++i) {

@@ -52,9 +52,9 @@ TEST_F(KvClusterTest, PutOverwrites) {
 }
 
 TEST_F(KvClusterTest, BatchPutStoresEverything) {
-  std::vector<std::pair<std::string, std::string>> batch;
+  WriteBatch batch;
   for (int i = 0; i < 200; ++i) {
-    batch.emplace_back("key" + std::to_string(i), "v" + std::to_string(i));
+    batch.Put("key" + std::to_string(i), "v" + std::to_string(i));
   }
   ASSERT_TRUE(kv_->BatchPut(clock_, 0, batch).ok());
   EXPECT_EQ(kv_->TotalKeys(), 200u);
@@ -62,9 +62,9 @@ TEST_F(KvClusterTest, BatchPutStoresEverything) {
 }
 
 TEST_F(KvClusterTest, BatchPutIsFasterThanSingles) {
-  std::vector<std::pair<std::string, std::string>> batch;
+  WriteBatch batch;
   for (int i = 0; i < 100; ++i) {
-    batch.emplace_back("b" + std::to_string(i), "v");
+    batch.Put("b" + std::to_string(i), "v");
   }
   sim::VirtualClock batched, single;
   ASSERT_TRUE(kv_->BatchPut(batched, 0, batch).ok());
@@ -102,8 +102,8 @@ TEST_F(KvClusterTest, PScanMergeMatchesSortedOrder) {
   std::vector<std::string> all;
   for (int i = 0; i < 400; ++i) all.push_back("m/" + std::to_string(i * 7919));
   for (int i = 0; i < 3; ++i) all.push_back("s/" + std::to_string(i));
-  std::vector<std::pair<std::string, std::string>> batch;
-  for (const std::string& k : all) batch.emplace_back(k, "v:" + k);
+  WriteBatch batch;
+  for (const std::string& k : all) batch.Put(k, "v:" + k);
   ASSERT_TRUE(kv_->BatchPut(clock_, 0, batch).ok());
   std::vector<bool> holds_m(kv_->NumShards()), holds_s(kv_->NumShards());
   for (const std::string& k : all) {
@@ -140,11 +140,11 @@ TEST_F(KvClusterTest, PScanMergeMatchesSortedOrder) {
 }
 
 TEST_F(KvClusterTest, ScanVisitsOneKeyOrderedRunPerShard) {
-  std::vector<std::pair<std::string, std::string>> batch;
+  WriteBatch batch;
   for (int i = 0; i < 300; ++i) {
-    batch.emplace_back("v/" + std::to_string(i * 104729), std::to_string(i));
+    batch.Put("v/" + std::to_string(i * 104729), std::to_string(i));
   }
-  batch.emplace_back("w/0", "other prefix");
+  batch.Put("w/0", "other prefix");
   ASSERT_TRUE(kv_->BatchPut(clock_, 0, batch).ok());
   std::vector<std::pair<uint32_t, std::string>> seen;
   ASSERT_TRUE(kv_->Scan(clock_, 0, "v/",

@@ -104,14 +104,13 @@ TEST_F(KvFailoverTest, BatchPutSurvivesDropsWithFullPayload) {
   net::FaultInjector inj(plan);
   fabric_.set_fault_injector(&inj);
 
-  std::vector<std::pair<std::string, std::string>> batch;
+  WriteBatch batch;
   for (int i = 0; i < 200; ++i) {
-    batch.emplace_back("batch" + std::to_string(i), "v" + std::to_string(i));
+    batch.Put("batch" + std::to_string(i), "v" + std::to_string(i));
   }
   ASSERT_TRUE(kv_->BatchPut(clock_, 0, batch).ok());
   fabric_.set_fault_injector(nullptr);
-  // A dropped-then-retried shard RPC must re-send real data, not
-  // moved-from empty strings.
+  // A dropped-then-retried shard RPC must re-send the shard's whole group.
   EXPECT_EQ(kv_->TotalKeys(), 200u);
   EXPECT_EQ(kv_->Get(clock_, 0, "batch150").value(), "v150");
 }
@@ -126,13 +125,14 @@ TEST_F(KvFailoverTest, BatchPutRidesOutShardOutageWithExactValues) {
   net::FaultInjector inj(plan);
   fabric_.set_fault_injector(&inj);
 
-  std::vector<std::pair<std::string, std::string>> batch;
+  std::vector<std::pair<std::string, std::string>> expected;
   for (int i = 0; i < 300; ++i) {
     char fill = static_cast<char>('a' + i % 26);
-    batch.emplace_back("outage" + std::to_string(i),
-                       std::string(1 + i % 37, fill));
+    expected.emplace_back("outage" + std::to_string(i),
+                          std::string(1 + i % 37, fill));
   }
-  const auto expected = batch;
+  WriteBatch batch;
+  for (const auto& [k, v] : expected) batch.Put(k, v);
   ASSERT_TRUE(kv_->BatchPut(clock_, 0, batch).ok());
   fabric_.set_fault_injector(nullptr);
   EXPECT_GT(inj.stats().down_node_rejections, 0u);
