@@ -593,35 +593,44 @@ void ReportSnapshotBuild() {
               static_cast<double>(lookup_allocs) / kProbes);
 }
 
-/// The KV metadata plane on the bench dataset: one MetadataService::AddChunk
-/// per chunk into a 16-shard KvCluster (4 nodes x 4 shards, as Deployment),
-/// then 1,024 Gets of file keys and one visiting Scan of the file namespace.
-/// Allocations are counted over the whole ingest and divided by the batch
-/// entries it puts: chunk records, file records and directory markers.
-/// Each of three repetitions starts from an empty cluster, so the scan is
-/// the first after the ingest and includes the shards' key-order merge.
-/// Timings are best of three.
+/// The KV metadata plane on the bench dataset: each 32-file chunk is built
+/// with ChunkBuilder and registered from its header with one
+/// MetadataService::RegisterChunk into a 16-shard KvCluster (4 nodes x 4
+/// shards, as Deployment), then 1,024 Gets of file keys and one visiting
+/// Scan of the file namespace. Allocations are counted over the
+/// RegisterChunk calls only and divided by the batch entries they put:
+/// chunk records, file records and directory markers. The files hold 16
+/// bytes each: a file record stores the length, not the content, so the
+/// entries are the same size as for 8 KB files. Each of three repetitions
+/// starts from an empty cluster, so the scan is the first after the ingest
+/// and includes the shards' key-order merge. Timings are best of three.
 void ReportKvMetadata() {
   const BenchDataset data = MakeBenchDataset();
-  std::vector<std::vector<core::FileMeta>> per_chunk(data.chunks.size());
+  std::vector<Bytes> blobs;
+  blobs.reserve(data.chunks.size());
   size_t entries = 0;
   for (size_t c = 0; c < data.chunks.size(); ++c) {
-    per_chunk[c].assign(data.files.begin() + c * kPerChunk,
-                        data.files.begin() + (c + 1) * kPerChunk);
+    core::ChunkBuilder builder;
     // Its record, its files, and one marker per ancestor directory.
     std::set<std::string_view> dirs;
-    for (const core::FileMeta& f : per_chunk[c]) {
-      for (std::string_view dir = core::ParentPath(f.full_name); dir != "/";
+    for (size_t i = c * kPerChunk; i < (c + 1) * kPerChunk; ++i) {
+      const std::string& name = data.files[i].full_name;
+      builder.Add(name, Bytes(16, static_cast<uint8_t>(i)));
+      for (std::string_view dir = core::ParentPath(name); dir != "/";
            dir = core::ParentPath(dir)) {
         dirs.insert(dir);
       }
     }
     entries += 1 + kPerChunk + dirs.size();
+    blobs.push_back(builder.Finish(data.chunks[c], /*create_ts_ns=*/c));
   }
-  core::ChunkMeta chunk_meta;
-  chunk_meta.num_files = kPerChunk;
-  chunk_meta.size = kPerChunk * 8192;
-  chunk_meta.deletion_bitmap.assign(kPerChunk / 8, 0);
+  std::vector<core::ChunkView> views;
+  views.reserve(blobs.size());
+  for (const Bytes& blob : blobs) {
+    Result<core::ChunkView> view = core::ChunkView::Parse(blob);
+    if (!view.ok()) std::abort();
+    views.push_back(std::move(view).value());
+  }
   constexpr size_t kProbes = 1024;
   std::vector<std::string> probes;
   for (size_t i = 0; i < kProbes; ++i) {
@@ -649,9 +658,8 @@ void ReportKvMetadata() {
     sim::VirtualClock clock;
 
     const uint64_t allocs0 = g_heap_allocs.load();
-    for (size_t c = 0; c < data.chunks.size(); ++c) {
-      if (!meta.AddChunk(clock, "bench", data.chunks[c], chunk_meta,
-                         per_chunk[c])
+    for (size_t c = 0; c < views.size(); ++c) {
+      if (!meta.RegisterChunk(clock, "bench", views[c], blobs[c].size())
                .ok()) {
         std::abort();
       }

@@ -46,8 +46,6 @@ class DatasetCacheInterface {
 };
 
 struct ClientOptions {
-  std::string user = "anon";
-  std::string access_key;
   std::string dataset;
   sim::NodeId node = 0;
   uint32_t client_index = 0;  // endpoint index on the node (rank tiebreak)

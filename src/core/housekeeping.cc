@@ -1,8 +1,25 @@
 #include "core/housekeeping.h"
 
+#include <algorithm>
+
 #include "core/chunk_format.h"
 
 namespace diesel::core {
+namespace {
+
+/// `gen`'s next ID stamped `ts_sec` that is none of `existing`. Each run
+/// restarts the generator's counter, so an earlier run's output may already
+/// hold the ID it hands out next.
+ChunkId FreshId(ChunkIdGenerator& gen, uint32_t ts_sec,
+                const std::vector<ChunkId>& existing) {
+  ChunkId id = gen.Next(ts_sec);
+  while (std::find(existing.begin(), existing.end(), id) != existing.end()) {
+    id = gen.Next(ts_sec);
+  }
+  return id;
+}
+
+}  // namespace
 
 Result<PurgeStats> PurgeDataset(sim::VirtualClock& clock, DieselServer& server,
                                 const std::string& dataset) {
@@ -12,12 +29,7 @@ Result<PurgeStats> PurgeDataset(sim::VirtualClock& clock, DieselServer& server,
 
   DIESEL_ASSIGN_OR_RETURN(std::vector<ChunkId> chunks,
                           meta.ListChunks(clock, dataset));
-  DatasetMeta dm;
-  {
-    Result<DatasetMeta> cur = meta.GetDataset(clock, dataset);
-    if (cur.ok()) dm = cur.value();
-  }
-
+  ChunkIdGenerator gen(node, 0xFFFFFF);  // housekeeping process id
   for (const ChunkId& old_id : chunks) {
     DIESEL_ASSIGN_OR_RETURN(ChunkMeta cm, meta.GetChunk(clock, dataset, old_id));
     if (cm.num_deleted == 0) continue;
@@ -29,8 +41,7 @@ Result<PurgeStats> PurgeDataset(sim::VirtualClock& clock, DieselServer& server,
     // Compact: drop files flagged in the KV-side deletion bitmap. The new
     // chunk keeps the original creation timestamp in its ID's time field but
     // gets a fresh identity so readers never see a half-written blob.
-    ChunkIdGenerator gen(node, 0xFFFFFF);  // housekeeping process id
-    ChunkId new_id = gen.Next(old_id.timestamp_sec());
+    ChunkId new_id = FreshId(gen, old_id.timestamp_sec(), chunks);
     DIESEL_ASSIGN_OR_RETURN(
         Bytes compacted,
         CompactChunk(*old_blob, cm.deletion_bitmap, new_id, clock.now()));
@@ -39,45 +50,25 @@ Result<PurgeStats> PurgeDataset(sim::VirtualClock& clock, DieselServer& server,
 
     DIESEL_RETURN_IF_ERROR(server.store().Put(
         clock, node, ChunkObjectKey(dataset, new_id), new_blob));
-
-    // Re-register surviving files under the new chunk.
-    std::vector<FileMeta> files;
-    files.reserve(view.entries().size());
-    uint32_t index = 0;
-    for (const ChunkFileEntry& e : view.entries()) {
-      FileMeta fm;
-      fm.chunk = new_id;
-      fm.offset = e.offset;
-      fm.length = e.length;
-      fm.crc = e.crc;
-      fm.index_in_chunk = index++;
-      fm.full_name = e.name;
-      files.push_back(std::move(fm));
-    }
-    ChunkMeta new_cm;
-    new_cm.update_ts_ns = clock.now();
-    new_cm.size = new_blob->size();
-    new_cm.header_len = view.header_len();
-    new_cm.num_files = static_cast<uint32_t>(files.size());
-    new_cm.num_deleted = 0;
-    new_cm.deletion_bitmap.assign((files.size() + 7) / 8, 0);
-    DIESEL_RETURN_IF_ERROR(meta.AddChunk(clock, dataset, new_id, new_cm, files));
-
-    // Drop the old chunk record and blob.
+    // Re-register surviving files under the new chunk, then drop the old
+    // chunk record and blob.
     DIESEL_RETURN_IF_ERROR(
-        meta.kvstore().Delete(clock, node, ChunkKey(dataset, old_id)));
+        meta.RegisterChunk(clock, dataset, view, new_blob->size()).status());
+    DIESEL_RETURN_IF_ERROR(meta.DropChunk(clock, dataset, old_id));
     DIESEL_RETURN_IF_ERROR(server.store().Delete(clock, node, old_key));
 
     stats.chunks_compacted += 1;
     stats.files_dropped += cm.num_deleted;
     stats.bytes_reclaimed += old_blob->size() - new_blob->size();
-    dm.num_files -= cm.num_deleted;
-    dm.total_bytes -= old_blob->size() - new_blob->size();
-    dm.update_ts_ns = clock.now();
   }
 
   if (stats.chunks_compacted > 0) {
-    DIESEL_RETURN_IF_ERROR(meta.PutDataset(clock, dataset, dm));
+    DIESEL_RETURN_IF_ERROR(
+        meta.UpdateDataset(clock, dataset, clock.now(), [&](DatasetMeta& dm) {
+          dm.num_files -= stats.files_dropped;
+          dm.total_bytes -= stats.bytes_reclaimed;
+          return Status::Ok();
+        }));
   }
   return stats;
 }
@@ -94,12 +85,17 @@ Result<MergeStats> MergeSmallChunks(sim::VirtualClock& clock,
                           meta.ListChunks(clock, dataset));
   // Collect undersized chunks (by live payload) in write order.
   std::vector<ChunkId> small;
+  uint64_t kept_bytes = 0;  // blobs of the chunks left as they are
   for (const ChunkId& id : chunks) {
     DIESEL_ASSIGN_OR_RETURN(ChunkMeta cm, meta.GetChunk(clock, dataset, id));
     if (cm.num_deleted > 0)
       return Status::FailedPrecondition(
           "merge requires a purge first (chunk has deletion holes)");
-    if (cm.size < min_chunk_bytes) small.push_back(id);
+    if (cm.size < min_chunk_bytes) {
+      small.push_back(id);
+    } else {
+      kept_bytes += cm.size;
+    }
   }
   if (small.size() < 2) return stats;  // nothing to coalesce
 
@@ -109,30 +105,13 @@ Result<MergeStats> MergeSmallChunks(sim::VirtualClock& clock,
 
   auto flush = [&](uint32_t ts_sec) -> Status {
     if (builder.Empty()) return Status::Ok();
-    ChunkId new_id = gen.Next(ts_sec);
+    ChunkId new_id = FreshId(gen, ts_sec, chunks);
     SharedBytes blob = ShareBytes(builder.Finish(new_id, clock.now()));
     DIESEL_ASSIGN_OR_RETURN(ChunkView view, ChunkView::Parse(*blob));
     DIESEL_RETURN_IF_ERROR(server.store().Put(
         clock, node, ChunkObjectKey(dataset, new_id), blob));
-    std::vector<FileMeta> files;
-    uint32_t index = 0;
-    for (const ChunkFileEntry& e : view.entries()) {
-      FileMeta fm;
-      fm.chunk = new_id;
-      fm.offset = e.offset;
-      fm.length = e.length;
-      fm.crc = e.crc;
-      fm.index_in_chunk = index++;
-      fm.full_name = e.name;
-      files.push_back(std::move(fm));
-    }
-    ChunkMeta cm;
-    cm.update_ts_ns = clock.now();
-    cm.size = blob->size();
-    cm.header_len = view.header_len();
-    cm.num_files = static_cast<uint32_t>(files.size());
-    cm.deletion_bitmap.assign((files.size() + 7) / 8, 0);
-    DIESEL_RETURN_IF_ERROR(meta.AddChunk(clock, dataset, new_id, cm, files));
+    DIESEL_RETURN_IF_ERROR(
+        meta.RegisterChunk(clock, dataset, view, blob->size()).status());
     stats.bytes_rewritten += blob->size();
     stats.chunks_created += 1;
     return Status::Ok();
@@ -158,10 +137,9 @@ Result<MergeStats> MergeSmallChunks(sim::VirtualClock& clock,
   }
 
   // Drop the consumed chunks' records and blobs; file keys were repointed by
-  // the AddChunk overwrites above.
+  // the RegisterChunk overwrites above.
   for (const ChunkId& id : consumed) {
-    DIESEL_RETURN_IF_ERROR(
-        meta.kvstore().Delete(clock, node, ChunkKey(dataset, id)));
+    DIESEL_RETURN_IF_ERROR(meta.DropChunk(clock, dataset, id));
     DIESEL_RETURN_IF_ERROR(
         server.store().Delete(clock, node, ChunkObjectKey(dataset, id)));
   }
@@ -169,12 +147,12 @@ Result<MergeStats> MergeSmallChunks(sim::VirtualClock& clock,
   // Refresh dataset accounting from the authoritative chunk list.
   DIESEL_ASSIGN_OR_RETURN(std::vector<ChunkId> remaining,
                           meta.ListChunks(clock, dataset));
-  DatasetMeta dm;
-  Result<DatasetMeta> cur = meta.GetDataset(clock, dataset);
-  if (cur.ok()) dm = cur.value();
-  dm.num_chunks = remaining.size();
-  dm.update_ts_ns = clock.now();
-  DIESEL_RETURN_IF_ERROR(meta.PutDataset(clock, dataset, dm));
+  DIESEL_RETURN_IF_ERROR(
+      meta.UpdateDataset(clock, dataset, clock.now(), [&](DatasetMeta& dm) {
+        dm.num_chunks = remaining.size();
+        dm.total_bytes = kept_bytes + stats.bytes_rewritten;
+        return Status::Ok();
+      }));
   return stats;
 }
 

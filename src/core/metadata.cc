@@ -11,19 +11,27 @@ namespace diesel::core {
 
 // ---- codecs ----------------------------------------------------------------
 
-Bytes FileMeta::Serialize() const {
-  BinaryWriter w(48 + full_name.size());
-  SerializeTo(w);
-  return std::move(w).Take();
-}
+namespace {
 
-void FileMeta::SerializeTo(BinaryWriter& w) const {
+/// The file record encoding, shared by FileMeta and RegisterChunk (which
+/// writes records straight from header entries).
+void PutFileRecord(BinaryWriter& w, const ChunkId& chunk, uint64_t offset,
+                   uint64_t length, uint32_t crc, uint32_t index_in_chunk,
+                   std::string_view full_name) {
   w.PutRaw(chunk.bytes().data(), ChunkId::kSize);
   w.PutU64(offset);
   w.PutU64(length);
   w.PutU32(crc);
   w.PutU32(index_in_chunk);
   w.PutString(full_name);
+}
+
+}  // namespace
+
+Bytes FileMeta::Serialize() const {
+  BinaryWriter w(48 + full_name.size());
+  PutFileRecord(w, chunk, offset, length, crc, index_in_chunk, full_name);
+  return std::move(w).Take();
 }
 
 Result<FileMeta> FileMeta::Deserialize(BytesView data) {
@@ -220,42 +228,61 @@ std::string DirSubdirPrefix(std::string_view dataset,
 
 // ---- MetadataService --------------------------------------------------------
 
-Status MetadataService::AddChunk(sim::VirtualClock& clock,
-                                 std::string_view dataset, const ChunkId& id,
-                                 const ChunkMeta& chunk_meta,
-                                 const std::vector<FileMeta>& files) {
+Result<size_t> MetadataService::RegisterChunk(sim::VirtualClock& clock,
+                                              std::string_view dataset,
+                                              const ChunkView& view,
+                                              uint64_t blob_size) {
   DIESEL_RETURN_IF_ERROR(ValidateDatasetName(dataset));
+  const std::vector<ChunkFileEntry>& entries = view.entries();
+  ChunkMeta cm;
+  cm.update_ts_ns = view.create_ts_ns();
+  cm.size = blob_size;
+  cm.header_len = view.header_len();
+  cm.num_files = static_cast<uint32_t>(entries.size());
+  cm.num_deleted = view.num_deleted();
+  cm.deletion_bitmap = view.deletion_bitmap();
   // Every record goes into one batch buffer. A file's key and record each
   // take about its name plus 40 bytes, and each file adds at most one new
   // directory marker per path level (usually none or one).
   size_t bytes = 128 + dataset.size();
   size_t longest_name = 0;
-  for (const FileMeta& f : files) {
-    bytes += 3 * (f.full_name.size() + dataset.size() + 40);
-    longest_name = std::max(longest_name, f.full_name.size());
+  for (const ChunkFileEntry& e : entries) {
+    bytes += 3 * (e.name.size() + dataset.size() + 40);
+    longest_name = std::max(longest_name, e.name.size());
   }
   kv::WriteBatch batch;
-  batch.Reserve(files.size() * 2 + 1, bytes);
-  batch.Put(ChunkKey(dataset, id), AsStringView(chunk_meta.Serialize()));
+  batch.Reserve(entries.size() * 2 + 1, bytes);
+  batch.Put(ChunkKey(dataset, view.id()), AsStringView(cm.Serialize()));
   // Each key and file record is built in these, then copied into the batch.
   std::string key;
   BinaryWriter record(64 + longest_name);
-  // Directories whose markers are queued: views into `files`' names.
-  FlatHashMap<std::string_view, bool> dirs_added(files.size());
-  for (const FileMeta& f : files) {
-    AssignFileKey(key, dataset, f.full_name);
+  // Directories whose markers are queued: views into the entries' names.
+  FlatHashMap<std::string_view, bool> dirs_added(entries.size());
+  size_t live = 0;
+  for (uint32_t i = 0; i < entries.size(); ++i) {
+    if (view.IsDeleted(i)) continue;
+    const ChunkFileEntry& e = entries[i];
+    AssignFileKey(key, dataset, e.name);
     record.Clear();
-    f.SerializeTo(record);
+    PutFileRecord(record, view.id(), e.offset, e.length, e.crc, i, e.name);
     batch.Put(key, AsStringView(record.data()));
+    ++live;
     // Ancestor directory markers so readdir discovers the hierarchy.
-    for (std::string_view dir = ParentPath(f.full_name); dir != "/";
+    for (std::string_view dir = ParentPath(e.name); dir != "/";
          dir = ParentPath(dir)) {
       if (!dirs_added.Emplace(dir, true).second) break;  // ancestors queued
       AssignDirMarkerKey(key, dataset, dir);
       batch.Put(key, "");
     }
   }
-  return kv_.BatchPut(clock, node_, batch);
+  DIESEL_RETURN_IF_ERROR(kv_.BatchPut(clock, node_, batch));
+  return live;
+}
+
+Status MetadataService::DropChunk(sim::VirtualClock& clock,
+                                  std::string_view dataset, const ChunkId& id) {
+  DIESEL_RETURN_IF_ERROR(ValidateDatasetName(dataset));
+  return kv_.Delete(clock, node_, ChunkKey(dataset, id));
 }
 
 Result<FileMeta> MetadataService::GetFile(sim::VirtualClock& clock,
@@ -265,6 +292,27 @@ Result<FileMeta> MetadataService::GetFile(sim::VirtualClock& clock,
   DIESEL_ASSIGN_OR_RETURN(std::string raw,
                           kv_.Get(clock, node_, FileKey(dataset, path)));
   return FileMeta::Deserialize(AsBytesView(raw));
+}
+
+Result<std::vector<FileMeta>> MetadataService::GetFiles(
+    sim::VirtualClock& clock, std::string_view dataset,
+    std::span<const std::string> paths) {
+  DIESEL_RETURN_IF_ERROR(ValidateDatasetName(dataset));
+  std::vector<std::string> keys;
+  keys.reserve(paths.size());
+  for (const std::string& p : paths) keys.push_back(FileKey(dataset, p));
+  DIESEL_ASSIGN_OR_RETURN(std::vector<std::optional<std::string>> raw,
+                          kv_.MGet(clock, node_, keys));
+  std::vector<FileMeta> metas;
+  metas.reserve(paths.size());
+  for (size_t i = 0; i < paths.size(); ++i) {
+    if (!raw[i].has_value())
+      return Status::NotFound("no such file: " + paths[i]);
+    DIESEL_ASSIGN_OR_RETURN(FileMeta fm,
+                            FileMeta::Deserialize(AsBytesView(*raw[i])));
+    metas.push_back(std::move(fm));
+  }
+  return metas;
 }
 
 Result<ChunkMeta> MetadataService::GetChunk(sim::VirtualClock& clock,
@@ -412,6 +460,18 @@ Status MetadataService::PutDataset(sim::VirtualClock& clock,
                  ToString(meta.Serialize()));
 }
 
+Status MetadataService::UpdateDataset(
+    sim::VirtualClock& clock, std::string_view dataset, uint64_t ts,
+    const std::function<Status(DatasetMeta&)>& update) {
+  std::lock_guard<std::mutex> lock(dataset_mutex_);
+  Result<DatasetMeta> cur = GetDataset(clock, dataset);
+  if (!cur.ok() && !cur.status().IsNotFound()) return cur.status();
+  DatasetMeta dm = cur.ok() ? cur.value() : DatasetMeta{};
+  if (update) DIESEL_RETURN_IF_ERROR(update(dm));
+  dm.Touch(ts);
+  return PutDataset(clock, dataset, dm);
+}
+
 Status MetadataService::DeleteFile(sim::VirtualClock& clock,
                                    std::string_view dataset,
                                    std::string_view path) {
@@ -438,7 +498,7 @@ Result<std::vector<ChunkId>> MetadataService::DeleteDataset(
   DIESEL_ASSIGN_OR_RETURN(std::vector<ChunkId> chunks,
                           ListChunks(clock, dataset));
   for (const ChunkId& id : chunks) {
-    DIESEL_RETURN_IF_ERROR(kv_.Delete(clock, node_, ChunkKey(dataset, id)));
+    DIESEL_RETURN_IF_ERROR(DropChunk(clock, dataset, id));
   }
   // File and directory keys: scan the dataset's file namespace.
   DIESEL_ASSIGN_OR_RETURN(std::vector<kv::ScanEntry> file_keys,

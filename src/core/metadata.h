@@ -15,12 +15,17 @@
 // KV store (decoupling of metadata storage from metadata processing).
 #pragma once
 
+#include <algorithm>
+#include <functional>
+#include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/bytes.h"
 #include "common/status.h"
+#include "core/chunk_format.h"
 #include "core/chunk_id.h"
 #include "kv/cluster.h"
 
@@ -35,7 +40,6 @@ struct FileMeta {
   std::string full_name;
 
   Bytes Serialize() const;
-  void SerializeTo(BinaryWriter& w) const;
   static Result<FileMeta> Deserialize(BytesView data);
 };
 
@@ -56,6 +60,11 @@ struct DatasetMeta {
   uint64_t num_chunks = 0;
   uint64_t num_files = 0;
   uint64_t total_bytes = 0;
+
+  /// Move `update_ts_ns` strictly forward, to `ts` or one past its old
+  /// value, whichever is later. Every update of the record calls this, so a
+  /// snapshot taken before any update no longer matches (§4.1.3).
+  void Touch(uint64_t ts) { update_ts_ns = std::max(update_ts_ns + 1, ts); }
 
   Bytes Serialize() const;
   static Result<DatasetMeta> Deserialize(BytesView data);
@@ -100,14 +109,29 @@ class MetadataService {
   MetadataService(kv::KvCluster& kvstore, sim::NodeId server_node)
       : kv_(kvstore), node_(server_node) {}
 
-  /// Register a batch of files plus their chunk record, and every ancestor
-  /// directory marker (pipelined batch put).
-  Status AddChunk(sim::VirtualClock& clock, std::string_view dataset,
-                  const ChunkId& id, const ChunkMeta& chunk_meta,
-                  const std::vector<FileMeta>& files);
+  /// Register a chunk from its header in one pipelined batch put: the chunk
+  /// record (create time, header length, entry count and deletion bitmap
+  /// from the header; `blob_size` as its size), then one file record per
+  /// live entry, each followed by its ancestor directory markers not yet
+  /// queued. Ingest, recovery and housekeeping all register through here,
+  /// so every record is a function of the header. Returns the number of
+  /// file records written.
+  Result<size_t> RegisterChunk(sim::VirtualClock& clock,
+                               std::string_view dataset, const ChunkView& view,
+                               uint64_t blob_size);
+
+  /// Remove a chunk's record (its file records are the caller's business).
+  Status DropChunk(sim::VirtualClock& clock, std::string_view dataset,
+                   const ChunkId& id);
 
   Result<FileMeta> GetFile(sim::VirtualClock& clock, std::string_view dataset,
                            std::string_view path);
+
+  /// Several file records in one multi-get batched per KV shard, in input
+  /// order; NotFound names the first missing path.
+  Result<std::vector<FileMeta>> GetFiles(sim::VirtualClock& clock,
+                                         std::string_view dataset,
+                                         std::span<const std::string> paths);
 
   Result<ChunkMeta> GetChunk(sim::VirtualClock& clock, std::string_view dataset,
                              const ChunkId& id);
@@ -133,6 +157,16 @@ class MetadataService {
   Status PutDataset(sim::VirtualClock& clock, std::string_view dataset,
                     const DatasetMeta& meta);
 
+  /// Read-modify-write of the dataset record, serialized across this
+  /// service's callers. A missing record starts empty; any other read error
+  /// is returned and nothing is written. `update`, if given, edits the
+  /// record under the lock, so it must not call UpdateDataset (an error from
+  /// it skips the write); then the timestamp moves to `ts` with
+  /// DatasetMeta::Touch.
+  Status UpdateDataset(sim::VirtualClock& clock, std::string_view dataset,
+                       uint64_t ts,
+                       const std::function<Status(DatasetMeta&)>& update = {});
+
   /// Tombstone one file: remove its file key and flip its bit in the owning
   /// chunk's deletion bitmap (the chunk blob itself is untouched until
   /// housekeeping compacts it).
@@ -144,12 +178,12 @@ class MetadataService {
   Result<std::vector<ChunkId>> DeleteDataset(sim::VirtualClock& clock,
                                              std::string_view dataset);
 
-  kv::KvCluster& kvstore() { return kv_; }
   sim::NodeId node() const { return node_; }
 
  private:
   kv::KvCluster& kv_;
   sim::NodeId node_;
+  std::mutex dataset_mutex_;  // serializes UpdateDataset
 };
 
 }  // namespace diesel::core

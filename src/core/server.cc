@@ -71,57 +71,22 @@ Nanos DieselServer::IngestChunkAt(Nanos arrival, const std::string& dataset,
   if (!out_status.ok()) return srv.now();
 
   // Header -> key-value records.
-  std::vector<FileMeta> files;
-  files.reserve(view->entries().size());
-  uint32_t index = 0;
-  for (const ChunkFileEntry& e : view->entries()) {
-    FileMeta fm;
-    fm.chunk = view->id();
-    fm.offset = e.offset;
-    fm.length = e.length;
-    fm.crc = e.crc;
-    fm.index_in_chunk = index++;
-    fm.full_name = e.name;
-    files.push_back(std::move(fm));
+  Result<size_t> files =
+      meta_.RegisterChunk(srv, dataset, *view, chunk->size());
+  if (!files.ok()) {
+    out_status = files.status();
+    return srv.now();
   }
-  ChunkMeta cm;
-  cm.update_ts_ns = view->create_ts_ns();
-  cm.size = chunk->size();
-  cm.header_len = view->header_len();
-  cm.num_files = static_cast<uint32_t>(view->entries().size());
-  cm.num_deleted = 0;
-  cm.deletion_bitmap.assign((view->entries().size() + 7) / 8, 0);
-  out_status = meta_.AddChunk(srv, dataset, view->id(), cm, files);
-  if (!out_status.ok()) return srv.now();
 
   // Dataset record read-modify-write, serialized across concurrent ingests.
-  {
-    std::lock_guard<std::mutex> lock(dataset_meta_mutex_);
-    Result<DatasetMeta> cur = meta_.GetDataset(srv, dataset);
-    if (!cur.ok() && !cur.status().IsNotFound()) {
-      out_status = cur.status();
-      return srv.now();
-    }
-    DatasetMeta dm = cur.ok() ? cur.value() : DatasetMeta{};
-    dm.update_ts_ns = std::max(dm.update_ts_ns, view->create_ts_ns());
-    dm.num_chunks += 1;
-    dm.num_files += files.size();
-    dm.total_bytes += chunk->size();
-    out_status = meta_.PutDataset(srv, dataset, dm);
-  }
+  out_status = meta_.UpdateDataset(
+      srv, dataset, view->create_ts_ns(), [&](DatasetMeta& dm) {
+        dm.num_chunks += 1;
+        dm.num_files += *files;
+        dm.total_bytes += chunk->size();
+        return Status::Ok();
+      });
   return srv.now();
-}
-
-Status DieselServer::IngestChunk(sim::VirtualClock& clock, sim::NodeId client,
-                                 const std::string& dataset,
-                                 SharedBytes chunk) {
-  Status op_status;
-  DIESEL_RETURN_IF_ERROR(fabric_.Call(
-      clock, client, options_.node, chunk->size() + kRpcOverheadBytes,
-      kRpcOverheadBytes, [&](Nanos arrival) {
-        return IngestChunkAt(arrival, dataset, chunk, op_status);
-      }));
-  return op_status;
 }
 
 Result<Nanos> DieselServer::IngestChunkAsync(sim::VirtualClock& clock,
@@ -171,29 +136,13 @@ Result<std::vector<Bytes>> DieselServer::ReadFiles(
         span.Note("files=" + std::to_string(paths.size()));
 
         // 1. Metadata lookups, batched per KV shard (pipelined MGET).
-        std::vector<std::string> keys;
-        keys.reserve(paths.size());
-        for (const std::string& p : paths) keys.push_back(FileKey(dataset, p));
-        Result<std::vector<std::optional<std::string>>> raw =
-            meta_.kvstore().MGet(srv, options_.node, keys);
-        if (!raw.ok()) {
-          result = raw.status();
+        Result<std::vector<FileMeta>> found =
+            meta_.GetFiles(srv, dataset, paths);
+        if (!found.ok()) {
+          result = found.status();
           return srv.now();
         }
-        std::vector<FileMeta> metas(paths.size());
-        for (size_t i = 0; i < paths.size(); ++i) {
-          if (!(*raw)[i].has_value()) {
-            result = Status::NotFound("no such file: " + paths[i]);
-            return srv.now();
-          }
-          Result<FileMeta> fm =
-              FileMeta::Deserialize(AsBytesView((*raw)[i].value()));
-          if (!fm.ok()) {
-            result = fm.status();
-            return srv.now();
-          }
-          metas[i] = std::move(fm).value();
-        }
+        const std::vector<FileMeta>& metas = found.value();
 
         // 2. Sort request indices by (chunk, offset) and merge adjacent
         //    ranges into chunk-wise reads.
@@ -449,6 +398,10 @@ Status DieselServer::DeleteFile(sim::VirtualClock& clock, sim::NodeId client,
       kRpcOverheadBytes, [&](Nanos arrival) {
         sim::VirtualClock srv(service_.Serve(arrival, 0));
         op_status = meta_.DeleteFile(srv, dataset, path);
+        if (!op_status.ok()) return srv.now();
+        // Move the dataset's timestamp so snapshots that still hold the
+        // file fail the freshness check.
+        op_status = meta_.UpdateDataset(srv, dataset, srv.now());
         return srv.now();
       }));
   return op_status;
@@ -535,58 +488,33 @@ Result<RecoveryStats> DieselServer::RecoverMetadata(sim::VirtualClock& clock,
     stats.header_bytes_read += header_len + 12;
     DIESEL_ASSIGN_OR_RETURN(ChunkView view, ChunkView::ParseHeaderOnly(header));
 
-    std::vector<FileMeta> files;
-    files.reserve(view.entries().size());
-    uint32_t index = 0;
-    for (const ChunkFileEntry& e : view.entries()) {
-      if (view.IsDeleted(index)) {
-        ++index;
-        continue;
-      }
-      FileMeta fm;
-      fm.chunk = view.id();
-      fm.offset = e.offset;
-      fm.length = e.length;
-      fm.crc = e.crc;
-      fm.index_in_chunk = index++;
-      fm.full_name = e.name;
-      files.push_back(std::move(fm));
-    }
-    ChunkMeta cm;
-    cm.update_ts_ns = view.create_ts_ns();
     DIESEL_ASSIGN_OR_RETURN(uint64_t blob_size,
                             rp.RunResult<uint64_t>(clock, [&] {
                               return store_.Size(clock, options_.node, key);
                             }));
-    cm.size = blob_size;
-    cm.header_len = view.header_len();
-    cm.num_files = static_cast<uint32_t>(view.entries().size());
-    cm.num_deleted = view.num_deleted();
-    cm.deletion_bitmap = view.deletion_bitmap();
-    DIESEL_RETURN_IF_ERROR(meta_.AddChunk(clock, dataset, view.id(), cm, files));
+    DIESEL_ASSIGN_OR_RETURN(
+        size_t files, meta_.RegisterChunk(clock, dataset, view, blob_size));
 
-    dm.update_ts_ns = std::max(dm.update_ts_ns, view.create_ts_ns());
+    dm.Touch(view.create_ts_ns());
     dm.num_chunks += 1;
-    dm.num_files += files.size();
+    dm.num_files += files;
     dm.total_bytes += blob_size;
     stats.chunks_scanned += 1;
-    stats.files_recovered += files.size();
+    stats.files_recovered += files;
   }
   if (from_ts_sec == 0) {
     DIESEL_RETURN_IF_ERROR(meta_.PutDataset(clock, dataset, dm));
   } else {
-    // Partial recovery: merge counters into the existing record if any.
-    std::lock_guard<std::mutex> lock(dataset_meta_mutex_);
-    Result<DatasetMeta> cur = meta_.GetDataset(clock, dataset);
-    if (!cur.ok() && !cur.status().IsNotFound()) return cur.status();
-    DatasetMeta merged = cur.ok() ? cur.value() : DatasetMeta{};
-    merged.update_ts_ns = std::max(merged.update_ts_ns, dm.update_ts_ns);
-    // Recovered chunks may or may not already be counted; recompute from
-    // the authoritative chunk list to stay exact.
-    DIESEL_ASSIGN_OR_RETURN(std::vector<ChunkId> all,
-                            meta_.ListChunks(clock, dataset));
-    merged.num_chunks = all.size();
-    DIESEL_RETURN_IF_ERROR(meta_.PutDataset(clock, dataset, merged));
+    // Partial recovery: merge into the existing record if any. Recovered
+    // chunks may or may not already be counted; recount them from the
+    // authoritative chunk list to stay exact.
+    DIESEL_RETURN_IF_ERROR(meta_.UpdateDataset(
+        clock, dataset, dm.update_ts_ns, [&](DatasetMeta& merged) -> Status {
+          DIESEL_ASSIGN_OR_RETURN(std::vector<ChunkId> all,
+                                  meta_.ListChunks(clock, dataset));
+          merged.num_chunks = all.size();
+          return Status::Ok();
+        }));
   }
   return stats;
 }

@@ -12,7 +12,6 @@
 // tier's ceiling is reached (Fig. 10a).
 #pragma once
 
-#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -62,17 +61,14 @@ class DieselServer {
   // All client-facing calls pay: client->server RPC + server service time +
   // whatever backend work the op needs, and advance the caller's clock.
 
-  /// Store one serialized chunk under `dataset` (write flow, Fig. 3):
-  /// blob to object storage, header-extracted key-value pairs to the KV tier.
-  /// Synchronous: the caller's clock advances to full durability. The store
-  /// keeps `chunk` by reference; nobody may mutate it afterwards.
-  Status IngestChunk(sim::VirtualClock& clock, sim::NodeId client,
-                     const std::string& dataset, SharedBytes chunk);
-
-  /// Write-behind ingest (DL_flush semantics: "flush local buffer"): the
-  /// caller's clock advances only past the network send; server-side work is
-  /// charged to the shared devices and the returned value is the virtual
-  /// time at which the chunk became fully durable.
+  /// Store one serialized chunk under `dataset` (write flow, Fig. 3): blob
+  /// to object storage, header-extracted key-value pairs to the KV tier
+  /// (MetadataService::RegisterChunk). Write-behind (DL_flush semantics:
+  /// "flush local buffer"): the caller's clock advances only past the
+  /// network send; server-side work is charged to the shared devices and the
+  /// returned value is the virtual time at which the chunk became fully
+  /// durable. The store keeps `chunk` by reference; nobody may mutate it
+  /// afterwards.
   Result<Nanos> IngestChunkAsync(sim::VirtualClock& clock, sim::NodeId client,
                                  const std::string& dataset,
                                  SharedBytes chunk);
@@ -125,6 +121,8 @@ class DieselServer {
                                          sim::NodeId client,
                                          const std::string& dataset);
 
+  /// Tombstone one file (MetadataService::DeleteFile) and move the dataset
+  /// record's timestamp, so snapshots that still list the file are stale.
   Status DeleteFile(sim::VirtualClock& clock, sim::NodeId client,
                     const std::string& dataset, const std::string& path);
 
@@ -158,7 +156,6 @@ class DieselServer {
   ostore::ObjectStore& store_;
   ServerOptions options_;
   sim::Device service_;
-  std::mutex dataset_meta_mutex_;  // serialize read-modify-write of D/<ds>
 };
 
 }  // namespace diesel::core

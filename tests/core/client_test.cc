@@ -122,6 +122,43 @@ TEST_F(ClientTest, LoadMetaDetectsStaleSnapshot) {
   EXPECT_EQ(c2->snapshot(), nullptr);
 }
 
+// A delete by another client must move the dataset's timestamp: a snapshot
+// that still resolves the deleted file is stale.
+TEST_F(ClientTest, LoadMetaDetectsDeleteByAnotherClient) {
+  ostore::MemStore disk;
+  auto c1 = deployment_->MakeClient(0, 1, spec_.name);
+  ASSERT_TRUE(c1->FetchSnapshot().ok());
+  ASSERT_TRUE(c1->SaveMeta(disk, "m").ok());
+
+  auto deleter = deployment_->MakeClient(1, 2, spec_.name);
+  ASSERT_TRUE(deleter->Delete(dlt::FilePath(spec_, 3)).ok());
+
+  auto c2 = deployment_->MakeClient(1, 1, spec_.name);
+  Status st = c2->LoadMeta(disk, "m");
+  EXPECT_TRUE(st.IsStale()) << st.ToString();
+  EXPECT_EQ(c2->snapshot(), nullptr);
+}
+
+// A write stamped earlier than the dataset's timestamp (a fresh client's
+// clock starts at zero) must still move it forward.
+TEST_F(ClientTest, LoadMetaDetectsWriteFromClientWithEarlierClock) {
+  ostore::MemStore disk;
+  auto c1 = deployment_->MakeClient(0, 1, spec_.name);
+  ASSERT_TRUE(c1->FetchSnapshot().ok());
+  ASSERT_TRUE(c1->SaveMeta(disk, "m").ok());
+
+  auto w = deployment_->MakeClient(1, 2, spec_.name);
+  ASSERT_LT(w->clock().now(), writer_->clock().now());
+  dlt::GeneratedFile extra = dlt::MakeFile(spec_, spec_.total_files());
+  ASSERT_TRUE(w->Put(extra.path, extra.content).ok());
+  ASSERT_TRUE(w->Flush().ok());
+
+  auto c2 = deployment_->MakeClient(1, 1, spec_.name);
+  Status st = c2->LoadMeta(disk, "m");
+  EXPECT_TRUE(st.IsStale()) << st.ToString();
+  EXPECT_EQ(c2->snapshot(), nullptr);
+}
+
 TEST_F(ClientTest, DeleteInvalidatesLoadedSnapshot) {
   auto c = deployment_->MakeClient(0, 1, spec_.name);
   ASSERT_TRUE(c->FetchSnapshot().ok());

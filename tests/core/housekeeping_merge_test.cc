@@ -51,10 +51,36 @@ TEST_F(MergeTest, CoalescesSmallChunks) {
     ASSERT_TRUE(content.ok()) << i << ": " << content.status().ToString();
     EXPECT_TRUE(dlt::VerifyContent(spec_, i, content.value())) << i;
   }
-  // Dataset accounting matches the new chunk list.
+  // Dataset accounting matches the new chunk list and the stored blobs.
   auto dm = server().metadata().GetDataset(clock_, spec_.name);
   ASSERT_TRUE(dm.ok());
   EXPECT_EQ(dm->num_chunks, after->size());
+  auto keys =
+      deployment_->store().List(clock_, 0, ChunkObjectPrefix(spec_.name));
+  ASSERT_TRUE(keys.ok());
+  uint64_t blob_bytes = 0;
+  for (const std::string& key : keys.value()) {
+    auto size = deployment_->store().Size(clock_, 0, key);
+    ASSERT_TRUE(size.ok());
+    blob_bytes += size.value();
+  }
+  EXPECT_EQ(dm->total_bytes, blob_bytes);
+}
+
+// A second merge consumes the first one's output; the chunks it writes
+// must not reuse those IDs.
+TEST_F(MergeTest, RepeatedMergesKeepEveryFile) {
+  for (uint64_t min_bytes : {16 * 1024, 64 * 1024}) {
+    auto stats = MergeSmallChunks(clock_, server(), spec_.name, min_bytes);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    EXPECT_GT(stats->chunks_created, 0u);
+    for (size_t i = 0; i < spec_.total_files(); ++i) {
+      auto content = server().ReadFile(clock_, 0, spec_.name,
+                                       dlt::FilePath(spec_, i));
+      ASSERT_TRUE(content.ok()) << i << ": " << content.status().ToString();
+      EXPECT_TRUE(dlt::VerifyContent(spec_, i, content.value())) << i;
+    }
+  }
 }
 
 TEST_F(MergeTest, NoopWhenChunksAreLargeEnough) {

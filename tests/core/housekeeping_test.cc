@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "core/deployment.h"
 #include "dlt/dataset_gen.h"
 
@@ -111,6 +113,33 @@ TEST_F(HousekeepingTest, RecoveryAfterPurgeSeesCompactedState) {
   auto stats = server().RecoverMetadata(clock_, spec_.name, 0);
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->files_recovered, spec_.total_files() - 1);
+}
+
+// Each compacted chunk needs its own ID, also when several chunks share a
+// timestamp second and when an earlier purge's output is compacted again.
+TEST_F(HousekeepingTest, RepeatedPurgesKeepEverySurvivor) {
+  std::set<size_t> deleted;
+  for (const std::vector<size_t>& round :
+       {std::vector<size_t>{0, 3, 9, 21, 33}, std::vector<size_t>{1, 4, 22}}) {
+    for (size_t v : round) {
+      ASSERT_TRUE(server().DeleteFile(clock_, 0, spec_.name,
+                                      dlt::FilePath(spec_, v)).ok());
+      deleted.insert(v);
+    }
+    auto stats = PurgeDataset(clock_, server(), spec_.name);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    EXPECT_GT(stats->chunks_compacted, 1u);
+    for (size_t i = 0; i < spec_.total_files(); ++i) {
+      auto content = server().ReadFile(clock_, 0, spec_.name,
+                                       dlt::FilePath(spec_, i));
+      if (deleted.count(i) != 0) {
+        EXPECT_TRUE(content.status().IsNotFound()) << i;
+        continue;
+      }
+      ASSERT_TRUE(content.ok()) << i << ": " << content.status().ToString();
+      EXPECT_TRUE(dlt::VerifyContent(spec_, i, content.value())) << i;
+    }
+  }
 }
 
 }  // namespace

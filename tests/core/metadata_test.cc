@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 
+#include "common/crc32.h"
 #include "common/hash.h"
 #include "net/fabric.h"
 #include "sim/node.h"
@@ -161,26 +163,24 @@ class MetadataServiceTest : public ::testing::Test {
     meta_ = std::make_unique<MetadataService>(*kv_, 0);
   }
 
-  /// Register a chunk of `n` files under /train/cls<i%2>/.
+  /// Build a chunk of `n` 10-byte files under /train/cls<i%2>/ and register
+  /// it from its header; remembers the header length.
   ChunkId AddChunk(uint32_t counter, size_t n) {
     ChunkId id = ChunkId::Make(10 + counter, 1, 1, counter);
-    ChunkMeta cm;
-    cm.size = 1000;
-    cm.header_len = 100;
-    cm.num_files = static_cast<uint32_t>(n);
-    cm.deletion_bitmap.assign((n + 7) / 8, 0);
-    std::vector<FileMeta> files;
+    ChunkBuilder builder;
     for (size_t i = 0; i < n; ++i) {
-      FileMeta f;
-      f.chunk = id;
-      f.offset = i * 10;
-      f.length = 10;
-      f.index_in_chunk = static_cast<uint32_t>(i);
-      f.full_name = "/train/cls" + std::to_string(i % 2) + "/c" +
-                    std::to_string(counter) + "f" + std::to_string(i);
-      files.push_back(std::move(f));
+      builder.Add("/train/cls" + std::to_string(i % 2) + "/c" +
+                      std::to_string(counter) + "f" + std::to_string(i),
+                  Bytes(10, static_cast<uint8_t>(i)));
     }
-    EXPECT_TRUE(meta_->AddChunk(clock_, "ds", id, cm, files).ok());
+    Bytes blob = builder.Finish(id, /*create_ts_ns=*/counter);
+    Result<ChunkView> view = ChunkView::Parse(blob);
+    EXPECT_TRUE(view.ok());
+    header_len_ = view->header_len();
+    Result<size_t> files =
+        meta_->RegisterChunk(clock_, "ds", view.value(), blob.size());
+    EXPECT_TRUE(files.ok());
+    EXPECT_EQ(files.value(), n);
     return id;
   }
 
@@ -189,6 +189,7 @@ class MetadataServiceTest : public ::testing::Test {
   std::unique_ptr<kv::KvCluster> kv_;
   std::unique_ptr<MetadataService> meta_;
   sim::VirtualClock clock_;
+  uint32_t header_len_ = 0;  // of the last chunk AddChunk registered
 };
 
 TEST_F(MetadataServiceTest, AddChunkRegistersFilesAndDirs) {
@@ -213,12 +214,51 @@ TEST_F(MetadataServiceTest, AddChunkRegistersFilesAndDirs) {
   EXPECT_EQ(cls0->size(), 3u);  // f0, f2, f4
 }
 
+// A header that marks an entry deleted registers the other entries under
+// their own indexes and carries the bitmap into the chunk record.
+TEST_F(MetadataServiceTest, RegisterChunkSkipsEntriesTheHeaderMarksDeleted) {
+  ChunkBuilder builder;
+  for (int i = 0; i < 4; ++i) {
+    builder.Add("/d/f" + std::to_string(i), Bytes(10, static_cast<uint8_t>(i)));
+  }
+  ChunkId id = ChunkId::Make(10, 1, 1, 0);
+  Bytes blob = builder.Finish(id, /*create_ts_ns=*/7);
+  // num_deleted sits at byte 40 and the bitmap at 44 (chunk_format.h); the
+  // header CRC covers the header with its header_len field zeroed.
+  const uint32_t num_deleted = 1;
+  std::memcpy(blob.data() + 40, &num_deleted, 4);
+  blob[44] = 1 << 1;
+  uint32_t header_len;
+  std::memcpy(&header_len, blob.data() + 8, 4);
+  std::memset(blob.data() + 8, 0, 4);
+  uint32_t crc = Crc32c({blob.data(), header_len - 4u});
+  std::memcpy(blob.data() + 8, &header_len, 4);
+  std::memcpy(blob.data() + header_len - 4, &crc, 4);
+
+  Result<ChunkView> view = ChunkView::Parse(blob);
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  auto files = meta_->RegisterChunk(clock_, "ds", view.value(), blob.size());
+  ASSERT_TRUE(files.ok());
+  EXPECT_EQ(files.value(), 3u);
+  EXPECT_TRUE(meta_->GetFile(clock_, "ds", "/d/f1").status().IsNotFound());
+  auto f2 = meta_->GetFile(clock_, "ds", "/d/f2");
+  ASSERT_TRUE(f2.ok());
+  EXPECT_EQ(f2->index_in_chunk, 2u);
+  auto cm = meta_->GetChunk(clock_, "ds", id);
+  ASSERT_TRUE(cm.ok());
+  EXPECT_EQ(cm->update_ts_ns, 7u);
+  EXPECT_EQ(cm->size, blob.size());
+  EXPECT_EQ(cm->num_files, 4u);
+  EXPECT_EQ(cm->num_deleted, 1u);
+  EXPECT_EQ(cm->deletion_bitmap, std::vector<uint8_t>{1 << 1});
+}
+
 TEST_F(MetadataServiceTest, GetChunkReturnsRecord) {
   ChunkId id = AddChunk(0, 4);
   auto cm = meta_->GetChunk(clock_, "ds", id);
   ASSERT_TRUE(cm.ok());
   EXPECT_EQ(cm->num_files, 4u);
-  EXPECT_EQ(cm->header_len, 100u);
+  EXPECT_EQ(cm->header_len, header_len_);
 }
 
 TEST_F(MetadataServiceTest, ListChunksInWriteOrder) {

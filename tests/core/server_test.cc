@@ -38,8 +38,10 @@ class ServerTest : public ::testing::Test {
 };
 
 TEST_F(ServerTest, IngestRejectsCorruptChunk) {
-  Status st =
-      server().IngestChunk(clock_, 0, "bad", ShareBytes(Bytes(100, 0xAB)));
+  Status st = server()
+                  .IngestChunkAsync(clock_, 0, "bad",
+                                    ShareBytes(Bytes(100, 0xAB)))
+                  .status();
   EXPECT_TRUE(st.IsCorruption());
 }
 
@@ -142,8 +144,10 @@ TEST_F(ServerTest, DatasetNamesCannotAliasAnotherNamespace) {
   const size_t keys = deployment_->kv().TotalKeys();
   const size_t objects = deployment_->store().NumObjects();
   for (const std::string bad : {"srv/x", "", "/"}) {
-    EXPECT_EQ(server().IngestChunk(clock_, 0, bad, chunk).code(),
-              StatusCode::kInvalidArgument) << bad;
+    EXPECT_EQ(
+        server().IngestChunkAsync(clock_, 0, bad, chunk).status().code(),
+        StatusCode::kInvalidArgument)
+        << bad;
     EXPECT_EQ(server().DeleteDataset(clock_, 0, bad).code(),
               StatusCode::kInvalidArgument) << bad;
     EXPECT_EQ(server().metadata().ListFiles(clock_, bad).status().code(),
@@ -203,7 +207,8 @@ TEST_F(ServerTest, IngestSurfacesUnreadableDatasetRecord) {
   builder.Add("/srv/late.bin", Bytes(64, 0x5A));
   SharedBytes chunk =
       ShareBytes(builder.Finish(ChunkId::Make(1, 2, 3, 0xABCDEF), 1));
-  Status st = server().IngestChunk(clock_, 0, spec_.name, chunk);
+  Status st =
+      server().IngestChunkAsync(clock_, 0, spec_.name, chunk).status();
   EXPECT_TRUE(st.IsCorruption()) << st.ToString();
   EXPECT_EQ(kv.Get(clock_, 0, DatasetKey(spec_.name)).value(), garbage);
 
