@@ -181,7 +181,7 @@ void BM_FileSliceView(benchmark::State& state) {
   const uint32_t header_len = view.header_len();
   const uint64_t offset = view.entries()[3].offset;
   core::ChunkBuffer buffer =
-      core::ChunkBuffer::Wrap(ShareBytes(std::move(chunk)), header_len);
+      core::ChunkBuffer::Wrap(ShareBytes(std::move(chunk)));
   for (auto _ : state) {
     core::FileSlice slice =
         core::FileSlice::FromBuffer(buffer, header_len + offset, file_size);
@@ -201,7 +201,7 @@ void BM_FileSliceCopy(benchmark::State& state) {
   const uint32_t header_len = view.header_len();
   const uint64_t offset = view.entries()[3].offset;
   core::ChunkBuffer buffer =
-      core::ChunkBuffer::Wrap(ShareBytes(std::move(chunk)), header_len);
+      core::ChunkBuffer::Wrap(ShareBytes(std::move(chunk)));
   for (auto _ : state) {
     core::FileSlice slice =
         core::FileSlice::FromBuffer(buffer, header_len + offset, file_size);
@@ -416,7 +416,7 @@ void ReportSliceSpeedRatio() {
   const uint32_t header_len = view.header_len();
   const uint64_t offset = view.entries()[3].offset;
   core::ChunkBuffer buffer =
-      core::ChunkBuffer::Wrap(ShareBytes(std::move(chunk)), header_len);
+      core::ChunkBuffer::Wrap(ShareBytes(std::move(chunk)));
   double view_ns = BestOfThreeNs(kIters, [&] {
     core::FileSlice s =
         core::FileSlice::FromBuffer(buffer, header_len + offset, kFileSize);

@@ -187,16 +187,6 @@ class RequestLatency {
   const Nanos start_;
 };
 
-/// The stream whose clock is earliest (the first on ties): a multi-stream
-/// load hands its next chunk to it (closed loop).
-sim::VirtualClock& EarliestStream(std::vector<sim::VirtualClock>& streams) {
-  return *std::min_element(
-      streams.begin(), streams.end(),
-      [](const sim::VirtualClock& a, const sim::VirtualClock& b) {
-        return a.now() < b.now();
-      });
-}
-
 }  // namespace
 
 TaskCache::TaskCache(net::Fabric& fabric, core::DieselServer& server,
@@ -286,14 +276,11 @@ Result<core::FileSlice> TaskCache::SliceFile(CachedChunk& chunk,
                                              const core::FileMeta& meta) {
   // Subtractions only: a decoded offset near UINT64_MAX must not wrap.
   const uint64_t size = chunk.buffer.size();
-  const uint64_t header = chunk.buffer.header_len();
-  if (header > size || meta.offset > size - header ||
-      meta.length > size - header - meta.offset)
+  if (meta.offset > size || meta.length > size - meta.offset)
     return Status::Corruption("file range past cached chunk end: " +
                               meta.full_name);
-  const uint64_t begin = header + meta.offset;
   core::FileSlice slice =
-      core::FileSlice::FromBuffer(chunk.buffer, begin, meta.length);
+      core::FileSlice::FromBuffer(chunk.buffer, meta.offset, meta.length);
   // End-to-end integrity: the chunk builder stamped each file's CRC32C into
   // the metadata; a cached copy that no longer matches is treated as a miss
   // (metas built by hand in tests carry crc 0 and skip the check). The blob
@@ -406,8 +393,7 @@ TaskCache::InsertResult TaskCache::InsertChunk(sim::NodeId owner,
 
 Result<SharedBytes> TaskCache::FetchChunkBlob(sim::VirtualClock& clock,
                                               sim::NodeId reader,
-                                              size_t chunk_index,
-                                              uint32_t* header_len) {
+                                              size_t chunk_index) {
   const core::ChunkId& id = snapshot_.chunks().at(chunk_index);
   const Nanos device0 = clock.now();
   DIESEL_ASSIGN_OR_RETURN(
@@ -425,7 +411,6 @@ Result<SharedBytes> TaskCache::FetchChunkBlob(sim::VirtualClock& clock,
   const Nanos parse0 = clock.now();
   DIESEL_ASSIGN_OR_RETURN(core::ChunkView view, core::ChunkView::Parse(*blob));
   RpMetrics().parse_ns.Observe(static_cast<double>(clock.now() - parse0));
-  *header_len = view.header_len();
   // The fabric never sees payloads, so scheduled corruption events land
   // here, on the chunk-fetch path; detection is CRC-driven in SliceFile.
   // The blob is the store's shared buffer, so corruption is copy-on-write:
@@ -433,7 +418,7 @@ Result<SharedBytes> TaskCache::FetchChunkBlob(sim::VirtualClock& clock,
   if (net::FaultInjector* inj = fabric_.fault_injector()) {
     if (inj->ConsumeChunkCorruption(chunk_index)) {
       Bytes corrupt = *blob;
-      inj->CorruptPayload(corrupt, *header_len, chunk_index);
+      inj->CorruptPayload(corrupt, view.header_len(), chunk_index);
       blob = ShareBytes(std::move(corrupt));
       obs::ScopedSpan::NoteCurrent(
           fabric_.tracer(), clock.now(),
@@ -492,12 +477,10 @@ Result<TaskCache::Fill> TaskCache::FillChunk(sim::VirtualClock& clock,
     // so the second copy is clean; a persistently corrupt chunk still
     // surfaces Corruption).
     for (int fetch = 0;; ++fetch) {
-      uint32_t header_len = 0;
-      DIESEL_ASSIGN_OR_RETURN(
-          SharedBytes blob,
-          FetchChunkBlob(clock, owner, chunk_index, &header_len));
+      DIESEL_ASSIGN_OR_RETURN(SharedBytes blob,
+                              FetchChunkBlob(clock, owner, chunk_index));
       local = CachedChunk{};
-      local.buffer = core::ChunkBuffer::Wrap(std::move(blob), header_len);
+      local.buffer = core::ChunkBuffer::Wrap(std::move(blob));
       if (verify == nullptr) break;
       Result<core::FileSlice> content = SliceFile(local, *verify);
       if (content.ok()) {
@@ -600,15 +583,13 @@ Result<Nanos> TaskCache::PreloadPartition(sim::NodeId node,
   std::vector<sim::VirtualClock> clocks(streams, sim::VirtualClock(start));
   for (size_t ci : chunks) {
     if (ChunkResident(ci)) continue;
-    DIESEL_RETURN_IF_ERROR(FillChunk(EarliestStream(clocks), node, ci,
+    DIESEL_RETURN_IF_ERROR(FillChunk(sim::EarliestStream(clocks), node, ci,
                                      /*verify=*/nullptr,
                                      /*prefetched=*/false)
                                .status());
     if (loaded != nullptr) ++*loaded;
   }
-  Nanos finish = start;
-  for (const auto& c : clocks) finish = std::max(finish, c.now());
-  return finish;
+  return sim::LatestStream(clocks);
 }
 
 Result<Nanos> TaskCache::Preload(Nanos start) {
@@ -1100,7 +1081,7 @@ void TaskCache::MigrateForChange(const membership::MembershipChange& change) {
       if (!moved.buffer.valid()) continue;
       auto& clocks = dest_streams[m.to];
       if (clocks.empty()) clocks.assign(streams, sim::VirtualClock(start));
-      sim::VirtualClock& stream = EarliestStream(clocks);
+      sim::VirtualClock& stream = sim::EarliestStream(clocks);
       const uint64_t size = moved.buffer.size();
       obs::ScopedSpan span(fabric_.tracer(), "membership.migrate", stream,
                            m.from);

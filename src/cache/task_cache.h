@@ -65,11 +65,11 @@ struct TaskCacheOptions {
   /// oneshot policy pulls with multiple I/O workers).
   uint32_t preload_streams = 8;
   /// Retry policy for peer and backend RPCs (rides out flaps/drops).
-  RetryPolicy retry;
+  RetryPolicy retry{};
   /// Per-owner-node circuit breaker: after `failure_threshold` consecutive
   /// peer failures the node is declared down (partition dropped) and reads
   /// fail over without paying the detection timeout each time.
-  CircuitBreakerConfig breaker;
+  CircuitBreakerConfig breaker{};
   /// When a peer master is unreachable, fall back to reading the file
   /// directly from the server instead of failing the Get.
   bool degraded_reads = true;
@@ -268,11 +268,11 @@ class TaskCache : public membership::MembershipListener {
 
   enum class InsertResult { kInserted, kAlreadyResident, kDenied };
 
-  /// Slice a file out of a cached chunk (offsets are payload-relative) as a
-  /// zero-copy view of the shared blob. Verifies the file's CRC32C when the
-  /// metadata carries one — once per residency, memoized in
-  /// `chunk.verified` — and a mismatch returns Corruption so callers evict
-  /// and re-fetch.
+  /// Slice a file out of a cached chunk (at the record's offset, which
+  /// addresses the blob) as a zero-copy view of the shared blob. Verifies
+  /// the file's CRC32C when the metadata carries one — once per residency,
+  /// memoized in `chunk.verified` — and a mismatch returns Corruption so
+  /// callers evict and re-fetch.
   static Result<core::FileSlice> SliceFile(CachedChunk& chunk,
                                            const core::FileMeta& meta);
 
@@ -280,8 +280,7 @@ class TaskCache : public membership::MembershipListener {
   /// buffer, or a corrupted private copy of it when the fabric's fault
   /// injector schedules a payload corruption for this fetch.
   Result<SharedBytes> FetchChunkBlob(sim::VirtualClock& clock,
-                                     sim::NodeId reader, size_t chunk_index,
-                                     uint32_t* header_len);
+                                     sim::NodeId reader, size_t chunk_index);
 
   CircuitBreaker& BreakerFor(sim::NodeId node);
 

@@ -107,9 +107,9 @@ class BinaryWriter {
   template <typename T>
   void PutLE(T v) {
     // Little-endian hosts only (asserted in bytes.cc); memcpy keeps it UB-free.
-    uint8_t tmp[sizeof(T)];
-    std::memcpy(tmp, &v, sizeof(T));
-    buf_.insert(buf_.end(), tmp, tmp + sizeof(T));
+    const size_t at = buf_.size();
+    buf_.resize(at + sizeof(T));
+    std::memcpy(buf_.data() + at, &v, sizeof(T));
   }
 
   Bytes buf_;

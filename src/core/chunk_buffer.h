@@ -30,12 +30,11 @@ class ChunkBuffer {
  public:
   ChunkBuffer() = default;
 
-  /// Share a fetched blob (normally the object store's own buffer).
-  /// `header_len` is the parsed header length (payload starts there).
-  static ChunkBuffer Wrap(SharedBytes blob, uint32_t header_len) {
+  /// Share a fetched blob (normally the object store's own buffer). File
+  /// records address the blob header included, so slices need nothing else.
+  static ChunkBuffer Wrap(SharedBytes blob) {
     ChunkBuffer b;
     b.blob_ = std::move(blob);
-    b.header_len_ = header_len;
     return b;
   }
 
@@ -44,17 +43,12 @@ class ChunkBuffer {
 
   const Bytes& blob() const { return *blob_; }
   const SharedBytes& shared_blob() const { return blob_; }
-  uint32_t header_len() const { return header_len_; }
   uint64_t size() const { return blob_ ? blob_->size() : 0; }
 
-  void reset() {
-    blob_.reset();
-    header_len_ = 0;
-  }
+  void reset() { blob_.reset(); }
 
  private:
   SharedBytes blob_;
-  uint32_t header_len_ = 0;
 };
 
 /// Zero-copy view of one file's content inside a shared blob. The slice

@@ -264,7 +264,10 @@ Result<size_t> MetadataService::RegisterChunk(sim::VirtualClock& clock,
     const ChunkFileEntry& e = entries[i];
     AssignFileKey(key, dataset, e.name);
     record.Clear();
-    PutFileRecord(record, view.id(), e.offset, e.length, e.crc, i, e.name);
+    // The record addresses the stored object, header included, so a read
+    // needs no chunk record to find the file's bytes.
+    PutFileRecord(record, view.id(), cm.header_len + e.offset, e.length,
+                  e.crc, i, e.name);
     batch.Put(key, AsStringView(record.data()));
     ++live;
     // Ancestor directory markers so readdir discovers the hierarchy.

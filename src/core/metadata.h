@@ -33,7 +33,7 @@ namespace diesel::core {
 
 struct FileMeta {
   ChunkId chunk;
-  uint64_t offset = 0;        // payload-relative within the chunk
+  uint64_t offset = 0;        // of the file's bytes in the chunk object
   uint64_t length = 0;
   uint32_t crc = 0;
   uint32_t index_in_chunk = 0;  // position in the chunk's file table
@@ -112,10 +112,11 @@ class MetadataService {
   /// Register a chunk from its header in one pipelined batch put: the chunk
   /// record (create time, header length, entry count and deletion bitmap
   /// from the header; `blob_size` as its size), then one file record per
-  /// live entry, each followed by its ancestor directory markers not yet
-  /// queued. Ingest, recovery and housekeeping all register through here,
-  /// so every record is a function of the header. Returns the number of
-  /// file records written.
+  /// live entry (its offset is header length + payload offset, so it
+  /// addresses the stored object), each followed by its ancestor directory
+  /// markers not yet queued. Ingest, recovery and housekeeping all register
+  /// through here, so every record is a function of the header. Returns the
+  /// number of file records written.
   Result<size_t> RegisterChunk(sim::VirtualClock& clock,
                                std::string_view dataset, const ChunkView& view,
                                uint64_t blob_size);

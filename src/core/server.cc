@@ -154,7 +154,11 @@ Result<std::vector<Bytes>> DieselServer::ReadFiles(
           return metas[a].offset < metas[b].offset;
         });
 
+        // 3. Read the ranges the way ReadChunks reads chunks: each on the
+        //    store stream that is free earliest. File offsets address the
+        //    stored object, so no chunk record is needed.
         std::vector<Bytes> contents(paths.size());
+        std::vector<sim::VirtualClock> streams(kStoreStreams, srv);
         size_t i = 0;
         while (i < order.size()) {
           // Grow a merged range [lo, hi) within one chunk.
@@ -169,17 +173,9 @@ Result<std::vector<Bytes>> DieselServer::ReadFiles(
             hi = std::max(hi, e);
             ++j;
           }
-          // File offsets are payload-relative; shift by the header length
-          // from the chunk record to address the stored object.
-          Result<ChunkMeta> cm = meta_.GetChunk(srv, dataset, chunk);
-          if (!cm.ok()) {
-            result = cm.status();
-            return srv.now();
-          }
           Result<Bytes> range =
-              store_.GetRange(srv, options_.node,
-                              ChunkObjectKey(dataset, chunk),
-                              cm.value().header_len + lo, hi - lo);
+              store_.GetRange(sim::EarliestStream(streams), options_.node,
+                              ChunkObjectKey(dataset, chunk), lo, hi - lo);
           if (!range.ok()) {
             result = range.status();
             return srv.now();
@@ -194,6 +190,7 @@ Result<std::vector<Bytes>> DieselServer::ReadFiles(
           }
           i = j;
         }
+        srv.AdvanceTo(sim::LatestStream(streams));
         file_reads.Inc(paths.size());
         uint64_t total = 0;
         for (const Bytes& b : contents) total += b.size();
@@ -269,23 +266,18 @@ Result<std::vector<SharedBytes>> DieselServer::ReadChunks(
         // same number of unbatched calls from that many client streams.
         const size_t streams = std::max<size_t>(1, fetch_streams);
         std::vector<sim::VirtualClock> clocks(std::min(streams, ids.size()),
-                                              sim::VirtualClock(srv.now()));
+                                              srv);
         for (size_t i = 0; i < ids.size(); ++i) {
-          size_t s = 0;
-          for (size_t k = 1; k < clocks.size(); ++k) {
-            if (clocks[k].now() < clocks[s].now()) s = k;
-          }
-          blobs[i] = store_.Get(clocks[s], options_.node,
+          sim::VirtualClock& stream = sim::EarliestStream(clocks);
+          blobs[i] = store_.Get(stream, options_.node,
                                 ChunkObjectKey(dataset, ids[i]));
-          ready[i] = clocks[s].now();
+          ready[i] = stream.now();
           if (blobs[i].ok()) {
             chunk_reads.Inc();
             chunk_read_bytes.Inc(blobs[i].value()->size());
           }
         }
-        Nanos done = arrival;
-        for (const auto& c : clocks) done = std::max(done, c.now());
-        return done;
+        return sim::LatestStream(clocks);
       }));
   // The response is streamed: chunk i's bytes start crossing the client NIC
   // as soon as its store read finishes rather than after the whole batch is
@@ -436,23 +428,16 @@ Result<Nanos> DieselServer::PrefetchDataset(sim::VirtualClock& clock,
                                             size_t streams) {
   DIESEL_ASSIGN_OR_RETURN(std::vector<ChunkId> chunks,
                           meta_.ListChunks(clock, dataset));
-  streams = std::max<size_t>(1, streams);
-  std::vector<sim::VirtualClock> clocks(streams,
-                                        sim::VirtualClock(clock.now()));
+  std::vector<sim::VirtualClock> clocks(std::max<size_t>(1, streams), clock);
   for (const ChunkId& id : chunks) {
-    size_t s = 0;
-    for (size_t k = 1; k < streams; ++k) {
-      if (clocks[k].now() < clocks[s].now()) s = k;
-    }
     // A whole-object read promotes the chunk into the fast tier when the
     // store is tiered; on a flat store this is a no-op warm read.
-    DIESEL_RETURN_IF_ERROR(
-        store_.Get(clocks[s], options_.node, ChunkObjectKey(dataset, id))
-            .status());
+    DIESEL_RETURN_IF_ERROR(store_.Get(sim::EarliestStream(clocks),
+                                      options_.node,
+                                      ChunkObjectKey(dataset, id))
+                               .status());
   }
-  Nanos end = clock.now();
-  for (const auto& c : clocks) end = std::max(end, c.now());
-  return end;
+  return sim::LatestStream(clocks);
 }
 
 Result<RecoveryStats> DieselServer::RecoverMetadata(sim::VirtualClock& clock,

@@ -34,7 +34,7 @@ struct ServerOptions {
   /// Retry for the object-store reads RecoverMetadata drives (List /
   /// GetRange / Size). Recovery typically runs while the cluster is still
   /// unhealthy, so a transient drop must not abort the whole redrive.
-  RetryPolicy recovery_retry;
+  RetryPolicy recovery_retry{};
 };
 
 struct RecoveryStats {
@@ -42,6 +42,11 @@ struct RecoveryStats {
   size_t files_recovered = 0;
   uint64_t header_bytes_read = 0;
 };
+
+/// Parallel object-store streams one server request reads on: the chunk
+/// ranges of a ReadFiles batch, and by default the chunks of ReadChunks and
+/// PrefetchDataset.
+inline constexpr size_t kStoreStreams = 8;
 
 /// Object-store key of a chunk blob.
 std::string ChunkObjectKey(std::string_view dataset, const ChunkId& id);
@@ -79,7 +84,10 @@ class DieselServer {
 
   /// Request executor: read a batch of files, sorted and merged into
   /// chunk-wise range reads (§4 "sorts and merges small file requests").
-  /// Results are returned in input order.
+  /// One KV multi-get finds the files; each file record addresses the
+  /// stored chunk object, so the ranges go straight to the store, on
+  /// kStoreStreams parallel streams like ReadChunks. Results are returned in
+  /// input order.
   Result<std::vector<Bytes>> ReadFiles(sim::VirtualClock& clock,
                                        sim::NodeId client,
                                        const std::string& dataset,
@@ -101,7 +109,8 @@ class DieselServer {
                                               sim::NodeId client,
                                               const std::string& dataset,
                                               std::span<const ChunkId> ids,
-                                              size_t fetch_streams = 8);
+                                              size_t fetch_streams =
+                                                  kStoreStreams);
 
   Result<FileMeta> StatFile(sim::VirtualClock& clock, sim::NodeId client,
                             const std::string& dataset,
@@ -136,7 +145,7 @@ class DieselServer {
   /// Returns the virtual time the warm-up finished. Runs server-side.
   Result<Nanos> PrefetchDataset(sim::VirtualClock& clock,
                                 const std::string& dataset,
-                                size_t streams = 8);
+                                size_t streams = kStoreStreams);
 
   /// Rebuild KV metadata by scanning chunk headers from object storage in
   /// write order. `from_ts_sec == 0` scans everything (scenario b: total KV

@@ -51,9 +51,12 @@ Result<std::pair<FuseMount*, std::string>> MountManager::Resolve(
   }
   if (entry == nullptr)
     return Status::NotFound("no mount covers path: " + path);
-  std::string rel = *best == "/" ? path : path.substr(best->size());
+  std::string_view rel(path);
+  if (*best != "/") rel.remove_prefix(best->size());
   if (rel.empty()) rel = "/";
-  return std::make_pair(entry->mount.get(), entry->prefix + rel);
+  std::string target = entry->prefix;
+  target.append(rel);
+  return std::make_pair(entry->mount.get(), std::move(target));
 }
 
 Result<Bytes> MountManager::ReadFile(sim::VirtualClock& clock,

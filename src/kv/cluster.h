@@ -35,7 +35,7 @@ struct KvClusterOptions {
   /// Per-operation retry around shard flaps and injected RPC drops. The
   /// default budget rides out short outages; permanently-down shards still
   /// surface Unavailable once the policy is exhausted.
-  RetryPolicy retry;
+  RetryPolicy retry{};
 };
 
 class KvCluster {

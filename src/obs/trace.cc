@@ -2,17 +2,27 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
+#include <utility>
+#include <vector>
 
-#include "common/ambient.h"
 #include "obs/flight_recorder.h"
 
 namespace diesel::obs {
 namespace {
 
-// The open-span stack rides on the thread-ambient context (domain = the
-// owning tracer, value = span id), so independent tracers never adopt each
-// other's spans.
-uint64_t CurrentFor(Tracer* tracer) { return Ambient::Top(tracer, kNoSpan); }
+// Each thread's open spans, innermost last, as (owning tracer, span id):
+// independent tracers never adopt each other's spans, and work handed to
+// another thread starts with no open span.
+thread_local std::vector<std::pair<const Tracer*, uint64_t>> t_open_spans;
+
+/// Innermost open span of `tracer` on this thread, or kNoSpan.
+uint64_t CurrentFor(const Tracer* tracer) {
+  for (auto it = t_open_spans.rbegin(); it != t_open_spans.rend(); ++it) {
+    if (it->first == tracer) return it->second;
+  }
+  return kNoSpan;
+}
 
 }  // namespace
 
@@ -182,15 +192,20 @@ ScopedSpan::ScopedSpan(Tracer* tracer, std::string name,
     : tracer_(tracer), clock_(&clock) {
   if (tracer_ == nullptr) return;
   id_ = tracer_->Begin(std::move(name), clock.now(), node, CurrentFor(tracer_));
-  Ambient::Push(tracer_, id_);
+  t_open_spans.emplace_back(tracer_, id_);
 }
 
 ScopedSpan::~ScopedSpan() {
   if (tracer_ == nullptr) return;
   tracer_->End(id_, clock_->now());
-  // Spans close LIFO per thread; Pop tolerates (skips over) a mismatch
-  // rather than corrupting the stack.
-  Ambient::Pop(tracer_, id_);
+  // Spans close LIFO per thread; an out-of-order close removes its own
+  // entry and skips over the others rather than corrupting the stack.
+  for (auto it = t_open_spans.rbegin(); it != t_open_spans.rend(); ++it) {
+    if (it->first == tracer_ && it->second == id_) {
+      t_open_spans.erase(std::next(it).base());
+      return;
+    }
+  }
 }
 
 void ScopedSpan::Note(std::string text) {

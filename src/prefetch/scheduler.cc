@@ -269,10 +269,7 @@ void PrefetchScheduler::IssueFillsLocked(size_t position, Nanos now) {
       }
 
       // Earliest-finishing stream takes the fill.
-      sim::VirtualClock* stream = &ns.streams.front();
-      for (sim::VirtualClock& st : ns.streams) {
-        if (st.now() < stream->now()) stream = &st;
-      }
+      sim::VirtualClock* stream = &sim::EarliestStream(ns.streams);
       stream->AdvanceTo(now);
 
       if (!fabric_.NodeAvailable(ns.node, stream->now())) {

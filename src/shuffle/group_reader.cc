@@ -71,15 +71,13 @@ Result<Nanos> GroupWindowReader::FetchGroup(Nanos start, size_t group,
                          fetch_streams_));
   for (size_t i = 0; i < chunk_list.size(); ++i) {
     SharedBytes& blob = blobs[i];
-    DIESEL_ASSIGN_OR_RETURN(core::ChunkView view,
-                            core::ChunkView::Parse(*blob));
+    DIESEL_RETURN_IF_ERROR(core::ChunkView::Parse(*blob).status());
     Counters().chunk_fetches.Inc();
     Counters().chunk_bytes.Inc(blob->size());
     stats_.chunk_bytes_fetched += blob->size();
     ++stats_.chunk_fetches;
     out.emplace(chunk_list[i],
-                WindowChunk{core::ChunkBuffer::Wrap(std::move(blob),
-                                                    view.header_len())});
+                WindowChunk{core::ChunkBuffer::Wrap(std::move(blob))});
   }
   return clock.now();
 }
@@ -148,15 +146,16 @@ Result<core::FileSlice> GroupWindowReader::NextSlice(sim::VirtualClock& clock) {
     return Status::Internal("file's chunk missing from group window: " +
                             meta.full_name);
   const WindowChunk& wc = it->second;
-  uint64_t begin = wc.buffer.header_len() + meta.offset;
-  if (begin + meta.length > wc.buffer.size())
+  // Subtractions only: a decoded offset near UINT64_MAX must not wrap.
+  const uint64_t size = wc.buffer.size();
+  if (meta.offset > size || meta.length > size - meta.offset)
     return Status::Corruption("file range past chunk end: " + meta.full_name);
   ++pos_;
   Counters().files_read.Inc();
   Counters().bytes_read.Inc(meta.length);
   ++stats_.files_read;
   stats_.bytes_read += meta.length;
-  return core::FileSlice::FromBuffer(wc.buffer, begin, meta.length);
+  return core::FileSlice::FromBuffer(wc.buffer, meta.offset, meta.length);
 }
 
 }  // namespace diesel::shuffle

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <span>
 
 #include "common/units.h"
 
@@ -33,5 +34,27 @@ class VirtualClock {
  private:
   Nanos now_ = 0;
 };
+
+/// The stream that is free earliest (the first on ties). A worker that keeps
+/// several requests in flight on parallel streams hands its next request to
+/// it (closed loop).
+inline VirtualClock& EarliestStream(std::span<VirtualClock> streams) {
+  assert(!streams.empty());
+  return *std::min_element(streams.begin(), streams.end(),
+                           [](const VirtualClock& a, const VirtualClock& b) {
+                             return a.now() < b.now();
+                           });
+}
+
+/// When the last of `streams` is done; they all start at one time, so this
+/// is when the whole set of requests on them finishes.
+inline Nanos LatestStream(std::span<const VirtualClock> streams) {
+  assert(!streams.empty());
+  return std::max_element(streams.begin(), streams.end(),
+                          [](const VirtualClock& a, const VirtualClock& b) {
+                            return a.now() < b.now();
+                          })
+      ->now();
+}
 
 }  // namespace diesel::sim

@@ -41,7 +41,7 @@ namespace diesel::tenant {
 
 struct TenantOptions {
   /// Display/metrics name; must be unique per fabric.
-  std::string name;
+  std::string name{};
   /// Fair-share weight for capacity eviction and prefetch budget splits.
   double weight = 1.0;
   /// Hard cap on this tenant's shared-tier bytes; 0 = bounded only by the

@@ -43,7 +43,7 @@ TEST(ResultTest, HoldsValue) {
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(*r, 42);
   EXPECT_EQ(r.value_or(7), 42);
-  EXPECT_TRUE(r.status().ok());
+  EXPECT_EQ(r.status(), Status::Ok());
 }
 
 TEST(ResultTest, HoldsError) {

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <utility>
+
 #include "core/chunk_format.h"
 #include "core/deployment.h"
 #include "dlt/dataset_gen.h"
+#include "obs/metrics.h"
 
 namespace diesel::core {
 namespace {
@@ -233,6 +238,110 @@ TEST_F(ServerTest, PartialRecoverySurfacesFailedChunkList) {
   EXPECT_TRUE(stats.status().IsUnavailable()) << stats.status().ToString();
   kv.RestartShard(down);
   EXPECT_EQ(kv.Get(clock_, 0, DatasetKey(spec_.name)).value(), *before);
+}
+
+// Every file record addresses the stored chunk object, header included: its
+// offset is the header length plus the entry's payload offset, and the
+// blob's bytes there are the file.
+TEST_F(ServerTest, FileRecordsAddressTheStoredChunk) {
+  std::map<std::string, size_t> index_of;
+  for (size_t i = 0; i < spec_.total_files(); ++i) {
+    index_of[dlt::FilePath(spec_, i)] = i;
+  }
+  auto chunks = server().metadata().ListChunks(clock_, spec_.name);
+  ASSERT_TRUE(chunks.ok());
+  ASSERT_EQ(chunks->size(), chunks_flushed_);
+  size_t files = 0;
+  for (const ChunkId& id : *chunks) {
+    auto blob =
+        deployment_->store().Get(clock_, 0, ChunkObjectKey(spec_.name, id));
+    ASSERT_TRUE(blob.ok());
+    const Bytes& bytes = *blob.value();
+    auto view = ChunkView::Parse(bytes);
+    ASSERT_TRUE(view.ok());
+    for (const ChunkFileEntry& e : view->entries()) {
+      auto fm = server().metadata().GetFile(clock_, spec_.name, e.name);
+      ASSERT_TRUE(fm.ok()) << e.name;
+      EXPECT_EQ(fm->offset, view->header_len() + e.offset) << e.name;
+      EXPECT_EQ(fm->length, e.length) << e.name;
+      ASSERT_LE(fm->offset, bytes.size()) << e.name;
+      ASSERT_LE(fm->length, bytes.size() - fm->offset) << e.name;
+      ASSERT_EQ(index_of.count(e.name), 1u) << e.name;
+      EXPECT_TRUE(dlt::VerifyContent(
+          spec_, index_of[e.name],
+          BytesView(bytes.data() + fm->offset, fm->length)))
+          << e.name;
+      ++files;
+    }
+  }
+  EXPECT_EQ(files, spec_.total_files());
+}
+
+// The whole dataset as one batch: its files span every chunk.
+class ServerBatchTest : public ServerTest {
+ protected:
+  void SetUp() override {
+    ServerTest::SetUp();
+    for (size_t i = 0; i < spec_.total_files(); ++i) {
+      paths_.push_back(dlt::FilePath(spec_, i));
+      auto fm = server().metadata().GetFile(clock_, spec_.name, paths_[i]);
+      ASSERT_TRUE(fm.ok());
+      // The files of a chunk are contiguous, so the executor reads each
+      // chunk of the batch as one range.
+      auto [it, added] =
+          ranges_.try_emplace(fm->chunk, fm->offset, fm->offset + fm->length);
+      if (!added) {
+        it->second.first = std::min(it->second.first, fm->offset);
+        it->second.second =
+            std::max(it->second.second, fm->offset + fm->length);
+      }
+    }
+    ASSERT_GE(ranges_.size(), 4u);
+  }
+
+  std::vector<std::string> paths_;
+  std::map<ChunkId, std::pair<uint64_t, uint64_t>> ranges_;  // [lo, hi)
+};
+
+TEST_F(ServerBatchTest, ReadFilesTakesNoPerChunkMetadataGet) {
+  const obs::Counter& gets =
+      obs::Metrics().GetCounter("kv.ops", {{"op", "get"}});
+  const obs::Counter& mgets =
+      obs::Metrics().GetCounter("kv.ops", {{"op", "mget"}});
+  const uint64_t gets0 = gets.value();
+  const uint64_t mgets0 = mgets.value();
+  auto contents = server().ReadFiles(clock_, 0, spec_.name, paths_);
+  ASSERT_TRUE(contents.ok()) << contents.status().ToString();
+  for (size_t i = 0; i < paths_.size(); ++i) {
+    EXPECT_TRUE(dlt::VerifyContent(spec_, i, (*contents)[i])) << i;
+  }
+  EXPECT_EQ(gets.value() - gets0, 0u);
+  EXPECT_GT(mgets.value() - mgets0, 0u);
+}
+
+// The executor reads a batch's ranges on parallel store streams: the batch
+// finishes before the same ranges read one after another would, and never
+// before the slowest of them alone. Each measurement starts long after the
+// previous one ended, so devices are idle at its start.
+TEST_F(ServerBatchTest, RangesOverlapOnStoreStreams) {
+  Nanos start = Millis(1000);
+  Nanos serial = 0;
+  Nanos slowest = 0;
+  for (const auto& [chunk, range] : ranges_) {
+    sim::VirtualClock c(start);
+    auto bytes = deployment_->store().GetRange(
+        c, server().node(), ChunkObjectKey(spec_.name, chunk), range.first,
+        range.second - range.first);
+    ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+    serial += c.now() - start;
+    slowest = std::max(slowest, c.now() - start);
+    start += Millis(1000);
+  }
+  sim::VirtualClock batch(start);
+  ASSERT_TRUE(server().ReadFiles(batch, 0, spec_.name, paths_).ok());
+  const Nanos batched = batch.now() - start;
+  EXPECT_LT(batched, serial);
+  EXPECT_GE(batched, slowest);
 }
 
 }  // namespace

@@ -179,7 +179,12 @@ net::FaultPlan MakeChaosPlan(const RunOutput& baseline) {
   Nanos e2 = baseline.epoch_end[1];
   Nanos e3 = baseline.epoch_end[2];
   net::FaultPlan plan;
-  plan.seed = ChaosSeed(20260806);
+  // The pinned default must roll RPC drops: the drop checks below run only
+  // under it. Drop decisions hash virtual time, and 20260806 rolled none
+  // once a server read stopped paying a chunk-record get (file records
+  // became chunk-absolute). 20260807 drops 12 RPCs and still detects the
+  // corruption.
+  plan.seed = ChaosSeed(20260807);
   plan.rpc_drop_prob = 0.01;
   plan.fault_detect_timeout = Micros(200);
   // Long enough that per-read retry backoff cannot simply jump over it:

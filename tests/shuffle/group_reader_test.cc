@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <set>
 
 #include "core/deployment.h"
@@ -195,6 +197,43 @@ TEST_F(GroupReaderTest, ChunkReadsChargeVirtualTime) {
   Nanos t1 = clock_.now();
   ASSERT_TRUE(reader.Next(clock_).ok());
   EXPECT_EQ(clock_.now(), t1);  // window hit: no further storage time
+}
+
+// A snapshot loaded from disk can carry any offset. One whose end wraps past
+// UINT64_MAX back into the chunk must fail as Corruption, not slice outside
+// the blob.
+TEST_F(GroupReaderTest, WrappingFileRangeFromLoadedSnapshotIsCorruption) {
+  const core::FileMeta& victim = snapshot_.files().at(5);
+  uint8_t field[16];
+  std::memcpy(field, &victim.offset, 8);
+  std::memcpy(field + 8, &victim.length, 8);
+  Bytes bytes = snapshot_.Serialize();
+  const auto at = std::search(bytes.begin(), bytes.end(), field, field + 16);
+  ASSERT_NE(at, bytes.end());
+  ASSERT_EQ(std::search(at + 1, bytes.end(), field, field + 16), bytes.end());
+  const uint64_t offset = UINT64_MAX - 7;
+  const uint64_t length = 16;
+  std::memcpy(&*at, &offset, 8);
+  std::memcpy(&*at + 8, &length, 8);
+  auto loaded = core::MetadataSnapshot::Deserialize(bytes);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_EQ(loaded->files().at(5).offset, offset);
+
+  Rng rng(3);
+  GroupWindowReader reader(deployment_->server(0), *loaded, 0);
+  reader.StartEpoch(ChunkWiseShuffle(*loaded, {.group_size = 4}, rng));
+  bool reached = false;
+  while (!reader.Done()) {
+    const uint32_t idx = reader.PeekIndex().value();
+    auto slice = reader.NextSlice(clock_);
+    if (idx == 5) {
+      EXPECT_TRUE(slice.status().IsCorruption()) << slice.status().ToString();
+      reached = true;
+      break;
+    }
+    ASSERT_TRUE(slice.ok()) << slice.status().ToString();
+  }
+  EXPECT_TRUE(reached);
 }
 
 }  // namespace

@@ -161,9 +161,10 @@ TEST(TenantCorruptionTest, InjectedCorruptionCopiesAndLeavesStoreClean) {
   const uint32_t header_len = core::ChunkView::Parse(*stored)->header_len();
   Bytes probe = *stored;
   inj.CorruptPayload(probe, header_len, 0);
+  // File records address the blob, header included, as this index does.
   const uint64_t flipped =
       std::mismatch(probe.begin(), probe.end(), stored->begin()).first -
-      probe.begin() - header_len;
+      probe.begin();
   size_t bad = SIZE_MAX, good = SIZE_MAX;
   for (size_t i = 0; i < spec.total_files(); ++i) {
     const core::FileMeta* fm = snap.Lookup(dlt::FilePath(spec, i));

@@ -11,7 +11,7 @@ namespace diesel::tenant {
 namespace {
 
 core::ChunkBuffer MakeBuffer(size_t bytes, uint8_t fill) {
-  return core::ChunkBuffer::Wrap(ShareBytes(Bytes(bytes, fill)), 0);
+  return core::ChunkBuffer::Wrap(ShareBytes(Bytes(bytes, fill)));
 }
 
 class FabricTest : public ::testing::Test {
