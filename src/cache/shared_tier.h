@@ -13,9 +13,9 @@
 // stores, so adoption is a refcount bump (plus the simulated transfer
 // charge) and outstanding FileSlice views stay valid no matter which task —
 // including the one that originally loaded the bytes — tears down first.
+// The buffer carries its own per-file CRC memo, so a file whose checksum
+// one task has checked is not scanned again by any task holding the blob.
 #pragma once
-
-#include <vector>
 
 #include "common/status.h"
 #include "common/units.h"
@@ -29,33 +29,25 @@ class SharedCacheTier {
  public:
   virtual ~SharedCacheTier() = default;
 
-  /// An adopted chunk: the shared blob plus the per-file CRC memo that
-  /// travelled with it (same immutable bytes, same verification state).
-  struct Adopted {
-    core::ChunkBuffer buffer;
-    std::vector<bool> verified;
-  };
-
   /// Warm-start lookup for `chunk_index` of the bound dataset. On a hit the
   /// simulated transfer (home node -> `reader`) is charged to `clock` and
   /// the shared buffer is returned; NotFound means nothing is resident and
   /// the caller pays the backend read.
-  virtual Result<Adopted> Adopt(sim::VirtualClock& clock, sim::NodeId reader,
-                                size_t chunk_index) = 0;
+  virtual Result<core::ChunkBuffer> Adopt(sim::VirtualClock& clock,
+                                          sim::NodeId reader,
+                                          size_t chunk_index) = 0;
 
   /// Offer a freshly backend-loaded chunk (now resident on `home`) to the
   /// tier so other tasks can adopt it. Admission may decline; either way
   /// the caller keeps its own copy.
   virtual void Publish(sim::NodeId home, size_t chunk_index,
-                       const core::ChunkBuffer& buffer,
-                       const std::vector<bool>& verified, Nanos now) = 0;
+                       const core::ChunkBuffer& buffer, Nanos now) = 0;
 
   /// Teardown demote: offer a resident chunk to the tier instead of
   /// dropping it. Returns the bytes the tier retained (0 = declined, the
   /// bytes are genuinely discarded).
   virtual uint64_t Demote(sim::NodeId home, size_t chunk_index,
-                          const core::ChunkBuffer& buffer,
-                          const std::vector<bool>& verified, Nanos now) = 0;
+                          const core::ChunkBuffer& buffer, Nanos now) = 0;
 
   /// A reader detected CRC corruption in `buffer` (a copy it adopted from,
   /// or published to, the tier). Drop the shared entry for `chunk_index` iff

@@ -97,8 +97,8 @@ MembershipCacheCounters& MemCounters() {
 
 /// Zero-copy read-path counters. `views` counts slices handed out without
 /// copying; `copies` counts materializations through the Bytes-returning
-/// compatibility APIs; the crc pair shows the once-per-residency memo at
-/// work (skipped = checks the memo saved).
+/// compatibility APIs; the crc pair shows the once-per-blob memo at work
+/// (skipped = checks the memo saved).
 struct SliceCounters {
   obs::Counter& views = obs::Metrics().GetCounter("cache.slice.views");
   obs::Counter& copies = obs::Metrics().GetCounter("cache.slice.copies");
@@ -272,30 +272,28 @@ size_t TaskCache::migrations_in_flight() const {
   return migrations_.size();
 }
 
-Result<core::FileSlice> TaskCache::SliceFile(CachedChunk& chunk,
+Result<core::FileSlice> TaskCache::SliceFile(const core::ChunkBuffer& buffer,
                                              const core::FileMeta& meta) {
   // Subtractions only: a decoded offset near UINT64_MAX must not wrap.
-  const uint64_t size = chunk.buffer.size();
+  const uint64_t size = buffer.size();
   if (meta.offset > size || meta.length > size - meta.offset)
     return Status::Corruption("file range past cached chunk end: " +
                               meta.full_name);
   core::FileSlice slice =
-      core::FileSlice::FromBuffer(chunk.buffer, meta.offset, meta.length);
+      core::FileSlice::FromBuffer(buffer, meta.offset, meta.length);
   // End-to-end integrity: the chunk builder stamped each file's CRC32C into
   // the metadata; a cached copy that no longer matches is treated as a miss
   // (metas built by hand in tests carry crc 0 and skip the check). The blob
-  // is immutable for its whole residency, so each file is scanned at most
-  // once — later reads hit the verified memo.
+  // is immutable, so each file is scanned at most once per blob, whichever
+  // task holds it — later reads hit the buffer's shared memo.
   if (meta.crc != 0) {
-    const size_t fi = meta.index_in_chunk;
-    if (fi < chunk.verified.size() && chunk.verified[fi]) {
+    if (buffer.Verified(meta.index_in_chunk)) {
       SlCounters().crc_skipped.Inc();
     } else {
       if (Crc32c(slice.view()) != meta.crc)
         return Status::Corruption("cached file checksum mismatch: " +
                                   meta.full_name);
-      if (fi >= chunk.verified.size()) chunk.verified.resize(fi + 1, false);
-      chunk.verified[fi] = true;
+      buffer.MarkVerified(meta.index_in_chunk);
       SlCounters().crc_verified.Inc();
     }
   }
@@ -441,16 +439,15 @@ Result<TaskCache::Fill> TaskCache::FillChunk(sim::VirtualClock& clock,
   SharedCacheTier* tier = shared_tier_.load(std::memory_order_acquire);
   if (tier != nullptr) {
     // Warm start: another task already holds these bytes — adopt the shared
-    // buffer (a refcount bump plus the simulated transfer) with its CRC memo
-    // instead of re-reading the object store. Adoptions are NOT
+    // buffer (a refcount bump plus the simulated transfer), CRC memo
+    // included, instead of re-reading the object store. Adoptions are NOT
     // chunk_loads: the backend never saw this request.
     auto adopted = tier->Adopt(clock, owner, chunk_index);
     if (adopted.ok()) {
-      local.buffer = std::move(adopted->buffer);
-      local.verified = std::move(adopted->verified);
+      local.buffer = std::move(adopted).value();
       fill.adopted = true;
       if (verify != nullptr) {
-        Result<core::FileSlice> content = SliceFile(local, *verify);
+        Result<core::FileSlice> content = SliceFile(local.buffer, *verify);
         if (content.ok()) {
           fill.slice = std::move(content).value();
         } else {
@@ -482,7 +479,7 @@ Result<TaskCache::Fill> TaskCache::FillChunk(sim::VirtualClock& clock,
       local = CachedChunk{};
       local.buffer = core::ChunkBuffer::Wrap(std::move(blob));
       if (verify == nullptr) break;
-      Result<core::FileSlice> content = SliceFile(local, *verify);
+      Result<core::FileSlice> content = SliceFile(local.buffer, *verify);
       if (content.ok()) {
         fill.slice = std::move(content).value();
         break;
@@ -495,11 +492,9 @@ Result<TaskCache::Fill> TaskCache::FillChunk(sim::VirtualClock& clock,
       std::lock_guard<std::mutex> slock(stats_mutex_);
       ++stats_.chunk_loads;
     }
-    // Publish the shared buffer along with the CRC memo of the file just
-    // verified — the resident copy is the same immutable bytes.
+    // Publish the shared buffer (its memo holds the file just verified).
     if (tier != nullptr) {
-      tier->Publish(owner, chunk_index, local.buffer, local.verified,
-                    clock.now());
+      tier->Publish(owner, chunk_index, local.buffer, clock.now());
     }
   }
   fill.bytes = local.buffer.size();
@@ -551,7 +546,7 @@ Result<core::FileSlice> TaskCache::ReadFromPartition(sim::VirtualClock& clock,
         ++stats_.prefetch_hits;
       }
       cc.accessed = true;
-      Result<core::FileSlice> sliced = SliceFile(cc, meta);
+      Result<core::FileSlice> sliced = SliceFile(cc.buffer, meta);
       if (!sliced.status().IsCorruption()) return sliced;
       // Cached copy failed its checksum: evict it and fall through to a
       // fresh fill below. Remember the blob so the shared tier's copy — the
@@ -1066,17 +1061,13 @@ void TaskCache::MigrateForChange(const membership::MembershipChange& change) {
       // Share the source buffer instead of copying it: the migration "send"
       // is charged on the fabric below, but host-side the move is a refcount
       // bump, and outstanding slices keep the old bytes alive regardless of
-      // which partition drops its reference first. The CRC memo travels with
-      // the buffer — same immutable bytes, same verification state.
+      // which partition drops its reference first; the CRC memo moves too.
       CachedChunk moved;
       {
         NodePartition& from = PartitionFor(m.from);
         std::lock_guard<std::mutex> lock(from.mutex);
         auto it = from.chunks.find(m.ci);
-        if (it != from.chunks.end()) {
-          moved.buffer = it->second.buffer;
-          moved.verified = it->second.verified;
-        }
+        if (it != from.chunks.end()) moved.buffer = it->second.buffer;
       }
       if (!moved.buffer.valid()) continue;
       auto& clocks = dest_streams[m.to];
@@ -1216,9 +1207,7 @@ uint64_t TaskCache::Teardown(Nanos now) {
     for (size_t ci : chunks) {
       const CachedChunk& cc = part.chunks.at(ci);
       uint64_t kept = 0;
-      if (tier != nullptr) {
-        kept = tier->Demote(node, ci, cc.buffer, cc.verified, now);
-      }
+      if (tier != nullptr) kept = tier->Demote(node, ci, cc.buffer, now);
       if (kept > 0) {
         ++demoted_chunks;
         demoted_bytes += kept;
@@ -1335,16 +1324,6 @@ class Handle : public core::DatasetCacheInterface {
   Result<Bytes> GetFile(sim::VirtualClock& clock,
                         const core::FileMeta& meta) override {
     return cache_->GetFile(clock, ep_, meta);
-  }
-  Result<std::vector<Bytes>> GetFiles(
-      sim::VirtualClock& clock,
-      std::span<const core::FileMeta> metas) override {
-    DIESEL_ASSIGN_OR_RETURN(std::vector<core::FileSlice> slices,
-                            cache_->GetFiles(clock, ep_, metas));
-    std::vector<Bytes> out;
-    out.reserve(slices.size());
-    for (const core::FileSlice& s : slices) out.push_back(s.ToBytes());
-    return out;
   }
 
  private:

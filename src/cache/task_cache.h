@@ -251,10 +251,6 @@ class TaskCache : public membership::MembershipListener {
     Nanos ready_at = 0;       // fill completion time (0: loaded in-line)
     bool prefetched = false;  // inserted by the prefetch scheduler
     bool accessed = false;    // served at least one read since insertion
-    /// Per-file CRC memo (indexed by FileMeta::index_in_chunk): each file's
-    /// checksum is verified at most once per residency; later reads of the
-    /// same immutable bytes skip the scan.
-    std::vector<bool> verified;
   };
 
   struct NodePartition {
@@ -268,12 +264,12 @@ class TaskCache : public membership::MembershipListener {
 
   enum class InsertResult { kInserted, kAlreadyResident, kDenied };
 
-  /// Slice a file out of a cached chunk (at the record's offset, which
+  /// Slice a file out of a chunk blob (at the record's offset, which
   /// addresses the blob) as a zero-copy view of the shared blob. Verifies
-  /// the file's CRC32C when the metadata carries one — once per residency,
-  /// memoized in `chunk.verified` — and a mismatch returns Corruption so
-  /// callers evict and re-fetch.
-  static Result<core::FileSlice> SliceFile(CachedChunk& chunk,
+  /// the file's CRC32C when the metadata carries one — once per blob,
+  /// memoized in the buffer's shared memo under FileMeta::index_in_chunk —
+  /// and a mismatch returns Corruption so callers evict and re-fetch.
+  static Result<core::FileSlice> SliceFile(const core::ChunkBuffer& buffer,
                                            const core::FileMeta& meta);
 
   /// Fetch one chunk blob from the server (with retry): the store's shared

@@ -8,47 +8,97 @@
 // reference, so an evicted or migrated chunk's bytes stay alive for exactly
 // as long as any outstanding slice needs them — no copy, no use-after-free.
 //
+// The buffer's shared state also holds the blob's per-file CRC memo, so
+// every holder of the blob — cache partition, shared tier, each adopting
+// task — sees one set of bits. A corrupted copy is a new blob, empty memo.
+//
 // Virtual-time neutrality: slicing is a host-side memory operation; the
 // simulated cost of a read (NIC/membus/device serves) is charged by the
 // cache/fabric exactly as before, so switching callers from Bytes to
 // FileSlice changes no simulated timing.
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <utility>
 
 #include "common/bytes.h"
 #include "common/status.h"
+#include "core/chunk_format.h"
 
 namespace diesel::core {
 
-/// One parsed chunk blob (header + payload) behind shared ownership.
-/// Copying a ChunkBuffer bumps a refcount; the bytes are immutable for the
-/// buffer's whole life.
+/// One chunk blob (header + payload) behind shared ownership, with its
+/// per-file CRC memo. Copying a ChunkBuffer bumps a refcount and shares the
+/// memo; the bytes are immutable for the buffer's whole life.
 class ChunkBuffer {
  public:
   ChunkBuffer() = default;
 
   /// Share a fetched blob (normally the object store's own buffer). File
   /// records address the blob header included, so slices need nothing else.
+  /// Starts an empty memo of one bit per file the header lists, clamped to
+  /// what the blob can hold; an unreadable header gets no bits.
   static ChunkBuffer Wrap(SharedBytes blob) {
-    ChunkBuffer b;
-    b.blob_ = std::move(blob);
-    return b;
+    const uint8_t* p = blob->data();
+    size_t files = 0;
+    if (blob->size() >= kChunkNumFilesOffset + 4 &&
+        LoadLE<uint32_t>(p) == kChunkMagic) {
+      files = std::min<size_t>(LoadLE<uint32_t>(p + kChunkNumFilesOffset),
+                               blob->size() / kMinChunkEntryBytes);
+    }
+    ChunkBuffer out;
+    out.state_ = std::make_shared<State>(
+        std::move(blob), files,
+        std::make_unique<std::atomic<uint64_t>[]>((files + 63) / 64));
+    return out;
   }
 
-  bool valid() const { return blob_ != nullptr; }
+  bool valid() const { return state_ != nullptr; }
   explicit operator bool() const { return valid(); }
 
-  const Bytes& blob() const { return *blob_; }
-  const SharedBytes& shared_blob() const { return blob_; }
-  uint64_t size() const { return blob_ ? blob_->size() : 0; }
+  const SharedBytes& shared_blob() const {
+    static const SharedBytes kNone;
+    return state_ ? state_->blob : kNone;
+  }
+  uint64_t size() const { return state_ ? state_->blob->size() : 0; }
 
-  void reset() { blob_.reset(); }
+  /// Whether file `i`'s CRC has matched these bytes. An index outside the
+  /// memo is never remembered, so its file is checked on every read.
+  bool Verified(size_t i) const {
+    return i < state_->files && (Word(i).load() & Bit(i)) != 0;
+  }
+  /// Remember that file `i`'s CRC matched; call only after a match.
+  void MarkVerified(size_t i) const {
+    if (i < state_->files) Word(i).fetch_or(Bit(i));
+  }
+  bool AnyVerified() const {
+    for (size_t i = 0; i < state_->files; i += 64) {
+      if (Word(i).load() != 0) return true;
+    }
+    return false;
+  }
+  /// Fold `other`'s memo into this one. Both wrap the same blob: two
+  /// fetches of one stored chunk share its bytes but not a memo.
+  void MergeVerified(const ChunkBuffer& other) const {
+    for (size_t i = 0; i < state_->files; i += 64) {
+      Word(i).fetch_or(other.Word(i).load());
+    }
+  }
 
  private:
-  SharedBytes blob_;
+  struct State {
+    SharedBytes blob;
+    size_t files = 0;
+    std::unique_ptr<std::atomic<uint64_t>[]> bits;
+  };
+
+  static uint64_t Bit(size_t i) { return uint64_t{1} << (i % 64); }
+  std::atomic<uint64_t>& Word(size_t i) const { return state_->bits[i / 64]; }
+
+  std::shared_ptr<State> state_;
 };
 
 /// Zero-copy view of one file's content inside a shared blob. The slice

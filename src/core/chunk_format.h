@@ -27,6 +27,10 @@ namespace diesel::core {
 constexpr uint32_t kChunkMagic = 0x314C5344;  // "DSL1"
 constexpr uint32_t kChunkVersion = 1;
 constexpr uint64_t kDefaultChunkTarget = 4 * 1024 * 1024;  // >= 4MB (paper)
+/// Header offset of the u32 file count, and the fewest header bytes one
+/// file entry takes (name length, offset, length, crc).
+constexpr size_t kChunkNumFilesOffset = 36;
+constexpr size_t kMinChunkEntryBytes = 4 + 8 + 8 + 4;
 
 /// One file's entry in a chunk header.
 struct ChunkFileEntry {

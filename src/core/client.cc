@@ -1,6 +1,7 @@
 #include "core/client.h"
 
 #include <cassert>
+#include <span>
 
 #include "obs/metrics.h"
 #include "sim/calibration.h"
@@ -115,48 +116,6 @@ Result<Bytes> DieselClient::Get(const std::string& path) {
   ++stats_.files_read;
   stats_.bytes_read += content.size();
   return content;
-}
-
-Result<std::vector<Bytes>> DatasetCacheInterface::GetFiles(
-    sim::VirtualClock& clock, std::span<const FileMeta> metas) {
-  std::vector<Bytes> out;
-  out.reserve(metas.size());
-  for (const FileMeta& meta : metas) {
-    DIESEL_ASSIGN_OR_RETURN(Bytes b, GetFile(clock, meta));
-    out.push_back(std::move(b));
-  }
-  return out;
-}
-
-Result<std::vector<Bytes>> DieselClient::GetBatch(
-    std::span<const std::string> paths) {
-  if (cache_ != nullptr) {
-    // Resolve every path locally first, then hand the cache the whole batch
-    // so it can coalesce per-owner multi-gets into single RPCs.
-    std::vector<FileMeta> metas;
-    metas.reserve(paths.size());
-    for (const std::string& p : paths) {
-      DIESEL_ASSIGN_OR_RETURN(FileMeta meta, ResolveMeta(p));
-      metas.push_back(std::move(meta));
-    }
-    DIESEL_ASSIGN_OR_RETURN(std::vector<Bytes> out,
-                            cache_->GetFiles(clock_, metas));
-    for (const Bytes& b : out) {
-      ++stats_.files_read;
-      stats_.bytes_read += b.size();
-    }
-    return out;
-  }
-  DIESEL_ASSIGN_OR_RETURN(
-      std::vector<Bytes> out,
-      WithServerRetry<std::vector<Bytes>>([&](DieselServer& s) {
-        return s.ReadFiles(clock_, options_.node, options_.dataset, paths);
-      }));
-  for (const Bytes& b : out) {
-    ++stats_.files_read;
-    stats_.bytes_read += b.size();
-  }
-  return out;
 }
 
 Result<FileMeta> DieselClient::Stat(const std::string& path) {

@@ -18,7 +18,6 @@
 
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -38,11 +37,6 @@ class DatasetCacheInterface {
   virtual ~DatasetCacheInterface() = default;
   virtual Result<Bytes> GetFile(sim::VirtualClock& clock,
                                 const FileMeta& meta) = 0;
-  /// Batched read. The default loops GetFile; the task cache overrides it to
-  /// coalesce the files into one multi-get RPC per owner node, amortizing
-  /// the per-RPC overhead across the batch. Results are in input order.
-  virtual Result<std::vector<Bytes>> GetFiles(sim::VirtualClock& clock,
-                                              std::span<const FileMeta> metas);
 };
 
 struct ClientOptions {
@@ -107,9 +101,6 @@ class DieselClient {
   /// DL_get. Resolution order (Fig. 4): metadata via snapshot if loaded;
   /// content via attached task cache, else via server.
   Result<Bytes> Get(const std::string& path);
-
-  /// Batched get (the FUSE layer and DLT loaders read mini-batches).
-  Result<std::vector<Bytes>> GetBatch(std::span<const std::string> paths);
 
   // ---- metadata path -------------------------------------------------------
 

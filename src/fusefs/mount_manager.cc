@@ -26,13 +26,6 @@ Result<FuseMount*> MountManager::Mount(
   return raw;
 }
 
-Status MountManager::Unmount(const std::string& mountpoint) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return mounts_.erase(mountpoint) > 0
-             ? Status::Ok()
-             : Status::NotFound("not mounted: " + mountpoint);
-}
-
 Result<std::pair<FuseMount*, std::string>> MountManager::Resolve(
     const std::string& path) const {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -75,19 +68,6 @@ Result<std::vector<core::DirEntry>> MountManager::ReadDir(
     sim::VirtualClock& clock, const std::string& path) {
   DIESEL_ASSIGN_OR_RETURN(auto target, Resolve(path));
   return target.first->ReadDir(clock, target.second);
-}
-
-std::vector<std::string> MountManager::Mountpoints() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::string> out;
-  out.reserve(mounts_.size());
-  for (const auto& [mp, e] : mounts_) out.push_back(mp);
-  return out;
-}
-
-size_t MountManager::NumMounts() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return mounts_.size();
 }
 
 }  // namespace diesel::fusefs

@@ -3,7 +3,8 @@
 //
 // A MountManager keeps a table of mountpoints, each backed by a FuseMount
 // whose daemon runs a pool of DIESEL clients. Paths are resolved
-// longest-prefix-first, so nested mountpoints behave like a real VFS.
+// longest-prefix-first, so nested mountpoints behave like a real VFS. A
+// mount lives as long as its manager: nothing in the system unmounts.
 #pragma once
 
 #include <map>
@@ -30,9 +31,6 @@ class MountManager {
                            std::vector<core::DieselClient*> daemon_clients,
                            const std::string& dataset_prefix = "");
 
-  /// Unmount. NotFound if nothing is mounted there.
-  Status Unmount(const std::string& mountpoint);
-
   /// Longest-prefix resolution: "/mnt/imagenet/train/x.jpg" ->
   /// (mount at /mnt/imagenet, "<dataset_prefix>/train/x.jpg"). NotFound if
   /// no mount covers the path.
@@ -45,9 +43,6 @@ class MountManager {
                          bool need_size);
   Result<std::vector<core::DirEntry>> ReadDir(sim::VirtualClock& clock,
                                               const std::string& path);
-
-  std::vector<std::string> Mountpoints() const;
-  size_t NumMounts() const;
 
  private:
   struct Entry {

@@ -28,11 +28,6 @@ FabricGauges& FbGauges() {
   return g;
 }
 
-bool AnyVerified(const std::vector<bool>& verified) {
-  return std::any_of(verified.begin(), verified.end(),
-                     [](bool v) { return v; });
-}
-
 /// Adoption RPC request overhead (chunk id + directory bookkeeping).
 constexpr uint64_t kAdoptRequestBytes = 96;
 
@@ -41,24 +36,21 @@ constexpr uint64_t kAdoptRequestBytes = 96;
 // ---------------------------------------------------------------------------
 // TenantBinding — thin forwarding layer; all state lives in the fabric.
 
-Result<cache::SharedCacheTier::Adopted> TenantBinding::Adopt(
+Result<core::ChunkBuffer> TenantBinding::Adopt(
     sim::VirtualClock& clock, sim::NodeId reader, size_t chunk_index) {
   return fabric_->AdoptImpl(slot_, clock, reader, chunk_index);
 }
 
 void TenantBinding::Publish(sim::NodeId home, size_t chunk_index,
-                            const core::ChunkBuffer& buffer,
-                            const std::vector<bool>& verified, Nanos now) {
+                            const core::ChunkBuffer& buffer, Nanos now) {
   (void)now;
-  fabric_->Offer(slot_, home, chunk_index, buffer, verified, /*demote=*/false);
+  fabric_->Offer(slot_, home, chunk_index, buffer, /*demote=*/false);
 }
 
 uint64_t TenantBinding::Demote(sim::NodeId home, size_t chunk_index,
-                               const core::ChunkBuffer& buffer,
-                               const std::vector<bool>& verified, Nanos now) {
+                               const core::ChunkBuffer& buffer, Nanos now) {
   (void)now;
-  return fabric_->Offer(slot_, home, chunk_index, buffer, verified,
-                        /*demote=*/true);
+  return fabric_->Offer(slot_, home, chunk_index, buffer, /*demote=*/true);
 }
 
 void TenantBinding::Invalidate(size_t chunk_index,
@@ -113,7 +105,7 @@ TenantBinding* CacheFabric::RegisterTenant(const std::string& dataset,
       &obs::Metrics().GetCounter("tenant.evictions", labels);
   rec->series.evicted_by_other =
       &obs::Metrics().GetCounter("tenant.evicted_by_other", labels);
-  rec->binding.reset(new TenantBinding(this, slot, rec->opts.name));
+  rec->binding.reset(new TenantBinding(this, slot));
   tenants_.push_back(std::move(rec));
   FbGauges().tenants_active.Add(1.0);
   return tenants_.back()->binding.get();
@@ -200,8 +192,7 @@ bool CacheFabric::AdmitLocked(size_t slot, uint64_t bytes) {
 }
 
 uint64_t CacheFabric::Offer(size_t slot, sim::NodeId home, size_t chunk_index,
-                            const core::ChunkBuffer& buffer,
-                            const std::vector<bool>& verified, bool demote) {
+                            const core::ChunkBuffer& buffer, bool demote) {
   if (!buffer) return 0;
   std::lock_guard<std::mutex> lock(mutex_);
   TenantRec& t = *tenants_.at(slot);
@@ -214,26 +205,19 @@ uint64_t CacheFabric::Offer(size_t slot, sim::NodeId home, size_t chunk_index,
     Entry& e = it->second;
     if (home != sim::kInvalidNode) e.home = home;
     if (e.buffer.shared_blob() == buffer.shared_blob()) {
-      // Byte-identical share: fold the caller's CRC memo in (a union —
-      // verification of the same immutable blob never regresses).
-      if (e.verified.size() < verified.size())
-        e.verified.resize(verified.size());
-      for (size_t i = 0; i < verified.size(); ++i) {
-        if (verified[i]) e.verified[i] = true;
-      }
-    } else if (AnyVerified(verified)) {
-      // A DIFFERENT blob carrying fresh verification: the resident copy may
-      // be a corrupt blob published before any CRC scan, which the caller
-      // just detected, refetched around and verified. The memo only vouches
-      // for the caller's bytes, so unioning it onto the resident buffer
-      // would mark corruption verified — replace the buffer AND the memo
-      // wholesale instead. The owner keeps the charge (re-priced if the
-      // sizes differ).
+      // Byte-identical share, but two tasks that each fetched the chunk
+      // from the store hold separate memos: fold the caller's in.
+      e.buffer.MergeVerified(buffer);
+    } else if (buffer.AnyVerified()) {
+      // A DIFFERENT blob carrying fresh checks: the resident copy may be a
+      // corrupt blob published before any CRC scan, which the caller just
+      // detected and refetched around. The caller's buffer (its memo
+      // vouches only for its own bytes) replaces the resident one. The
+      // owner keeps the charge (re-priced if the sizes differ).
       TenantRec& o = *tenants_.at(e.owner);
       uint64_t old_sz = e.buffer.size();
       uint64_t new_sz = buffer.size();
       e.buffer = buffer;
-      e.verified = verified;
       if (old_sz != new_sz) {
         bytes_ += new_sz - old_sz;
         o.charged_bytes += new_sz - old_sz;
@@ -241,8 +225,8 @@ uint64_t CacheFabric::Offer(size_t slot, sim::NodeId home, size_t chunk_index,
         FbGauges().resident_bytes.Set(static_cast<double>(bytes_));
       }
     }
-    // else: a different, unverified blob — nothing trustworthy to merge;
-    // the resident entry and its memo stand.
+    // else: a different blob with no checked file — nothing trustworthy;
+    // the resident entry stands.
     if (demote) ++t.demoted_chunks;
     return e.buffer.size();
   }
@@ -252,8 +236,7 @@ uint64_t CacheFabric::Offer(size_t slot, sim::NodeId home, size_t chunk_index,
     return 0;
   }
   Entry entry;
-  entry.buffer = buffer;  // refcount share — no copy
-  entry.verified = verified;
+  entry.buffer = buffer;  // refcount share (memo included) — no copy
   entry.home = home;
   entry.owner = slot;
   directory_.emplace(key, std::move(entry));
@@ -278,7 +261,7 @@ void CacheFabric::InvalidateImpl(size_t slot, size_t chunk_index,
   if (it == directory_.end()) return;
   Entry& e = it->second;
   // Identity check: a concurrent publish may already have replaced the
-  // corrupt blob with a verified one — don't throw the good copy away.
+  // corrupt blob with a checked one — don't throw the good copy away.
   if (e.buffer.shared_blob() != buffer.shared_blob()) return;
   TenantRec& o = *tenants_.at(e.owner);
   uint64_t sz = e.buffer.size();
@@ -299,11 +282,10 @@ std::string CacheFabric::DatasetOf(size_t slot) const {
   return tenants_.at(slot)->dataset;
 }
 
-Result<cache::SharedCacheTier::Adopted> CacheFabric::AdoptImpl(
+Result<core::ChunkBuffer> CacheFabric::AdoptImpl(
     size_t slot, sim::VirtualClock& clock, sim::NodeId reader,
     size_t chunk_index) {
   core::ChunkBuffer buffer;
-  std::vector<bool> verified;
   sim::NodeId home = sim::kInvalidNode;
   size_t provider = 0;
   {
@@ -314,7 +296,6 @@ Result<cache::SharedCacheTier::Adopted> CacheFabric::AdoptImpl(
       return Status::NotFound("chunk not resident in shared tier");
     }
     buffer = it->second.buffer;
-    verified = it->second.verified;
     home = it->second.home;
     provider = it->second.owner;
   }
@@ -346,10 +327,7 @@ Result<cache::SharedCacheTier::Adopted> CacheFabric::AdoptImpl(
     std::lock_guard<std::mutex> lock(mutex_);
     TenantRec& t = *tenants_.at(slot);
     auto it = directory_.find(Key{t.dataset, chunk_index});
-    if (it != directory_.end()) {
-      ++it->second.hits;
-      if (rehome) it->second.home = reader;
-    }
+    if (rehome && it != directory_.end()) it->second.home = reader;
     ++t.adopted_chunks;
     t.adopted_bytes += buffer.size();
     t.series.adopted_chunks->Inc();
@@ -358,10 +336,7 @@ Result<cache::SharedCacheTier::Adopted> CacheFabric::AdoptImpl(
       tenants_[provider]->series.shared_hits->Inc();
     }
   }
-  cache::SharedCacheTier::Adopted out;
-  out.buffer = std::move(buffer);
-  out.verified = std::move(verified);
-  return out;
+  return buffer;
 }
 
 uint64_t CacheFabric::GovernedBudget(size_t slot, uint64_t base) const {

@@ -89,31 +89,27 @@ class CacheFabric;
 class TenantBinding : public cache::SharedCacheTier,
                       public prefetch::BudgetGovernor {
  public:
-  Result<Adopted> Adopt(sim::VirtualClock& clock, sim::NodeId reader,
-                        size_t chunk_index) override;
+  Result<core::ChunkBuffer> Adopt(sim::VirtualClock& clock, sim::NodeId reader,
+                                  size_t chunk_index) override;
   void Publish(sim::NodeId home, size_t chunk_index,
-               const core::ChunkBuffer& buffer,
-               const std::vector<bool>& verified, Nanos now) override;
+               const core::ChunkBuffer& buffer, Nanos now) override;
   uint64_t Demote(sim::NodeId home, size_t chunk_index,
-                  const core::ChunkBuffer& buffer,
-                  const std::vector<bool>& verified, Nanos now) override;
+                  const core::ChunkBuffer& buffer, Nanos now) override;
   void Invalidate(size_t chunk_index,
                   const core::ChunkBuffer& buffer) override;
   uint64_t PrefetchBudgetBytes(uint64_t base) const override;
 
-  const std::string& name() const { return name_; }
   /// Bound dataset. Read under the fabric mutex — revival may rebind it
   /// concurrently with readers.
   std::string dataset() const;
 
  private:
   friend class CacheFabric;
-  TenantBinding(CacheFabric* fabric, size_t slot, std::string name)
-      : fabric_(fabric), slot_(slot), name_(std::move(name)) {}
+  TenantBinding(CacheFabric* fabric, size_t slot)
+      : fabric_(fabric), slot_(slot) {}
 
   CacheFabric* fabric_;
   size_t slot_;  // index into the fabric's tenant table
-  std::string name_;
 };
 
 class CacheFabric {
@@ -142,7 +138,6 @@ class CacheFabric {
 
   uint64_t resident_bytes() const;
   size_t resident_chunks() const;
-  const FabricOptions& options() const { return options_; }
 
  private:
   friend class TenantBinding;
@@ -151,10 +146,8 @@ class CacheFabric {
 
   struct Entry {
     core::ChunkBuffer buffer;
-    std::vector<bool> verified;
     sim::NodeId home = sim::kInvalidNode;  // adoption transfer source
     size_t owner = 0;                      // tenant charged for the bytes
-    uint64_t hits = 0;
   };
 
   /// Per-tenant labeled registry handles, resolved once at registration so
@@ -200,8 +193,7 @@ class CacheFabric {
   /// Publish/Demote shared body (takes the lock). Returns bytes retained in
   /// the shared tier (0 = declined/discarded).
   uint64_t Offer(size_t slot, sim::NodeId home, size_t chunk_index,
-                 const core::ChunkBuffer& buffer,
-                 const std::vector<bool>& verified, bool demote);
+                 const core::ChunkBuffer& buffer, bool demote);
 
   /// Corruption invalidation body: erase the entry iff it still holds
   /// exactly `buffer`'s bytes (identity by shared blob pointer).
@@ -214,10 +206,8 @@ class CacheFabric {
 
   /// Adoption body: directory lookup under the lock, virtual-time transfer
   /// charge outside it (the handler touches shared simulated devices).
-  Result<cache::SharedCacheTier::Adopted> AdoptImpl(size_t slot,
-                                                    sim::VirtualClock& clock,
-                                                    sim::NodeId reader,
-                                                    size_t chunk_index);
+  Result<core::ChunkBuffer> AdoptImpl(size_t slot, sim::VirtualClock& clock,
+                                      sim::NodeId reader, size_t chunk_index);
 
   /// BudgetGovernor body: weighted share of the prefetch pool.
   uint64_t GovernedBudget(size_t slot, uint64_t base) const;

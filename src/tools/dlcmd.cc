@@ -168,7 +168,7 @@ int Usage() {
                ".size (per-link coalesced multi-gets and their fan-in),\n"
                "cache.slice.views (zero-copy slice reads), cache.slice.copies\n"
                "(materialized GetFile copies), cache.slice.crc_verified /\n"
-               ".crc_skipped (per-residency CRC memoization hit rate).\n"
+               ".crc_skipped (per-blob CRC memoization hit rate).\n"
                "critical-path histograms: read.path.total_ns (end-to-end\n"
                "GetFile) decomposed into read.path.{local,owner_wait,rpc,\n"
                "device,parse,slice,backoff,degraded}_ns plus\n"

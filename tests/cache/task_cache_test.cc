@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <string>
 
 #include "core/deployment.h"
 #include "dlt/dataset_gen.h"
+#include "obs/metrics.h"
 
 namespace diesel::cache {
 namespace {
@@ -152,6 +156,48 @@ TEST_F(TaskCacheTest, WrappingFileRangeIsCorruption) {
   auto content =
       cache.GetFile(clock, clients_[owner.value() * 4]->endpoint(), bogus);
   EXPECT_TRUE(content.status().IsCorruption()) << content.status().ToString();
+}
+
+// A snapshot record's index_in_chunk is decoded unbounded. An index past
+// the chunk's file count must cost no memo allocation and no false memo
+// hit: the file is checked, and counted crc_verified, on every read.
+TEST_F(TaskCacheTest, OutOfRangeFileIndexIsCheckedOnEveryRead) {
+  const std::string path = dlt::FilePath(spec_, 5);
+  Bytes wire = snapshot_->Serialize();
+  // A record ends ... crc u32 | index_in_chunk u32 | name length u32 | name.
+  // Little-endian, as BinaryWriter writes it.
+  BinaryWriter tail;
+  tail.PutString(path);
+  auto at = std::search(wire.begin(), wire.end(), tail.data().begin(),
+                        tail.data().end());
+  ASSERT_NE(at, wire.end());
+  const uint32_t bogus = UINT32_MAX;
+  std::memcpy(&*at - 4, &bogus, sizeof(bogus));
+  auto patched = core::MetadataSnapshot::Deserialize(wire);
+  ASSERT_TRUE(patched.ok()) << patched.status().ToString();
+  const core::FileMeta* meta = patched->Lookup(path);
+  ASSERT_NE(meta, nullptr);
+  ASSERT_EQ(meta->index_in_chunk, UINT32_MAX);
+  ASSERT_NE(meta->crc, 0u);
+
+  TaskCache cache(deployment_->fabric(), deployment_->server(0), *patched,
+                  registry_, {});
+  auto owner = cache.OwnerNodeOfChunk(patched->ChunkIndex(meta->chunk));
+  ASSERT_TRUE(owner.ok());
+  const net::EndpointId reader = clients_[owner.value() * 4]->endpoint();
+  obs::Counter& verified = obs::Metrics().GetCounter("cache.slice.crc_verified");
+  obs::Counter& skipped = obs::Metrics().GetCounter("cache.slice.crc_skipped");
+  for (int read = 0; read < 2; ++read) {
+    const uint64_t v0 = verified.value();
+    const uint64_t s0 = skipped.value();
+    sim::VirtualClock clock;
+    auto content = cache.GetFile(clock, reader, *meta);
+    ASSERT_TRUE(content.ok()) << content.status().ToString();
+    EXPECT_TRUE(dlt::VerifyContent(spec_, 5, content.value())) << read;
+    EXPECT_EQ(verified.value() - v0, 1u) << read;
+    EXPECT_EQ(skipped.value() - s0, 0u) << read;
+  }
+  EXPECT_EQ(cache.stats().chunk_loads, 1u);
 }
 
 TEST_F(TaskCacheTest, SecondReadIsCachedAndCheaper) {

@@ -54,19 +54,6 @@ TEST_F(ClientTest, GetWithoutSnapshotUsesServer) {
   EXPECT_EQ(reader->stats().files_read, 1u);
 }
 
-TEST_F(ClientTest, GetBatchReturnsInputOrder) {
-  auto reader = deployment_->MakeClient(1, 0, spec_.name);
-  std::vector<std::string> paths{dlt::FilePath(spec_, 9),
-                                 dlt::FilePath(spec_, 0),
-                                 dlt::FilePath(spec_, 17)};
-  auto batch = reader->GetBatch(paths);
-  ASSERT_TRUE(batch.ok());
-  ASSERT_EQ(batch->size(), 3u);
-  EXPECT_TRUE(dlt::VerifyContent(spec_, 9, (*batch)[0]));
-  EXPECT_TRUE(dlt::VerifyContent(spec_, 0, (*batch)[1]));
-  EXPECT_TRUE(dlt::VerifyContent(spec_, 17, (*batch)[2]));
-}
-
 TEST_F(ClientTest, RequestsRoundRobinAcrossServers) {
   auto reader = deployment_->MakeClient(1, 0, spec_.name);
   for (int i = 0; i < 10; ++i) {
