@@ -77,7 +77,7 @@ Arm TrainArm(const Experiment& exp, const std::string& label,
       while (!reader.Done()) {
         auto content = reader.Next(clock);
         if (!content.ok()) std::abort();
-        auto sample = dlt::SoftmaxTrainer::Decode(content.value());
+        auto sample = dlt::SoftmaxTrainer::Decode(content->view());
         if (!sample.ok()) std::abort();
         ordered.push_back(std::move(sample).value());
       }

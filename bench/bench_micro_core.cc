@@ -125,66 +125,31 @@ void BM_ChunkParseHeaderOnly(benchmark::State& state) {
 }
 BENCHMARK(BM_ChunkParseHeaderOnly)->Arg(512)->Arg(4096);
 
-void BM_FindEntryLinear(benchmark::State& state) {
-  // Baseline: the pre-index linear scan over the file table.
-  const size_t num_files = static_cast<size_t>(state.range(0));
-  Bytes chunk = MakeChunk(num_files, 64);
-  core::ChunkView view = core::ChunkView::Parse(chunk).value();
-  Rng rng(8);
-  std::vector<std::string> probes;
-  for (int i = 0; i < 256; ++i) {
-    size_t f = rng.Uniform(num_files);
-    probes.push_back("/bench/cls" + std::to_string(f % 10) + "/f" +
-                     std::to_string(f));
-  }
-  size_t i = 0;
-  for (auto _ : state) {
-    const std::string& name = probes[i++ & 255];
-    const core::ChunkFileEntry* hit = nullptr;
-    for (const auto& e : view.entries()) {
-      if (e.name == name) {
-        hit = &e;
-        break;
-      }
-    }
-    benchmark::DoNotOptimize(hit);
-  }
+/// FileMeta of file `i` of a parsed chunk, as the snapshot records it (the
+/// offset addresses the blob, header included).
+core::FileMeta EntryMeta(const core::ChunkView& view, uint32_t i) {
+  const core::ChunkFileEntry& e = view.entries()[i];
+  core::FileMeta m;
+  m.offset = view.header_len() + e.offset;
+  m.length = e.length;
+  m.crc = e.crc;
+  m.index_in_chunk = i;
+  m.full_name = e.name;
+  return m;
 }
-BENCHMARK(BM_FindEntryLinear)->Arg(512)->Arg(4096);
-
-void BM_FindEntryIndexed(benchmark::State& state) {
-  // FindEntry's lazily built name-sorted index: O(log n) per probe.
-  const size_t num_files = static_cast<size_t>(state.range(0));
-  Bytes chunk = MakeChunk(num_files, 64);
-  core::ChunkView view = core::ChunkView::Parse(chunk).value();
-  Rng rng(8);
-  std::vector<std::string> probes;
-  for (int i = 0; i < 256; ++i) {
-    size_t f = rng.Uniform(num_files);
-    probes.push_back("/bench/cls" + std::to_string(f % 10) + "/f" +
-                     std::to_string(f));
-  }
-  benchmark::DoNotOptimize(view.FindEntry(probes[0]));  // build the index
-  size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(view.FindEntry(probes[i++ & 255]));
-  }
-}
-BENCHMARK(BM_FindEntryIndexed)->Arg(512)->Arg(4096);
 
 void BM_FileSliceView(benchmark::State& state) {
-  // Zero-copy read: materialize a FileSlice over a cached chunk blob (one
-  // shared_ptr refcount bump) and touch the view.
+  // Zero-copy read as the cache and the shuffle window serve it: slice a
+  // cached chunk blob through ChunkBuffer::Slice (bounds check, memoized
+  // CRC, one shared_ptr refcount bump) and touch the view.
   const size_t file_size = static_cast<size_t>(state.range(0));
   Bytes chunk = MakeChunk(8, file_size);
-  core::ChunkView view = core::ChunkView::Parse(chunk).value();
-  const uint32_t header_len = view.header_len();
-  const uint64_t offset = view.entries()[3].offset;
+  const core::FileMeta meta =
+      EntryMeta(core::ChunkView::Parse(chunk).value(), 3);
   core::ChunkBuffer buffer =
       core::ChunkBuffer::Wrap(ShareBytes(std::move(chunk)));
   for (auto _ : state) {
-    core::FileSlice slice =
-        core::FileSlice::FromBuffer(buffer, header_len + offset, file_size);
+    core::FileSlice slice = buffer.Slice(meta).value();
     benchmark::DoNotOptimize(slice.view().data());
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
@@ -197,14 +162,12 @@ void BM_FileSliceCopy(benchmark::State& state) {
   // Bytes vector (allocate + memcpy per read).
   const size_t file_size = static_cast<size_t>(state.range(0));
   Bytes chunk = MakeChunk(8, file_size);
-  core::ChunkView view = core::ChunkView::Parse(chunk).value();
-  const uint32_t header_len = view.header_len();
-  const uint64_t offset = view.entries()[3].offset;
+  const core::FileMeta meta =
+      EntryMeta(core::ChunkView::Parse(chunk).value(), 3);
   core::ChunkBuffer buffer =
       core::ChunkBuffer::Wrap(ShareBytes(std::move(chunk)));
   for (auto _ : state) {
-    core::FileSlice slice =
-        core::FileSlice::FromBuffer(buffer, header_len + offset, file_size);
+    core::FileSlice slice = buffer.Slice(meta).value();
     Bytes copy = slice.ToBytes();
     benchmark::DoNotOptimize(copy.data());
   }
@@ -412,19 +375,16 @@ void ReportSliceSpeedRatio() {
   constexpr size_t kFileSize = 128 << 10;
   constexpr size_t kIters = 20000;
   Bytes chunk = MakeChunk(8, kFileSize);
-  core::ChunkView view = core::ChunkView::Parse(chunk).value();
-  const uint32_t header_len = view.header_len();
-  const uint64_t offset = view.entries()[3].offset;
+  const core::FileMeta meta =
+      EntryMeta(core::ChunkView::Parse(chunk).value(), 3);
   core::ChunkBuffer buffer =
       core::ChunkBuffer::Wrap(ShareBytes(std::move(chunk)));
   double view_ns = BestOfThreeNs(kIters, [&] {
-    core::FileSlice s =
-        core::FileSlice::FromBuffer(buffer, header_len + offset, kFileSize);
+    core::FileSlice s = buffer.Slice(meta).value();
     benchmark::DoNotOptimize(s.view().data());
   });
   double copy_ns = BestOfThreeNs(kIters, [&] {
-    core::FileSlice s =
-        core::FileSlice::FromBuffer(buffer, header_len + offset, kFileSize);
+    core::FileSlice s = buffer.Slice(meta).value();
     Bytes copy = s.ToBytes();
     benchmark::DoNotOptimize(copy.data());
   });

@@ -73,7 +73,7 @@ int main() {
     while (!reader.Done()) {
       auto content = reader.Next(io_clock);
       if (!content.ok()) return 1;
-      auto sample = dlt::SoftmaxTrainer::Decode(content.value());
+      auto sample = dlt::SoftmaxTrainer::Decode(content->view());
       if (!sample.ok()) return 1;
       batch.push_back(std::move(sample).value());
       if (batch.size() == 32 || reader.Done()) {

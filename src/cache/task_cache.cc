@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/crc32.h"
 #include "core/chunk_format.h"
 #include "net/fault_injector.h"
 #include "obs/flight_recorder.h"
@@ -92,24 +91,6 @@ struct MembershipCacheCounters {
 
 MembershipCacheCounters& MemCounters() {
   static MembershipCacheCounters c;
-  return c;
-}
-
-/// Zero-copy read-path counters. `views` counts slices handed out without
-/// copying; `copies` counts materializations through the Bytes-returning
-/// compatibility APIs; the crc pair shows the once-per-blob memo at work
-/// (skipped = checks the memo saved).
-struct SliceCounters {
-  obs::Counter& views = obs::Metrics().GetCounter("cache.slice.views");
-  obs::Counter& copies = obs::Metrics().GetCounter("cache.slice.copies");
-  obs::Counter& crc_verified =
-      obs::Metrics().GetCounter("cache.slice.crc_verified");
-  obs::Counter& crc_skipped =
-      obs::Metrics().GetCounter("cache.slice.crc_skipped");
-};
-
-SliceCounters& SlCounters() {
-  static SliceCounters c;
   return c;
 }
 
@@ -272,35 +253,6 @@ size_t TaskCache::migrations_in_flight() const {
   return migrations_.size();
 }
 
-Result<core::FileSlice> TaskCache::SliceFile(const core::ChunkBuffer& buffer,
-                                             const core::FileMeta& meta) {
-  // Subtractions only: a decoded offset near UINT64_MAX must not wrap.
-  const uint64_t size = buffer.size();
-  if (meta.offset > size || meta.length > size - meta.offset)
-    return Status::Corruption("file range past cached chunk end: " +
-                              meta.full_name);
-  core::FileSlice slice =
-      core::FileSlice::FromBuffer(buffer, meta.offset, meta.length);
-  // End-to-end integrity: the chunk builder stamped each file's CRC32C into
-  // the metadata; a cached copy that no longer matches is treated as a miss
-  // (metas built by hand in tests carry crc 0 and skip the check). The blob
-  // is immutable, so each file is scanned at most once per blob, whichever
-  // task holds it — later reads hit the buffer's shared memo.
-  if (meta.crc != 0) {
-    if (buffer.Verified(meta.index_in_chunk)) {
-      SlCounters().crc_skipped.Inc();
-    } else {
-      if (Crc32c(slice.view()) != meta.crc)
-        return Status::Corruption("cached file checksum mismatch: " +
-                                  meta.full_name);
-      buffer.MarkVerified(meta.index_in_chunk);
-      SlCounters().crc_verified.Inc();
-    }
-  }
-  SlCounters().views.Inc();
-  return slice;
-}
-
 size_t TaskCache::PickVictimLocked(const NodePartition& part,
                                    bool ignore_pins) const {
   const EvictionOracle* oracle = nullptr;
@@ -410,7 +362,8 @@ Result<SharedBytes> TaskCache::FetchChunkBlob(sim::VirtualClock& clock,
   DIESEL_ASSIGN_OR_RETURN(core::ChunkView view, core::ChunkView::Parse(*blob));
   RpMetrics().parse_ns.Observe(static_cast<double>(clock.now() - parse0));
   // The fabric never sees payloads, so scheduled corruption events land
-  // here, on the chunk-fetch path; detection is CRC-driven in SliceFile.
+  // here, on the chunk-fetch path; detection is CRC-driven in
+  // ChunkBuffer::Slice.
   // The blob is the store's shared buffer, so corruption is copy-on-write:
   // only this fetch sees the flipped byte and the stored chunk stays clean.
   if (net::FaultInjector* inj = fabric_.fault_injector()) {
@@ -447,7 +400,7 @@ Result<TaskCache::Fill> TaskCache::FillChunk(sim::VirtualClock& clock,
       local.buffer = std::move(adopted).value();
       fill.adopted = true;
       if (verify != nullptr) {
-        Result<core::FileSlice> content = SliceFile(local.buffer, *verify);
+        Result<core::FileSlice> content = local.buffer.Slice(*verify);
         if (content.ok()) {
           fill.slice = std::move(content).value();
         } else {
@@ -479,7 +432,7 @@ Result<TaskCache::Fill> TaskCache::FillChunk(sim::VirtualClock& clock,
       local = CachedChunk{};
       local.buffer = core::ChunkBuffer::Wrap(std::move(blob));
       if (verify == nullptr) break;
-      Result<core::FileSlice> content = SliceFile(local.buffer, *verify);
+      Result<core::FileSlice> content = local.buffer.Slice(*verify);
       if (content.ok()) {
         fill.slice = std::move(content).value();
         break;
@@ -546,7 +499,7 @@ Result<core::FileSlice> TaskCache::ReadFromPartition(sim::VirtualClock& clock,
         ++stats_.prefetch_hits;
       }
       cc.accessed = true;
-      Result<core::FileSlice> sliced = SliceFile(cc.buffer, meta);
+      Result<core::FileSlice> sliced = cc.buffer.Slice(meta);
       if (!sliced.status().IsCorruption()) return sliced;
       // Cached copy failed its checksum: evict it and fall through to a
       // fresh fill below. Remember the blob so the shared tier's copy — the
@@ -600,18 +553,9 @@ Result<Nanos> TaskCache::Preload(Nanos start) {
   return makespan;
 }
 
-Result<Bytes> TaskCache::GetFile(sim::VirtualClock& clock,
-                                 net::EndpointId requester,
-                                 const core::FileMeta& meta) {
-  DIESEL_ASSIGN_OR_RETURN(core::FileSlice slice,
-                          GetFileSlice(clock, requester, meta));
-  SlCounters().copies.Inc();
-  return slice.ToBytes();
-}
-
-Result<core::FileSlice> TaskCache::GetFileSlice(sim::VirtualClock& clock,
-                                                net::EndpointId requester,
-                                                const core::FileMeta& meta) {
+Result<core::FileSlice> TaskCache::GetFile(sim::VirtualClock& clock,
+                                           net::EndpointId requester,
+                                           const core::FileMeta& meta) {
   DIESEL_ASSIGN_OR_RETURN(std::vector<core::FileSlice> one,
                           GetFiles(clock, requester, {&meta, 1}));
   return std::move(one.front());
@@ -666,7 +610,7 @@ Result<std::vector<core::FileSlice>> TaskCache::GetFiles(
         // Left unserved by a multi-get: retry it alone. The batch of one
         // owns the breaker/degraded handling and reproduces any hard error
         // (e.g. persistent corruption) exactly as an unbatched read would.
-        got[j] = GetFileSlice(clock, requester, meta);
+        got[j] = GetFile(clock, requester, meta);
       } else if (!exchange.ok()) {
         if (!options_.degraded_reads) return exchange;
         got[j] = DegradedRead(clock, requester, meta, span);
@@ -1321,8 +1265,8 @@ namespace {
 class Handle : public core::DatasetCacheInterface {
  public:
   Handle(TaskCache* cache, net::EndpointId ep) : cache_(cache), ep_(ep) {}
-  Result<Bytes> GetFile(sim::VirtualClock& clock,
-                        const core::FileMeta& meta) override {
+  Result<core::FileSlice> GetFile(sim::VirtualClock& clock,
+                                  const core::FileMeta& meta) override {
     return cache_->GetFile(clock, ep_, meta);
   }
 

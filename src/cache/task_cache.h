@@ -155,17 +155,13 @@ class TaskCache : public membership::MembershipListener {
   /// finished (virtual makespan).
   Result<Nanos> Preload(Nanos start);
 
-  /// Serve a file read for the client `requester` (Fig. 4 read flow).
-  /// Materializes an owned copy; the zero-copy variant is GetFileSlice.
-  Result<Bytes> GetFile(sim::VirtualClock& clock, net::EndpointId requester,
-                        const core::FileMeta& meta);
-
-  /// Zero-copy read: returns a FileSlice viewing the shared cached chunk
-  /// blob. The slice holds a reference, so it stays valid after the chunk is
-  /// evicted or migrated. A batch of one: GetFiles with a single file.
-  Result<core::FileSlice> GetFileSlice(sim::VirtualClock& clock,
-                                       net::EndpointId requester,
-                                       const core::FileMeta& meta);
+  /// Serve a file read for the client `requester` (Fig. 4 read flow) as a
+  /// zero-copy FileSlice viewing the shared cached chunk blob. The slice
+  /// holds a reference, so it stays valid after the chunk is evicted or
+  /// migrated. A batch of one: GetFiles with a single file.
+  Result<core::FileSlice> GetFile(sim::VirtualClock& clock,
+                                  net::EndpointId requester,
+                                  const core::FileMeta& meta);
 
   /// The read path (results in input order). Files are grouped by serving
   /// owner: local files are sliced from the requester's own partition, and
@@ -263,14 +259,6 @@ class TaskCache : public membership::MembershipListener {
   };
 
   enum class InsertResult { kInserted, kAlreadyResident, kDenied };
-
-  /// Slice a file out of a chunk blob (at the record's offset, which
-  /// addresses the blob) as a zero-copy view of the shared blob. Verifies
-  /// the file's CRC32C when the metadata carries one — once per blob,
-  /// memoized in the buffer's shared memo under FileMeta::index_in_chunk —
-  /// and a mismatch returns Corruption so callers evict and re-fetch.
-  static Result<core::FileSlice> SliceFile(const core::ChunkBuffer& buffer,
-                                           const core::FileMeta& meta);
 
   /// Fetch one chunk blob from the server (with retry): the store's shared
   /// buffer, or a corrupted private copy of it when the fabric's fault

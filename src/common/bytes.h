@@ -58,15 +58,8 @@ class BinaryWriter {
   explicit BinaryWriter(size_t reserve) { buf_.reserve(reserve); }
 
   void PutU8(uint8_t v) { buf_.push_back(v); }
-  void PutU16(uint16_t v) { PutLE(v); }
   void PutU32(uint32_t v) { PutLE(v); }
   void PutU64(uint64_t v) { PutLE(v); }
-  void PutI64(int64_t v) { PutLE(static_cast<uint64_t>(v)); }
-  void PutDouble(double v) {
-    uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    PutLE(bits);
-  }
 
   /// Raw bytes, no length prefix.
   void PutRaw(BytesView data) { buf_.insert(buf_.end(), data.begin(), data.end()); }
@@ -81,15 +74,6 @@ class BinaryWriter {
     PutRaw(data);
   }
   void PutString(std::string_view s) { PutBytes(AsBytesView(s)); }
-
-  /// Unsigned LEB128 varint.
-  void PutVarint(uint64_t v) {
-    while (v >= 0x80) {
-      buf_.push_back(static_cast<uint8_t>(v) | 0x80);
-      v >>= 7;
-    }
-    buf_.push_back(static_cast<uint8_t>(v));
-  }
 
   size_t size() const { return buf_.size(); }
   const Bytes& data() const { return buf_; }
@@ -120,20 +104,8 @@ class BinaryReader {
  public:
   explicit BinaryReader(BytesView data) : data_(data) {}
 
-  Result<uint8_t> ReadU8() { return ReadLE<uint8_t>(); }
-  Result<uint16_t> ReadU16() { return ReadLE<uint16_t>(); }
   Result<uint32_t> ReadU32() { return ReadLE<uint32_t>(); }
   Result<uint64_t> ReadU64() { return ReadLE<uint64_t>(); }
-  Result<int64_t> ReadI64() {
-    DIESEL_ASSIGN_OR_RETURN(uint64_t bits, ReadU64());
-    return static_cast<int64_t>(bits);
-  }
-  Result<double> ReadDouble() {
-    DIESEL_ASSIGN_OR_RETURN(uint64_t bits, ReadU64());
-    double v;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
 
   Result<BytesView> ReadRaw(size_t n) {
     if (remaining() < n)
@@ -150,24 +122,6 @@ class BinaryReader {
   Result<std::string> ReadString() {
     DIESEL_ASSIGN_OR_RETURN(BytesView b, ReadBytes());
     return ToString(b);
-  }
-
-  Result<uint64_t> ReadVarint() {
-    uint64_t v = 0;
-    for (int shift = 0; shift < 64; shift += 7) {
-      if (pos_ >= data_.size())
-        return Status::Corruption("BinaryReader: truncated varint");
-      uint8_t byte = data_[pos_++];
-      v |= static_cast<uint64_t>(byte & 0x7F) << shift;
-      if ((byte & 0x80) == 0) return v;
-    }
-    return Status::Corruption("BinaryReader: varint too long");
-  }
-
-  Status Skip(size_t n) {
-    if (remaining() < n) return Status::Corruption("BinaryReader: skip past end");
-    pos_ += n;
-    return Status::Ok();
   }
 
   size_t pos() const { return pos_; }

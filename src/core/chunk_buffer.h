@@ -10,12 +10,15 @@
 //
 // The buffer's shared state also holds the blob's per-file CRC memo, so
 // every holder of the blob — cache partition, shared tier, each adopting
-// task — sees one set of bits. A corrupted copy is a new blob, empty memo.
+// task, the shuffle window — sees one set of bits. A corrupted copy is a new
+// blob, empty memo. ChunkBuffer::Slice is the only way to cut a file out of
+// a blob: both in-memory read paths (task cache, shuffle window) call it, so
+// both check bounds and CRC the same way.
 //
-// Virtual-time neutrality: slicing is a host-side memory operation; the
-// simulated cost of a read (NIC/membus/device serves) is charged by the
-// cache/fabric exactly as before, so switching callers from Bytes to
-// FileSlice changes no simulated timing.
+// Virtual-time neutrality: slicing and its CRC check are host-side memory
+// operations; the simulated cost of a read (NIC/membus/device serves) is
+// charged by the cache/fabric/window, so slicing changes no simulated
+// timing.
 #pragma once
 
 #include <algorithm>
@@ -29,6 +32,9 @@
 #include "core/chunk_format.h"
 
 namespace diesel::core {
+
+struct FileMeta;
+class FileSlice;
 
 /// One chunk blob (header + payload) behind shared ownership, with its
 /// per-file CRC memo. Copying a ChunkBuffer bumps a refcount and shares the
@@ -64,6 +70,13 @@ class ChunkBuffer {
     return state_ ? state_->blob : kNone;
   }
   uint64_t size() const { return state_ ? state_->blob->size() : 0; }
+
+  /// Cut `meta`'s file out of the blob (FileMeta::offset addresses the blob,
+  /// header included) as a zero-copy slice. Corruption when the range runs
+  /// past the blob, or when the content no longer matches `meta.crc`. The
+  /// CRC is checked once per blob, memoized under FileMeta::index_in_chunk;
+  /// a meta with crc 0 (hand-built in tests) skips the check.
+  Result<FileSlice> Slice(const FileMeta& meta) const;
 
   /// Whether file `i`'s CRC has matched these bytes. An index outside the
   /// memo is never remembered, so its file is checked on every read.
@@ -108,16 +121,6 @@ class FileSlice {
  public:
   FileSlice() = default;
 
-  /// View [begin, begin + length) of `buf`'s blob. Caller has bounds-checked.
-  static FileSlice FromBuffer(const ChunkBuffer& buf, uint64_t begin,
-                              uint64_t length) {
-    FileSlice s;
-    s.owner_ = buf.shared_blob();
-    s.offset_ = begin;
-    s.length_ = length;
-    return s;
-  }
-
   /// Adopt an owned buffer whole (degraded reads and server paths that
   /// already materialized the content return these).
   static FileSlice Own(Bytes content) {
@@ -140,7 +143,7 @@ class FileSlice {
     return owner_ ? BytesView(owner_->data() + offset_, length_) : BytesView();
   }
 
-  /// Materialize an owned copy (compatibility with Bytes-returning APIs).
+  /// Materialize an owned copy, for callers that must hand out a Bytes.
   Bytes ToBytes() const {
     return owner_ ? Bytes(owner_->begin() + static_cast<ptrdiff_t>(offset_),
                           owner_->begin() +
@@ -151,6 +154,19 @@ class FileSlice {
   const SharedBytes& shared_owner() const { return owner_; }
 
  private:
+  friend class ChunkBuffer;
+
+  /// View [begin, begin + length) of `buf`'s blob; ChunkBuffer::Slice has
+  /// bounds-checked it.
+  static FileSlice FromBuffer(const ChunkBuffer& buf, uint64_t begin,
+                              uint64_t length) {
+    FileSlice s;
+    s.owner_ = buf.shared_blob();
+    s.offset_ = begin;
+    s.length_ = length;
+    return s;
+  }
+
   SharedBytes owner_;
   uint64_t offset_ = 0;
   uint64_t length_ = 0;

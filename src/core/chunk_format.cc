@@ -182,29 +182,6 @@ Result<Bytes> ChunkView::ExtractFile(size_t index) const {
   return Bytes(content.begin(), content.end());
 }
 
-const ChunkFileEntry* ChunkView::FindEntry(std::string_view name) const {
-  // Lazily build a name-sorted index on the first lookup: parsing stays
-  // index-free (recovery scans parse thousands of headers and never call
-  // FindEntry), while repeated lookups pay O(log n) instead of a linear
-  // scan over the file table. Lazy init is not synchronized — a ChunkView
-  // is a value type; don't share one instance across threads.
-  if (name_index_.size() != entries_.size()) {
-    name_index_.resize(entries_.size());
-    for (uint32_t i = 0; i < name_index_.size(); ++i) name_index_[i] = i;
-    std::sort(name_index_.begin(), name_index_.end(),
-              [this](uint32_t a, uint32_t b) {
-                return entries_[a].name < entries_[b].name;
-              });
-  }
-  auto it = std::lower_bound(
-      name_index_.begin(), name_index_.end(), name,
-      [this](uint32_t idx, std::string_view key) {
-        return entries_[idx].name < key;
-      });
-  if (it == name_index_.end() || entries_[*it].name != name) return nullptr;
-  return &entries_[*it];
-}
-
 Result<Bytes> CompactChunk(BytesView chunk, const std::vector<uint8_t>& bitmap,
                            const ChunkId& new_id, uint64_t create_ts_ns) {
   DIESEL_ASSIGN_OR_RETURN(ChunkView view, ChunkView::Parse(chunk));

@@ -15,7 +15,6 @@
 #pragma once
 
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/bytes.h"
@@ -97,11 +96,6 @@ class ChunkView {
   /// Fails FailedPrecondition when constructed header-only.
   Result<Bytes> ExtractFile(size_t index) const;
 
-  /// Find a file entry by exact name; nullptr if absent. O(log n) via a
-  /// name-sorted index built lazily on the first lookup (parse stays
-  /// index-free). Not safe to call concurrently on one shared instance.
-  const ChunkFileEntry* FindEntry(std::string_view name) const;
-
   /// Total serialized size (header + payload) when payload present.
   uint64_t chunk_bytes() const { return chunk_.size(); }
 
@@ -116,8 +110,6 @@ class ChunkView {
   uint32_t num_deleted_ = 0;
   std::vector<uint8_t> bitmap_;
   std::vector<ChunkFileEntry> entries_;
-  /// Entry indices sorted by name; built lazily by FindEntry.
-  mutable std::vector<uint32_t> name_index_;
 };
 
 /// Rewrite a chunk dropping the files marked deleted in `bitmap` (house-

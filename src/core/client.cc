@@ -103,10 +103,10 @@ Result<FileMeta> DieselClient::ResolveMeta(const std::string& path) {
 Result<Bytes> DieselClient::Get(const std::string& path) {
   if (cache_ != nullptr) {
     DIESEL_ASSIGN_OR_RETURN(FileMeta meta, ResolveMeta(path));
-    DIESEL_ASSIGN_OR_RETURN(Bytes content, cache_->GetFile(clock_, meta));
+    DIESEL_ASSIGN_OR_RETURN(FileSlice content, cache_->GetFile(clock_, meta));
     ++stats_.files_read;
     stats_.bytes_read += content.size();
-    return content;
+    return content.ToBytes();  // DL_get hands the caller an owned buffer
   }
   DIESEL_ASSIGN_OR_RETURN(Bytes content,
                           WithServerRetry<Bytes>([&](DieselServer& s) {

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "common/retry.h"
+#include "core/chunk_buffer.h"
 #include "core/chunk_format.h"
 #include "core/server.h"
 #include "core/snapshot.h"
@@ -35,8 +36,8 @@ namespace diesel::core {
 class DatasetCacheInterface {
  public:
   virtual ~DatasetCacheInterface() = default;
-  virtual Result<Bytes> GetFile(sim::VirtualClock& clock,
-                                const FileMeta& meta) = 0;
+  virtual Result<FileSlice> GetFile(sim::VirtualClock& clock,
+                                    const FileMeta& meta) = 0;
 };
 
 struct ClientOptions {

@@ -100,10 +100,10 @@ Result<EpochReport> DistributedTrainingTask::RunEpoch(
       reader.StartEpoch(std::move(sub));
       sim::VirtualClock clock(task_time_);
       while (!reader.Done()) {
-        DIESEL_ASSIGN_OR_RETURN(Bytes content, reader.Next(clock));
+        DIESEL_ASSIGN_OR_RETURN(core::FileSlice content, reader.Next(clock));
         report.bytes_read += content.size();
         ++report.files_read;
-        batch.push_back(std::move(content));
+        batch.push_back(content.ToBytes());  // on_batch takes owned buffers
         if (batch.size() == options_.minibatch) DIESEL_RETURN_IF_ERROR(deliver());
       }
       DIESEL_RETURN_IF_ERROR(deliver());

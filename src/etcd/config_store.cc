@@ -1,6 +1,5 @@
 #include "etcd/config_store.h"
 
-#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -20,11 +19,6 @@ constexpr uint64_t kRpcBytes = 128;
 
 ConfigStore::ConfigStore(net::Fabric& fabric, sim::NodeId node)
     : fabric_(fabric), node_(node), service_(EtcdServiceSpec()) {}
-
-uint64_t ConfigStore::Revision() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return revision_;
-}
 
 template <typename Fn>
 Status ConfigStore::Rpc(sim::VirtualClock& clock, sim::NodeId client,
@@ -48,7 +42,6 @@ Result<uint64_t> ConfigStore::Put(sim::VirtualClock& clock, sim::NodeId client,
         it->second.key = key;
         it->second.value = std::move(value);
         it->second.mod_revision = revision_;
-        log_.push_back({ConfigEvent::Type::kPut, it->second});
         rev = revision_;
       }));
   return rev;
@@ -83,79 +76,16 @@ Result<std::vector<ConfigEntry>> ConfigStore::List(sim::VirtualClock& clock,
 Result<uint64_t> ConfigStore::Delete(sim::VirtualClock& clock,
                                      sim::NodeId client,
                                      const std::string& key) {
-  Result<uint64_t> result = Status::NotFound("config key: " + key);
+  uint64_t rev = 0;  // 0: no such key (revisions start at 1)
   DIESEL_RETURN_IF_ERROR(Rpc(clock, client, key.size(), [&] {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = data_.find(key);
     if (it == data_.end()) return;
-    ++revision_;
-    ConfigEvent ev{ConfigEvent::Type::kDelete, it->second};
-    ev.entry.mod_revision = revision_;
-    log_.push_back(std::move(ev));
     data_.erase(it);
-    result = revision_;
+    rev = ++revision_;
   }));
-  return result;
-}
-
-Result<uint64_t> ConfigStore::CompareAndSwap(sim::VirtualClock& clock,
-                                             sim::NodeId client,
-                                             std::string key,
-                                             std::string value,
-                                             uint64_t expected_revision) {
-  Result<uint64_t> result =
-      Status::FailedPrecondition("config CAS: revision mismatch");
-  DIESEL_RETURN_IF_ERROR(
-      Rpc(clock, client, key.size() + value.size(), [&] {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = data_.find(key);
-        uint64_t current = it == data_.end() ? 0 : it->second.mod_revision;
-        if (current != expected_revision) return;
-        ++revision_;
-        if (it == data_.end()) {
-          it = data_.try_emplace(key).first;
-          it->second.create_revision = revision_;
-          it->second.key = key;
-        }
-        it->second.value = std::move(value);
-        it->second.mod_revision = revision_;
-        log_.push_back({ConfigEvent::Type::kPut, it->second});
-        result = revision_;
-      }));
-  return result;
-}
-
-Result<std::vector<ConfigEvent>> ConfigStore::WatchSince(
-    sim::VirtualClock& clock, sim::NodeId client, const std::string& prefix,
-    uint64_t since_revision) {
-  Result<std::vector<ConfigEvent>> result = Status::Internal("unset");
-  DIESEL_RETURN_IF_ERROR(Rpc(clock, client, prefix.size() + 256, [&] {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (since_revision < compacted_) {
-      result = Status::OutOfRange(
-          "watch history compacted; re-list and resume from the current "
-          "revision");
-      return;
-    }
-    std::vector<ConfigEvent> out;
-    for (const ConfigEvent& ev : log_) {
-      if (ev.entry.mod_revision <= since_revision) continue;
-      if (ev.entry.key.compare(0, prefix.size(), prefix) != 0) continue;
-      out.push_back(ev);
-    }
-    result = std::move(out);
-  }));
-  return result;
-}
-
-void ConfigStore::Compact(uint64_t revision) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  compacted_ = std::max(compacted_, std::min(revision, revision_));
-  log_.erase(std::remove_if(log_.begin(), log_.end(),
-                            [&](const ConfigEvent& ev) {
-                              return ev.entry.mod_revision <= compacted_;
-                            }),
-             log_.end());
+  if (rev == 0) return Status::NotFound("config key: " + key);
+  return rev;
 }
 
 size_t ConfigStore::NumKeys() const {
@@ -185,10 +115,6 @@ Result<sim::NodeId> ParseServerNode(const std::string& value) {
   if (end != value.c_str() + sep || errno != 0)
     return Status::Corruption("server advertisement: bad node id");
   return static_cast<sim::NodeId>(node);
-}
-
-std::string DatasetDirKey(const std::string& dataset) {
-  return "/diesel/datasets/" + dataset;
 }
 
 }  // namespace diesel::etcd

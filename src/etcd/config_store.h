@@ -2,12 +2,9 @@
 // are stored in an ETCD server").
 //
 // A small, linearizable, versioned key-value store used for control-plane
-// state: DIESEL server registration/discovery, dataset directory entries,
-// and cluster-wide settings. Every mutation bumps a global revision;
-// compare-and-swap enables leader-ish coordination (e.g. electing the
-// housekeeping owner for a dataset). Watches are polled: a reader asks for
-// "everything since revision R" — sufficient for the discovery pattern the
-// paper needs and free of callback re-entrancy.
+// state: DIESEL servers register under /diesel/servers/ at deployment and
+// clients discover them by listing that prefix. Every mutation bumps a
+// global revision, stamped into the entries it writes.
 //
 // Ops are charged to the caller's virtual clock through an RPC to the etcd
 // node plus a service-device serve (consensus/commit cost).
@@ -15,7 +12,6 @@
 
 #include <map>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -33,20 +29,11 @@ struct ConfigEntry {
   uint64_t mod_revision = 0;
 };
 
-struct ConfigEvent {
-  enum class Type { kPut, kDelete };
-  Type type = Type::kPut;
-  ConfigEntry entry;  // for kDelete: key + last value + revision of delete
-};
-
 class ConfigStore {
  public:
   ConfigStore(net::Fabric& fabric, sim::NodeId node);
 
   sim::NodeId node() const { return node_; }
-
-  /// Current global revision (bumped by every successful mutation).
-  uint64_t Revision() const;
 
   // ---- data plane (charge `clock`) -----------------------------------------
 
@@ -66,24 +53,6 @@ class ConfigStore {
   Result<uint64_t> Delete(sim::VirtualClock& clock, sim::NodeId client,
                           const std::string& key);
 
-  /// Compare-and-swap: succeeds only if the key's current mod_revision
-  /// equals `expected_revision` (0 = key must not exist). Returns the new
-  /// revision on success, FailedPrecondition on mismatch.
-  Result<uint64_t> CompareAndSwap(sim::VirtualClock& clock, sim::NodeId client,
-                                  std::string key, std::string value,
-                                  uint64_t expected_revision);
-
-  /// Events with revision > `since_revision`, oldest first (polled watch).
-  /// The event log is compacted; requesting history older than the
-  /// compaction floor returns OutOfRange (caller must re-List).
-  Result<std::vector<ConfigEvent>> WatchSince(sim::VirtualClock& clock,
-                                              sim::NodeId client,
-                                              const std::string& prefix,
-                                              uint64_t since_revision);
-
-  /// Drop events up to `revision` (admin, no RPC).
-  void Compact(uint64_t revision);
-
   size_t NumKeys() const;
 
  private:
@@ -97,9 +66,7 @@ class ConfigStore {
 
   mutable std::mutex mutex_;
   uint64_t revision_ = 0;
-  uint64_t compacted_ = 0;
   std::map<std::string, ConfigEntry> data_;
-  std::vector<ConfigEvent> log_;  // events (compacted_, revision_]
 };
 
 // ---- discovery conventions ---------------------------------------------------
@@ -109,9 +76,5 @@ std::string ServerKey(uint32_t server_id);
 /// Encoded advertisement: node id + capabilities string.
 std::string ServerValue(sim::NodeId node, const std::string& info);
 Result<sim::NodeId> ParseServerNode(const std::string& value);
-
-/// Key for a dataset directory entry (update timestamp lives in the value
-/// so clients can cheaply check snapshot freshness hints).
-std::string DatasetDirKey(const std::string& dataset);
 
 }  // namespace diesel::etcd

@@ -76,8 +76,7 @@ Result<Nanos> GroupWindowReader::FetchGroup(Nanos start, size_t group,
     Counters().chunk_bytes.Inc(blob->size());
     stats_.chunk_bytes_fetched += blob->size();
     ++stats_.chunk_fetches;
-    out.emplace(chunk_list[i],
-                WindowChunk{core::ChunkBuffer::Wrap(std::move(blob))});
+    out.emplace(chunk_list[i], core::ChunkBuffer::Wrap(std::move(blob)));
   }
   return clock.now();
 }
@@ -101,7 +100,7 @@ Status GroupWindowReader::LoadGroup(sim::VirtualClock& clock, size_t group) {
     clock.AdvanceTo(done);
   }
   window_bytes_ = 0;
-  for (const auto& [ci, wc] : window_) window_bytes_ += wc.buffer.size();
+  for (const auto& [ci, buf] : window_) window_bytes_ += buf.size();
 
   // Kick off the next group's background fetch.
   if (prefetch_next_ && group + 1 < plan_.num_groups()) {
@@ -110,9 +109,7 @@ Status GroupWindowReader::LoadGroup(sim::VirtualClock& clock, size_t group) {
                             FetchGroup(clock.now(), group + 1, prefetched_));
     prefetch_group_ = group + 1;
     uint64_t prefetched_bytes = 0;
-    for (const auto& [ci, wc] : prefetched_) {
-      prefetched_bytes += wc.buffer.size();
-    }
+    for (const auto& [ci, buf] : prefetched_) prefetched_bytes += buf.size();
     stats_.peak_window_bytes = std::max(
         stats_.peak_window_bytes, window_bytes_ + prefetched_bytes);
   }
@@ -128,12 +125,7 @@ Result<uint32_t> GroupWindowReader::PeekIndex() const {
   return plan_.file_order[pos_];
 }
 
-Result<Bytes> GroupWindowReader::Next(sim::VirtualClock& clock) {
-  DIESEL_ASSIGN_OR_RETURN(core::FileSlice slice, NextSlice(clock));
-  return slice.ToBytes();
-}
-
-Result<core::FileSlice> GroupWindowReader::NextSlice(sim::VirtualClock& clock) {
+Result<core::FileSlice> GroupWindowReader::Next(sim::VirtualClock& clock) {
   if (Done()) return Status::OutOfRange("epoch exhausted");
   size_t group = plan_.GroupOf(pos_);
   if (group != current_group_) {
@@ -145,17 +137,15 @@ Result<core::FileSlice> GroupWindowReader::NextSlice(sim::VirtualClock& clock) {
   if (it == window_.end())
     return Status::Internal("file's chunk missing from group window: " +
                             meta.full_name);
-  const WindowChunk& wc = it->second;
-  // Subtractions only: a decoded offset near UINT64_MAX must not wrap.
-  const uint64_t size = wc.buffer.size();
-  if (meta.offset > size || meta.length > size - meta.offset)
-    return Status::Corruption("file range past chunk end: " + meta.full_name);
+  // The window holds the stored blob itself, so a corrupt file is reported,
+  // not re-fetched: a second read would return the same bytes.
+  DIESEL_ASSIGN_OR_RETURN(core::FileSlice slice, it->second.Slice(meta));
   ++pos_;
   Counters().files_read.Inc();
   Counters().bytes_read.Inc(meta.length);
   ++stats_.files_read;
   stats_.bytes_read += meta.length;
-  return core::FileSlice::FromBuffer(wc.buffer, meta.offset, meta.length);
+  return slice;
 }
 
 }  // namespace diesel::shuffle

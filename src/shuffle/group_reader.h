@@ -55,12 +55,11 @@ class GroupWindowReader {
   size_t num_files() const { return plan_.file_order.size(); }
 
   /// Read the next file in plan order. Loads the group window on group
-  /// entry (charging `clock` with the chunk-wise reads).
-  Result<Bytes> Next(sim::VirtualClock& clock);
-
-  /// Zero-copy variant of Next(): the returned slice shares the window
-  /// chunk's blob and stays valid after the window rotates past it.
-  Result<core::FileSlice> NextSlice(sim::VirtualClock& clock);
+  /// entry (charging `clock` with the chunk-wise reads). The returned slice
+  /// shares the window chunk's blob and stays valid after the window rotates
+  /// past it. A file whose range or CRC does not check out returns
+  /// Corruption and leaves position() where it was.
+  Result<core::FileSlice> Next(sim::VirtualClock& clock);
 
   /// Index (into snapshot.files()) of the file Next() will return.
   Result<uint32_t> PeekIndex() const;
@@ -68,10 +67,7 @@ class GroupWindowReader {
   const GroupReaderStats& stats() const { return stats_; }
 
  private:
-  struct WindowChunk {
-    core::ChunkBuffer buffer;  // shared blob + header length
-  };
-  using Window = std::unordered_map<uint32_t, WindowChunk>;
+  using Window = std::unordered_map<uint32_t, core::ChunkBuffer>;
 
   Status LoadGroup(sim::VirtualClock& clock, size_t group);
   /// Fetch `group`'s chunks into `out` starting at virtual time `start`;

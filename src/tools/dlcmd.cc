@@ -166,8 +166,8 @@ int Usage() {
                "prefetch.* (clairvoyant prefetch scheduler).\n"
                "hot read path counters: net.batch.calls / .subrequests /\n"
                ".size (per-link coalesced multi-gets and their fan-in),\n"
-               "cache.slice.views (zero-copy slice reads), cache.slice.copies\n"
-               "(materialized GetFile copies), cache.slice.crc_verified /\n"
+               "cache.slice.views (zero-copy slice reads from the task cache\n"
+               "and the shuffle window), cache.slice.crc_verified /\n"
                ".crc_skipped (per-blob CRC memoization hit rate).\n"
                "critical-path histograms: read.path.total_ns (end-to-end\n"
                "GetFile) decomposed into read.path.{local,owner_wait,rpc,\n"

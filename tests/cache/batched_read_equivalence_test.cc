@@ -107,7 +107,7 @@ RunOutput RunReads(uint64_t seed, bool batched) {
       for (const core::FileMeta& m : metas) {
         auto content = cache.GetFile(clock, requester, m);
         EXPECT_TRUE(content.ok()) << content.status().ToString();
-        out.contents.push_back(std::move(content.value()));
+        out.contents.push_back(content->ToBytes());
       }
     }
   }

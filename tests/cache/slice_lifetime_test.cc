@@ -58,7 +58,7 @@ TEST_F(SliceLifetimeTest, SlicesSurviveCapacityEviction) {
   // the cache past its capacity many times over.
   std::vector<core::FileSlice> held;
   for (size_t i = 0; i < 16; ++i) {
-    auto s = cache.GetFileSlice(clock, clients_[0]->endpoint(), File(i));
+    auto s = cache.GetFile(clock, clients_[0]->endpoint(), File(i));
     ASSERT_TRUE(s.ok()) << s.status().ToString();
     held.push_back(std::move(s.value()));
   }
@@ -79,7 +79,7 @@ TEST_F(SliceLifetimeTest, SlicesSurviveDropAllAndNodeDrop) {
   sim::VirtualClock clock;
   std::vector<core::FileSlice> held;
   for (size_t i = 0; i < 24; ++i) {
-    auto s = cache.GetFileSlice(clock, clients_[0]->endpoint(), File(i));
+    auto s = cache.GetFile(clock, clients_[0]->endpoint(), File(i));
     ASSERT_TRUE(s.ok());
     held.push_back(std::move(s.value()));
   }
@@ -118,7 +118,7 @@ TEST_F(SliceLifetimeTest, SlicesSurviveMigration) {
   sim::VirtualClock clock;
   std::vector<core::FileSlice> held;
   for (size_t i = 0; i < spec_.total_files(); ++i) {
-    auto s = cache.GetFileSlice(clock, members[0]->endpoint(), File(i));
+    auto s = cache.GetFile(clock, members[0]->endpoint(), File(i));
     ASSERT_TRUE(s.ok()) << s.status().ToString();
     held.push_back(std::move(s.value()));
   }

@@ -136,7 +136,7 @@ TEST_F(TaskCacheTest, OnDemandLoadsLazily) {
   ASSERT_NE(meta, nullptr);
   auto content = cache.GetFile(clock, clients_[0]->endpoint(), *meta);
   ASSERT_TRUE(content.ok());
-  EXPECT_TRUE(dlt::VerifyContent(spec_, 0, content.value()));
+  EXPECT_TRUE(dlt::VerifyContent(spec_, 0, content->view()));
   EXPECT_GT(cache.HitRatio(), 0.0);
   EXPECT_LT(cache.HitRatio(), 1.0);
 }
@@ -193,7 +193,7 @@ TEST_F(TaskCacheTest, OutOfRangeFileIndexIsCheckedOnEveryRead) {
     sim::VirtualClock clock;
     auto content = cache.GetFile(clock, reader, *meta);
     ASSERT_TRUE(content.ok()) << content.status().ToString();
-    EXPECT_TRUE(dlt::VerifyContent(spec_, 5, content.value())) << read;
+    EXPECT_TRUE(dlt::VerifyContent(spec_, 5, content->view())) << read;
     EXPECT_EQ(verified.value() - v0, 1u) << read;
     EXPECT_EQ(skipped.value() - s0, 0u) << read;
   }
@@ -221,7 +221,7 @@ TEST_F(TaskCacheTest, AllClientsReadAllFilesCorrectly) {
     auto& client = clients_[i % clients_.size()];
     auto content = cache.GetFile(clock, client->endpoint(), *meta);
     ASSERT_TRUE(content.ok()) << content.status().ToString();
-    ASSERT_TRUE(dlt::VerifyContent(spec_, i, content.value())) << i;
+    ASSERT_TRUE(dlt::VerifyContent(spec_, i, content->view())) << i;
   }
   auto stats = cache.stats();
   EXPECT_GT(stats.local_hits, 0u);
@@ -277,7 +277,7 @@ TEST_F(TaskCacheTest, CapacityBoundEvicts) {
     const core::FileMeta* meta = snapshot_->Lookup(dlt::FilePath(spec_, i));
     auto content = cache.GetFile(clock, clients_[0]->endpoint(), *meta);
     ASSERT_TRUE(content.ok()) << content.status().ToString();
-    ASSERT_TRUE(dlt::VerifyContent(spec_, i, content.value()));
+    ASSERT_TRUE(dlt::VerifyContent(spec_, i, content->view()));
   }
   EXPECT_GT(cache.stats().evictions, 0u);
   EXPECT_LT(cache.HitRatio(), 1.0);

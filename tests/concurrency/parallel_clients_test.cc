@@ -88,7 +88,7 @@ TEST_F(ParallelClientsTest, ConcurrentCachedReadsAreExact) {
           continue;
         }
         auto content = cache.GetFile(clock, clients[t]->endpoint(), *fm);
-        if (!content.ok() || !dlt::VerifyContent(spec_, f, content.value())) {
+        if (!content.ok() || !dlt::VerifyContent(spec_, f, content->view())) {
           failures.fetch_add(1);
         }
       }
@@ -129,7 +129,7 @@ TEST_F(ParallelClientsTest, ConcurrentCapacityBoundedCacheStaysSafe) {
         size_t f = rng.Uniform(spec_.total_files());
         const core::FileMeta* fm = snap.Lookup(dlt::FilePath(spec_, f));
         auto content = cache.GetFile(clock, clients[t]->endpoint(), *fm);
-        if (!content.ok() || !dlt::VerifyContent(spec_, f, content.value())) {
+        if (!content.ok() || !dlt::VerifyContent(spec_, f, content->view())) {
           failures.fetch_add(1);
         }
       }
@@ -171,7 +171,7 @@ TEST_F(ParallelClientsTest, ConcurrentReadsSurviveDropNodeAndReload) {
         size_t f = rng.Uniform(spec_.total_files());
         const core::FileMeta* fm = snap.Lookup(dlt::FilePath(spec_, f));
         auto content = cache.GetFile(clock, clients[t]->endpoint(), *fm);
-        if (!content.ok() || !dlt::VerifyContent(spec_, f, content.value())) {
+        if (!content.ok() || !dlt::VerifyContent(spec_, f, content->view())) {
           failures.fetch_add(1);
         }
       }

@@ -82,45 +82,6 @@ TEST(ChunkFormatTest, OffsetsAreContiguous) {
   EXPECT_EQ(view->entries()[2].offset, 24u);
 }
 
-TEST(ChunkFormatTest, FindEntryByName) {
-  ChunkBuilder b(0);
-  Rng rng(5);
-  b.Add("/x/one", RandomContent(rng, 8));
-  b.Add("/x/two", RandomContent(rng, 8));
-  Bytes chunk = b.Finish(TestId(), 0);
-  auto view = ChunkView::Parse(chunk);
-  ASSERT_TRUE(view.ok());
-  ASSERT_NE(view->FindEntry("/x/two"), nullptr);
-  EXPECT_EQ(view->FindEntry("/x/two")->offset, 8u);
-  EXPECT_EQ(view->FindEntry("/x/zzz"), nullptr);
-}
-
-TEST(ChunkFormatTest, FindEntryIndexedLookupCoversAllNames) {
-  // The lazily built name index must agree with a straight linear scan for
-  // every file, probed in an order unrelated to insertion order.
-  ChunkBuilder b(0);
-  Rng rng(11);
-  constexpr size_t kFiles = 257;  // odd, not a power of two
-  for (size_t i = 0; i < kFiles; ++i) {
-    // Names deliberately NOT in lexicographic insert order.
-    b.Add("/t/cls" + std::to_string((i * 7) % 10) + "/img" +
-              std::to_string((i * 131) % kFiles),
-          RandomContent(rng, 16));
-  }
-  Bytes chunk = b.Finish(TestId(), 1);
-  auto view = ChunkView::Parse(chunk);
-  ASSERT_TRUE(view.ok());
-  for (const ChunkFileEntry& e : view->entries()) {
-    const ChunkFileEntry* hit = view->FindEntry(e.name);
-    ASSERT_NE(hit, nullptr) << e.name;
-    EXPECT_EQ(hit->offset, e.offset);
-    EXPECT_EQ(hit->length, e.length);
-    EXPECT_EQ(hit->crc, e.crc);
-  }
-  EXPECT_EQ(view->FindEntry("/t/cls0/never-written"), nullptr);
-  EXPECT_EQ(view->FindEntry(""), nullptr);
-}
-
 TEST(ChunkBuilderTest, SerializedHeaderBytesIsExact) {
   ChunkBuilder b(0);
   Rng rng(12);

@@ -37,7 +37,6 @@ TEST_F(ConfigStoreTest, RevisionsMonotonicAndModTracked) {
   ASSERT_TRUE(entry.ok());
   EXPECT_EQ(entry->create_revision, 1u);
   EXPECT_EQ(entry->mod_revision, 2u);
-  EXPECT_EQ(store_.Revision(), 2u);
 }
 
 TEST_F(ConfigStoreTest, ListByPrefixIsSorted) {
@@ -49,50 +48,6 @@ TEST_F(ConfigStoreTest, ListByPrefixIsSorted) {
   ASSERT_EQ(entries->size(), 2u);
   EXPECT_EQ((*entries)[0].key, "/s/1");
   EXPECT_EQ((*entries)[1].key, "/s/2");
-}
-
-TEST_F(ConfigStoreTest, CompareAndSwapEnforcesRevision) {
-  // CAS create (expected 0).
-  auto r1 = store_.CompareAndSwap(clock_, 0, "/lock", "me", 0);
-  ASSERT_TRUE(r1.ok());
-  // Second create attempt loses.
-  auto r2 = store_.CompareAndSwap(clock_, 1, "/lock", "you", 0);
-  EXPECT_EQ(r2.status().code(), StatusCode::kFailedPrecondition);
-  // Update with the right revision wins.
-  auto r3 = store_.CompareAndSwap(clock_, 0, "/lock", "me2", *r1);
-  ASSERT_TRUE(r3.ok());
-  EXPECT_GT(*r3, *r1);
-  EXPECT_EQ(store_.Get(clock_, 0, "/lock")->value, "me2");
-}
-
-TEST_F(ConfigStoreTest, WatchSinceReturnsOrderedEvents) {
-  ASSERT_TRUE(store_.Put(clock_, 0, "/w/a", "1").ok());
-  uint64_t mark = store_.Revision();
-  ASSERT_TRUE(store_.Put(clock_, 0, "/w/b", "2").ok());
-  ASSERT_TRUE(store_.Delete(clock_, 0, "/w/a").ok());
-  ASSERT_TRUE(store_.Put(clock_, 0, "/other", "x").ok());
-
-  auto events = store_.WatchSince(clock_, 1, "/w/", mark);
-  ASSERT_TRUE(events.ok());
-  ASSERT_EQ(events->size(), 2u);
-  EXPECT_EQ((*events)[0].type, ConfigEvent::Type::kPut);
-  EXPECT_EQ((*events)[0].entry.key, "/w/b");
-  EXPECT_EQ((*events)[1].type, ConfigEvent::Type::kDelete);
-  EXPECT_EQ((*events)[1].entry.key, "/w/a");
-  EXPECT_LT((*events)[0].entry.mod_revision, (*events)[1].entry.mod_revision);
-}
-
-TEST_F(ConfigStoreTest, CompactedWatchIsOutOfRange) {
-  ASSERT_TRUE(store_.Put(clock_, 0, "/c/1", "a").ok());
-  ASSERT_TRUE(store_.Put(clock_, 0, "/c/2", "b").ok());
-  store_.Compact(2);
-  EXPECT_EQ(store_.WatchSince(clock_, 0, "/c/", 1).status().code(),
-            StatusCode::kOutOfRange);
-  // Watching from the compaction floor onward still works.
-  ASSERT_TRUE(store_.Put(clock_, 0, "/c/3", "c").ok());
-  auto events = store_.WatchSince(clock_, 0, "/c/", 2);
-  ASSERT_TRUE(events.ok());
-  EXPECT_EQ(events->size(), 1u);
 }
 
 TEST_F(ConfigStoreTest, OpsChargeVirtualTime) {

@@ -116,7 +116,7 @@ TEST(RescaleTest, MidEpochPlannedRescale8To12HasZeroFailedReads) {
       ++failed;
       continue;
     }
-    EXPECT_TRUE(dlt::VerifyContent(h->spec, order[cursor], r.value()))
+    EXPECT_TRUE(dlt::VerifyContent(h->spec, order[cursor], r->view()))
         << "file " << order[cursor];
   }
   EXPECT_EQ(failed, 0u);  // the acceptance bar: zero failed reads
@@ -136,7 +136,7 @@ TEST(RescaleTest, MidEpochPlannedRescale8To12HasZeroFailedReads) {
   for (size_t i = 0; i < h->snap().num_files(); ++i) {
     auto r = h->cache->GetFile(sweep, h->clients[0]->endpoint(), h->File(i));
     ASSERT_TRUE(r.ok()) << r.status().ToString();
-    EXPECT_TRUE(dlt::VerifyContent(h->spec, i, r.value()));
+    EXPECT_TRUE(dlt::VerifyContent(h->spec, i, r->view()));
   }
   EXPECT_EQ(h->cache->migrations_in_flight(), 0u);
 
@@ -208,7 +208,7 @@ TEST(RescaleTest, DrainServesReadsUntilMovesLandThenDeparts) {
     if (victims_chunks.count(snap.ChunkIndex(fm.chunk)) == 0) continue;
     auto r = h->cache->GetFile(early, h->clients[0]->endpoint(), fm);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
-    EXPECT_TRUE(dlt::VerifyContent(h->spec, i, r.value()));
+    EXPECT_TRUE(dlt::VerifyContent(h->spec, i, r->view()));
     ++reads_during_drain;
   }
   EXPECT_GT(reads_during_drain, 0u);
@@ -223,7 +223,7 @@ TEST(RescaleTest, DrainServesReadsUntilMovesLandThenDeparts) {
   for (size_t i = 0; i < snap.num_files(); ++i) {
     auto r = h->cache->GetFile(late, h->clients[0]->endpoint(), h->File(i));
     ASSERT_TRUE(r.ok());
-    EXPECT_TRUE(dlt::VerifyContent(h->spec, i, r.value()));
+    EXPECT_TRUE(dlt::VerifyContent(h->spec, i, r->view()));
   }
   EXPECT_EQ(h->cache->stats().reown_chunks, 0u);
   for (size_t ci : victims_chunks) {
@@ -277,7 +277,7 @@ TEST(RescaleTest, CrashReownSkipsOracleDeadChunks) {
   for (size_t i = 0; i < snap.num_files(); ++i) {
     auto r = h->cache->GetFile(clock, h->clients[0]->endpoint(), h->File(i));
     ASSERT_TRUE(r.ok());
-    EXPECT_TRUE(dlt::VerifyContent(h->spec, i, r.value()));
+    EXPECT_TRUE(dlt::VerifyContent(h->spec, i, r->view()));
   }
 }
 
@@ -307,7 +307,7 @@ TEST(RescaleTest, RecoverAfterCrashRestoresOwnershipAndBytes) {
   for (size_t i = 0; i < snap.num_files(); ++i) {
     auto r = h->cache->GetFile(sweep, h->clients[0]->endpoint(), h->File(i));
     ASSERT_TRUE(r.ok());
-    EXPECT_TRUE(dlt::VerifyContent(h->spec, i, r.value()));
+    EXPECT_TRUE(dlt::VerifyContent(h->spec, i, r->view()));
   }
   EXPECT_EQ(h->cache->migrations_in_flight(), 0u);
 }

@@ -122,7 +122,7 @@ RunOutcome RunWorkload(uint64_t seed, bool with_scheduler,
       auto r = cache.GetFile(w, clients[0]->endpoint(), fm);
       EXPECT_TRUE(r.ok()) << r.status().ToString();
       if (!r.ok()) return out;
-      out.content_hash = Fnv1a(out.content_hash, r.value());
+      out.content_hash = Fnv1a(out.content_hash, r->view());
       w.Advance(Micros(400));  // per-file compute, gives fills lead time
     }
     if (sched) sched->FinishEpoch();

@@ -53,7 +53,7 @@ TEST_P(PrefetchEquivalenceTest, PrefetchOnOffByteIdenticalAndNoSlower) {
     while (!reader.Done()) {
       auto data = reader.Next(clock);
       EXPECT_TRUE(data.ok()) << data.status().ToString();
-      files.push_back(std::move(data.value()));
+      files.push_back(data->ToBytes());
     }
     return std::make_pair(std::move(files), clock.now());
   };

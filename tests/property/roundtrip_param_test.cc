@@ -83,7 +83,7 @@ TEST_P(RoundTripParamTest, EveryPathReturnsExactContent) {
     ASSERT_NE(fm, nullptr);
     auto content = cache.GetFile(clock, (i % 2 ? c0 : c1)->endpoint(), *fm);
     ASSERT_TRUE(content.ok());
-    ASSERT_TRUE(dlt::VerifyContent(spec, i, content.value()))
+    ASSERT_TRUE(dlt::VerifyContent(spec, i, content->view()))
         << "cache path, file " << i;
   }
 
@@ -100,7 +100,7 @@ TEST_P(RoundTripParamTest, EveryPathReturnsExactContent) {
     // Map back to generator index via path.
     for (size_t i = 0; i < paths.size(); ++i) {
       if (paths[i] == fm.full_name) {
-        ASSERT_TRUE(dlt::VerifyContent(spec, i, content.value()));
+        ASSERT_TRUE(dlt::VerifyContent(spec, i, content->view()));
         ++seen[i];
         break;
       }

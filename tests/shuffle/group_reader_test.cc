@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <map>
 #include <set>
 
 #include "core/deployment.h"
@@ -53,7 +54,7 @@ TEST_F(GroupReaderTest, ReadsEveryFileWithCorrectContent) {
     // Recover the generated-file index from its path for verification.
     for (size_t i = 0; i < spec_.total_files(); ++i) {
       if (dlt::FilePath(spec_, i) == fm.full_name) {
-        EXPECT_TRUE(dlt::VerifyContent(spec_, i, content.value()));
+        EXPECT_TRUE(dlt::VerifyContent(spec_, i, content->view()));
         seen[i] = true;
         break;
       }
@@ -225,7 +226,7 @@ TEST_F(GroupReaderTest, WrappingFileRangeFromLoadedSnapshotIsCorruption) {
   bool reached = false;
   while (!reader.Done()) {
     const uint32_t idx = reader.PeekIndex().value();
-    auto slice = reader.NextSlice(clock_);
+    auto slice = reader.Next(clock_);
     if (idx == 5) {
       EXPECT_TRUE(slice.status().IsCorruption()) << slice.status().ToString();
       reached = true;
@@ -234,6 +235,69 @@ TEST_F(GroupReaderTest, WrappingFileRangeFromLoadedSnapshotIsCorruption) {
     ASSERT_TRUE(slice.ok()) << slice.status().ToString();
   }
   EXPECT_TRUE(reached);
+}
+
+// A stored chunk whose payload rots after ingest keeps a valid header, so
+// the window's ChunkView::Parse accepts it. The file CRC must still stop the
+// flipped byte: that file returns Corruption, stays unconsumed (a re-read of
+// the stored blob would return the same bytes), and every other file reads.
+TEST_F(GroupReaderTest, CorruptStoredPayloadIsNotServed) {
+  const uint32_t victim = 5;
+  const core::FileMeta& fm = snapshot_.files().at(victim);
+  ASSERT_GT(fm.length, 0u);
+  core::DieselServer& server = deployment_->server(0);
+  const std::string key = core::ChunkObjectKey(spec_.name, fm.chunk);
+  auto stored = server.store().Get(clock_, 0, key);
+  ASSERT_TRUE(stored.ok()) << stored.status().ToString();
+  Bytes rotten = **stored;
+  rotten.at(fm.offset) ^= 0x01;
+  ASSERT_TRUE(core::ChunkView::Parse(rotten).ok());
+  ASSERT_TRUE(server.store().Put(clock_, 0, key, ShareBytes(rotten)).ok());
+
+  std::map<std::string, size_t> generated;
+  for (size_t i = 0; i < spec_.total_files(); ++i) {
+    generated[dlt::FilePath(spec_, i)] = i;
+  }
+  Rng rng(9);
+  const ShufflePlan plan =
+      ChunkWiseShuffle(snapshot_, {.group_size = 4}, rng);
+  const size_t at =
+      std::find(plan.file_order.begin(), plan.file_order.end(), victim) -
+      plan.file_order.begin();
+  ASSERT_LT(at, plan.file_order.size());
+  // The same epoch without the victim, to read on past it.
+  ShufflePlan rest = plan;
+  rest.file_order.erase(rest.file_order.begin() + static_cast<ptrdiff_t>(at));
+  for (size_t& begin : rest.group_begin) {
+    if (begin > at) --begin;
+  }
+
+  GroupWindowReader reader(server, snapshot_, 0);
+  reader.StartEpoch(plan);
+  while (reader.position() < at) {
+    const uint32_t idx = reader.PeekIndex().value();
+    auto content = reader.Next(clock_);
+    ASSERT_TRUE(content.ok()) << content.status().ToString();
+    const size_t i = generated.at(snapshot_.files()[idx].full_name);
+    EXPECT_TRUE(dlt::VerifyContent(spec_, i, content->view())) << i;
+  }
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    auto bad = reader.Next(clock_);
+    EXPECT_TRUE(bad.status().IsCorruption()) << bad.status().ToString();
+    EXPECT_EQ(reader.position(), at);
+  }
+
+  reader.StartEpoch(rest);
+  size_t served = 0;
+  while (!reader.Done()) {
+    const uint32_t idx = reader.PeekIndex().value();
+    auto content = reader.Next(clock_);
+    ASSERT_TRUE(content.ok()) << content.status().ToString();
+    const size_t i = generated.at(snapshot_.files()[idx].full_name);
+    EXPECT_TRUE(dlt::VerifyContent(spec_, i, content->view())) << i;
+    ++served;
+  }
+  EXPECT_EQ(served, spec_.total_files() - 1);
 }
 
 }  // namespace

@@ -126,7 +126,7 @@ RunOutput RunWorkload(uint64_t seed) {
     }
     auto r = next->cache->GetFile(next->clock, next->client->endpoint(), *fm);
     ++out.reads_total;
-    if (r.ok() && dlt::VerifyContent(spec, index, r.value())) ++out.reads_ok;
+    if (r.ok() && dlt::VerifyContent(spec, index, r->view())) ++out.reads_ok;
   }
 
   out.dataset_chunks = tenants[0]->client->snapshot()->chunks().size();

@@ -99,7 +99,7 @@ TEST(TenantCorruptionTest, CorruptPublishIsInvalidatedNeverMarkedVerified) {
     for (Job* job : {&b, &a, &c}) {
       auto r = job->cache->GetFile(job->clock, job->client->endpoint(), *fm);
       ASSERT_TRUE(r.ok()) << "file " << i;
-      EXPECT_TRUE(dlt::VerifyContent(spec, i, r.value()))
+      EXPECT_TRUE(dlt::VerifyContent(spec, i, r->view()))
           << "tenant served corrupt bytes for file " << i;
     }
   }
@@ -184,7 +184,7 @@ TEST(TenantCorruptionTest, InjectedCorruptionCopiesAndLeavesStoreClean) {
   // The miss fetches the corrupted copy; the clean file passes its CRC and
   // the copy becomes resident.
   auto meta = [&](size_t i) { return *snap.Lookup(dlt::FilePath(spec, i)); };
-  auto first = tc.GetFileSlice(clock, ep, meta(good));
+  auto first = tc.GetFile(clock, ep, meta(good));
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   EXPECT_EQ(inj.stats().corruptions_injected, 1u);
   EXPECT_NE(first->shared_owner(), stored);
@@ -192,7 +192,7 @@ TEST(TenantCorruptionTest, InjectedCorruptionCopiesAndLeavesStoreClean) {
   EXPECT_EQ(Crc32c(*stored), stored_crc);
   // The flipped file fails its CRC: evict, refetch, and the refetch is the
   // store's own clean buffer.
-  auto second = tc.GetFileSlice(clock, ep, meta(bad));
+  auto second = tc.GetFile(clock, ep, meta(bad));
   ASSERT_TRUE(second.ok()) << second.status().ToString();
   EXPECT_EQ(tc.stats().corruptions_detected, 1u);
   // Only the clean refetch is resident: dropping the corrupt copy released

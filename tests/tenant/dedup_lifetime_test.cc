@@ -140,7 +140,7 @@ TEST_F(DedupLifetimeTest, SlicesSurviveProviderTeardown) {
     std::vector<size_t> picks = Subset(seed);
     std::vector<core::FileSlice> held;
     for (size_t i : picks) {
-      auto s = adopter->cache->GetFileSlice(
+      auto s = adopter->cache->GetFile(
           adopter->clock, adopter->client->endpoint(), File(*adopter, i));
       ASSERT_TRUE(s.ok()) << s.status().ToString();
       held.push_back(std::move(s.value()));
@@ -176,7 +176,7 @@ TEST_F(DedupLifetimeTest, SlicesSurviveProviderCrashAndFabricDestruction) {
                         .ok());
       }
       for (size_t i : picks) {
-        auto s = adopter->cache->GetFileSlice(
+        auto s = adopter->cache->GetFile(
             adopter->clock, adopter->client->endpoint(), File(*adopter, i));
         ASSERT_TRUE(s.ok());
         held.push_back(std::move(s.value()));
@@ -218,7 +218,7 @@ TEST_F(DedupLifetimeTest, AdoptionFromDeadHomeNodeServesLocally) {
       auto r = adopter->cache->GetFile(
           adopter->clock, adopter->client->endpoint(), File(*adopter, i));
       ASSERT_TRUE(r.ok()) << r.status().ToString();
-      EXPECT_TRUE(dlt::VerifyContent(spec_, i, r.value()));
+      EXPECT_TRUE(dlt::VerifyContent(spec_, i, r->view()));
     }
     EXPECT_EQ(adopter->cache->stats().chunk_loads, 0u);
     deployment_->cluster().RecoverNode(deployment_->client_node(2));

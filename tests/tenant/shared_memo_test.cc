@@ -82,7 +82,7 @@ class SharedMemoTest : public ::testing::Test {
     const core::FileMeta* m =
         t.client->snapshot()->Lookup(dlt::FilePath(spec_, index));
     if (m == nullptr) return Status::NotFound("no such file");
-    return t.cache->GetFileSlice(clock, t.client->endpoint(), *m);
+    return t.cache->GetFile(clock, t.client->endpoint(), *m);
   }
 
   static uint64_t Verified() {
