@@ -22,6 +22,27 @@ sim::DeviceSpec ServerServiceSpec(sim::NodeId node) {
           .channels = 8, .latency = Micros(30), .bytes_per_sec = 6.0e9};
 }
 
+/// `bytes` of a response that the server has ready at `ready`.
+struct StreamedPart {
+  Nanos ready = 0;
+  uint64_t bytes = 0;
+};
+
+/// Streamed response (ReadFiles, ReadChunks): each part's bytes start
+/// crossing the client's `nic` as soon as the server has them rather than
+/// after the whole response is assembled, so backend reads and transfers
+/// pipeline exactly as they would from the same number of unbatched calls.
+/// The NIC serializes overlapping serves on its own timeline. `clock` moves
+/// to when the last part has arrived, and never back.
+void StreamResponse(sim::Device& nic, sim::VirtualClock& clock,
+                    std::span<const StreamedPart> parts) {
+  Nanos t = clock.now();
+  for (const StreamedPart& p : parts) {
+    if (p.bytes > 0) t = std::max(t, nic.Serve(p.ready, p.bytes));
+  }
+  clock.AdvanceTo(t);
+}
+
 }  // namespace
 
 std::string ChunkObjectKey(std::string_view dataset, const ChunkId& id) {
@@ -122,6 +143,7 @@ Result<std::vector<Bytes>> DieselServer::ReadFiles(
   static obs::Counter& file_read_bytes =
       obs::Metrics().GetCounter("core.file.read_bytes");
   Result<std::vector<Bytes>> result = Status::Internal("unset");
+  std::vector<StreamedPart> parts;  // one per merged range
   uint64_t req_bytes = kRpcOverheadBytes;
   for (const auto& p : paths) req_bytes += p.size();
 
@@ -159,10 +181,13 @@ Result<std::vector<Bytes>> DieselServer::ReadFiles(
         //    stored object, so no chunk record is needed.
         std::vector<Bytes> contents(paths.size());
         std::vector<sim::VirtualClock> streams(kStoreStreams, srv);
+        std::string key;  // object key of the chunk being read
         size_t i = 0;
         while (i < order.size()) {
           // Grow a merged range [lo, hi) within one chunk.
           const ChunkId& chunk = metas[order[i]].chunk;
+          if (i == 0 || metas[order[i - 1]].chunk != chunk)
+            key = ChunkObjectKey(dataset, chunk);
           uint64_t lo = metas[order[i]].offset;
           uint64_t hi = lo + metas[order[i]].length;
           size_t j = i + 1;
@@ -173,13 +198,14 @@ Result<std::vector<Bytes>> DieselServer::ReadFiles(
             hi = std::max(hi, e);
             ++j;
           }
+          sim::VirtualClock& stream = sim::EarliestStream(streams);
           Result<Bytes> range =
-              store_.GetRange(sim::EarliestStream(streams), options_.node,
-                              ChunkObjectKey(dataset, chunk), lo, hi - lo);
+              store_.GetRange(stream, options_.node, key, lo, hi - lo);
           if (!range.ok()) {
             result = range.status();
             return srv.now();
           }
+          uint64_t range_bytes = 0;
           for (size_t k = i; k < j; ++k) {
             const FileMeta& fm = metas[order[k]];
             contents[order[k]].assign(
@@ -187,7 +213,9 @@ Result<std::vector<Bytes>> DieselServer::ReadFiles(
                     static_cast<ptrdiff_t>(fm.offset - lo),
                 range.value().begin() +
                     static_cast<ptrdiff_t>(fm.offset - lo + fm.length));
+            range_bytes += fm.length;
           }
+          parts.push_back({stream.now(), range_bytes});
           i = j;
         }
         srv.AdvanceTo(sim::LatestStream(streams));
@@ -198,14 +226,8 @@ Result<std::vector<Bytes>> DieselServer::ReadFiles(
         result = std::move(contents);
         return srv.now();
       }));
-  // Response payload (file bytes) crosses the client NIC.
   if (result.ok()) {
-    uint64_t resp = 0;
-    for (const Bytes& b : result.value()) resp += b.size();
-    if (resp > 0) {
-      Nanos t = fabric_.cluster().node(client).nic().Serve(clock.now(), resp);
-      clock.AdvanceTo(t);
-    }
+    StreamResponse(fabric_.cluster().node(client).nic(), clock, parts);
   }
   return result;
 }
@@ -229,12 +251,13 @@ Result<SharedBytes> DieselServer::ReadChunk(sim::VirtualClock& clock,
         if (result.ok()) {
           chunk_reads.Inc();
           chunk_read_bytes.Inc(result.value()->size());
-          // Response chunk crosses both NICs; approximate with a charge on
-          // the server NIC here; the client-side charge happens in Call's
-          // response leg via resp_bytes=0 (kept small) so add it explicitly.
         }
         return srv.now();
       }));
+  // The Call's response leg carries only the RPC framing; the chunk's bytes
+  // then cross the client NIC in one serve, once the response is back. Not
+  // streamed like ReadChunks: the task cache loads its chunks through this
+  // call, and its timing model is this one.
   if (result.ok() && !result.value()->empty()) {
     Nanos t = fabric_.cluster().node(client).nic().Serve(
         clock.now(), result.value()->size());
@@ -253,7 +276,7 @@ Result<std::vector<SharedBytes>> DieselServer::ReadChunks(
   if (ids.empty()) return std::vector<SharedBytes>{};
   std::vector<Result<SharedBytes>> blobs(ids.size(),
                                          Status::Internal("unset"));
-  std::vector<Nanos> ready(ids.size(), Nanos{0});
+  std::vector<StreamedPart> parts(ids.size());
   DIESEL_RETURN_IF_ERROR(fabric_.CallBatch(
       clock, client, options_.node, ids.size(),
       kRpcOverheadBytes * ids.size(), kRpcOverheadBytes, [&](Nanos arrival) {
@@ -271,32 +294,21 @@ Result<std::vector<SharedBytes>> DieselServer::ReadChunks(
           sim::VirtualClock& stream = sim::EarliestStream(clocks);
           blobs[i] = store_.Get(stream, options_.node,
                                 ChunkObjectKey(dataset, ids[i]));
-          ready[i] = stream.now();
           if (blobs[i].ok()) {
+            parts[i] = {stream.now(), blobs[i].value()->size()};
             chunk_reads.Inc();
             chunk_read_bytes.Inc(blobs[i].value()->size());
           }
         }
         return sim::LatestStream(clocks);
       }));
-  // The response is streamed: chunk i's bytes start crossing the client NIC
-  // as soon as its store read finishes rather than after the whole batch is
-  // assembled, so disk reads and transfers pipeline exactly as they would
-  // from the same number of unbatched per-chunk calls. The NIC device
-  // serializes overlapping serves on its own timeline.
   std::vector<SharedBytes> out;
   out.reserve(ids.size());
-  Nanos t = clock.now();
-  for (size_t i = 0; i < blobs.size(); ++i) {
-    Result<SharedBytes>& b = blobs[i];
+  for (Result<SharedBytes>& b : blobs) {
     DIESEL_RETURN_IF_ERROR(b.status());
-    if (!b.value()->empty()) {
-      t = std::max(t, fabric_.cluster().node(client).nic().Serve(
-                          ready[i], b.value()->size()));
-    }
     out.push_back(std::move(b.value()));
   }
-  clock.AdvanceTo(t);
+  StreamResponse(fabric_.cluster().node(client).nic(), clock, parts);
   return out;
 }
 

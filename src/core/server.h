@@ -84,10 +84,12 @@ class DieselServer {
 
   /// Request executor: read a batch of files, sorted and merged into
   /// chunk-wise range reads (§4 "sorts and merges small file requests").
-  /// One KV multi-get finds the files; each file record addresses the
-  /// stored chunk object, so the ranges go straight to the store, on
-  /// kStoreStreams parallel streams like ReadChunks. Results are returned in
-  /// input order.
+  /// One KV multi-get finds the files (its per-shard sub-requests in flight
+  /// together); each file record addresses the stored chunk object, so the
+  /// ranges go straight to the store, on kStoreStreams parallel streams
+  /// like ReadChunks. The response is streamed like ReadChunks': each
+  /// range's files cross the client NIC as soon as that range is read.
+  /// Results are returned in input order.
   Result<std::vector<Bytes>> ReadFiles(sim::VirtualClock& clock,
                                        sim::NodeId client,
                                        const std::string& dataset,

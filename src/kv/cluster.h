@@ -62,9 +62,12 @@ class KvCluster {
   Status BatchPut(sim::VirtualClock& clock, sim::NodeId client,
                   const WriteBatch& batch);
 
-  /// Pipelined multi-get (one RPC per owning shard). Result i corresponds to
-  /// keys[i]; missing keys yield nullopt. Unavailable if any owning shard is
-  /// down.
+  /// Pipelined multi-get: one RPC per owning shard, all in flight together
+  /// from the caller's now, so the call takes as long as its slowest shard
+  /// (the sender NIC's channels queue any beyond its width). Result i
+  /// corresponds to keys[i]; missing keys yield nullopt. Every touched shard
+  /// is asked even when one fails; the first failure in shard order is
+  /// returned (Unavailable if an owning shard is down).
   Result<std::vector<std::optional<std::string>>> MGet(
       sim::VirtualClock& clock, sim::NodeId client,
       const std::vector<std::string>& keys);
