@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Check perfbench's seeded simulated output against its committed record.
 
-Runs every perfbench workload at `--trace 0` and `--trace 1` with the
-record's seed and compares each simulated value with
+Runs every workload that BENCHMARK.json declares at `--trace 0` and
+`--trace 1` with the record's seed and compares each simulated value with
 bench/perfbench_seed1_sim.json exactly: the `--trace 0` simulated metrics
 and every `--trace 1` metric except the host-time ones (`host_*`).
 `setup_s` is host time too and is not recorded. Simulated time is a pure
@@ -14,7 +14,8 @@ function of the seed, so any difference is a behaviour change.
 A change that moves simulated numbers on purpose refreshes the record with
 --update and explains each moved value in CHANGES.md, as a refresh of
 bench/baseline.json does. Exits 1 on any difference, on a missing or extra
-metric, and when a run is not correct or has failed reads.
+metric or workload (the record must pin exactly BENCHMARK.json's
+workloads), and when a run is not correct or has failed reads.
 """
 import argparse
 import json
@@ -24,9 +25,15 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RECORD = os.path.join(ROOT, "bench", "perfbench_seed1_sim.json")
-WORKLOADS = ("cached", "direct", "prefetch", "tenants")
+BENCHMARK = os.path.join(ROOT, "BENCHMARK.json")
 SEED = 1
 SECONDS = "1"
+
+
+def workloads():
+    """The workload names BENCHMARK.json declares, in its order."""
+    with open(BENCHMARK) as fh:
+        return [w["name"] for w in json.load(fh)["workloads"]]
 
 
 def simulated(metrics, trace):
@@ -56,8 +63,15 @@ def main():
                         help="rewrite the record from this checkout")
     args = parser.parse_args()
 
+    names = workloads()
+    if not args.update:
+        with open(RECORD) as fh:
+            want = json.load(fh)
+        if set(want["workloads"]) != set(names):
+            sys.exit(f"{RECORD} pins workloads {sorted(want['workloads'])} "
+                     f"but {BENCHMARK} declares {sorted(names)}")
     got = {"seed": SEED, "workloads": {
-        w: {f"trace{t}": run(w, t) for t in (0, 1)} for w in WORKLOADS}}
+        w: {f"trace{t}": run(w, t) for t in (0, 1)} for w in names}}
     if args.update:
         with open(RECORD, "w") as fh:
             json.dump(got, fh, indent=2, sort_keys=True)
@@ -65,12 +79,10 @@ def main():
         print(f"wrote {RECORD}")
         return
 
-    with open(RECORD) as fh:
-        want = json.load(fh)
     diffs = []
-    for w in WORKLOADS:
+    for w in names:
         for mode in ("trace0", "trace1"):
-            exp = want["workloads"].get(w, {}).get(mode, {})
+            exp = want["workloads"][w].get(mode, {})
             act = got["workloads"][w][mode]
             for key in sorted(exp.keys() | act.keys()):
                 if exp.get(key) != act.get(key):

@@ -593,32 +593,61 @@ Result<std::vector<core::FileSlice>> TaskCache::GetFiles(
         .push_back(BatchSub{i, chunk_index});
   }
 
-  for (const BatchSub& sub : local) {
-    DIESEL_ASSIGN_OR_RETURN(
-        out[sub.pos],
-        ReadLocal(clock, requester.node, sub.chunk_index, metas[sub.pos],
-                  span));
-  }
-  for (const auto& [owner, subs] : remote) {
+  // Scatter-gather: the local group and each remote owner's group run on
+  // their own clocks from the caller's now, so they are in flight together
+  // (the NICs and memory buses queue whatever overlaps). A group's
+  // follow-ups stay on its clock: retries, backoff and breaker, the
+  // retry-alone reads a multi-get leaves and the degraded reads. Groups
+  // share no chunks and no breaker, so none sees another's virtual future.
+  // Every group is served even after one fails; the caller resumes at the
+  // slowest group and gets the first failure in group order (local, then
+  // owners by node id).
+  const Nanos start = clock.now();
+  Nanos done = start;
+  Status first_failure;
+  auto settle = [&](const sim::VirtualClock& group, Status status) {
+    done = std::max(done, group.now());
+    if (first_failure.ok()) first_failure = std::move(status);
+  };
+  auto serve_local = [&](sim::VirtualClock& group) -> Status {
+    for (const BatchSub& sub : local) {
+      DIESEL_ASSIGN_OR_RETURN(
+          out[sub.pos], ReadLocal(group, requester.node, sub.chunk_index,
+                                  metas[sub.pos], span));
+    }
+    return Status::Ok();
+  };
+  auto serve_owner = [&](sim::VirtualClock& group, sim::NodeId owner,
+                         std::span<const BatchSub> subs) -> Status {
     std::vector<Result<core::FileSlice>> got(subs.size(),
                                              Status::Internal("unset"));
     const Status exchange =
-        FetchFromOwner(clock, requester, owner, subs, metas, got, span);
+        FetchFromOwner(group, requester, owner, subs, metas, got, span);
     for (size_t j = 0; j < subs.size(); ++j) {
       const core::FileMeta& meta = metas[subs[j].pos];
       if (subs.size() > 1 && !got[j].ok()) {
         // Left unserved by a multi-get: retry it alone. The batch of one
         // owns the breaker/degraded handling and reproduces any hard error
         // (e.g. persistent corruption) exactly as an unbatched read would.
-        got[j] = GetFile(clock, requester, meta);
+        got[j] = GetFile(group, requester, meta);
       } else if (!exchange.ok()) {
         if (!options_.degraded_reads) return exchange;
-        got[j] = DegradedRead(clock, requester, meta, span);
+        got[j] = DegradedRead(group, requester, meta, span);
       }
-      if (!got[j].ok()) return got[j].status();
-      out[subs[j].pos] = std::move(got[j]).value();
+      DIESEL_ASSIGN_OR_RETURN(out[subs[j].pos], std::move(got[j]));
     }
+    return Status::Ok();
+  };
+  if (!local.empty()) {
+    sim::VirtualClock group(start);
+    settle(group, serve_local(group));
   }
+  for (const auto& [owner, subs] : remote) {
+    sim::VirtualClock group(start);
+    settle(group, serve_owner(group, owner, subs));
+  }
+  clock.AdvanceTo(done);
+  DIESEL_RETURN_IF_ERROR(first_failure);
   return out;
 }
 
@@ -637,9 +666,10 @@ Result<core::FileSlice> TaskCache::ReadLocal(sim::VirtualClock& clock,
   RpMetrics().slice_ns.Observe(static_cast<double>(clock.now() - slice0));
   RpMetrics().local_ns.Observe(static_cast<double>(clock.now() - local0));
   Counters().local_hits.Inc();
-  span.Note("cache.local_hit");
+  span.NoteAt(clock.now(), "cache.local_hit");
   if (span.active()) {
-    span.Note("phase.slice ns=" + std::to_string(clock.now() - slice0));
+    span.NoteAt(clock.now(),
+                "phase.slice ns=" + std::to_string(clock.now() - slice0));
   }
   std::lock_guard<std::mutex> lock(stats_mutex_);
   ++stats_.local_hits;
@@ -656,8 +686,8 @@ Status TaskCache::FetchFromOwner(sim::VirtualClock& clock,
   uint64_t resp_bytes = 0;
   for (const BatchSub& sub : subs) resp_bytes += metas[sub.pos].length;
   if (k > 1 && span.active()) {
-    span.Note("multi_get owner=n" + std::to_string(owner) +
-              " k=" + std::to_string(k));
+    span.NoteAt(clock.now(), "multi_get owner=n" + std::to_string(owner) +
+                                 " k=" + std::to_string(k));
   }
 
   // The owner sits behind a per-node circuit breaker: transient failures
@@ -692,8 +722,9 @@ Status TaskCache::FetchFromOwner(sim::VirtualClock& clock,
         });
     RpMetrics().rpc_ns.Observe(static_cast<double>(clock.now() - rpc0));
     if (span.active()) {
-      span.Note("phase.rpc attempt=" + std::to_string(attempt) +
-                " ns=" + std::to_string(clock.now() - rpc0));
+      span.NoteAt(clock.now(), "phase.rpc attempt=" +
+                                   std::to_string(attempt) + " ns=" +
+                                   std::to_string(clock.now() - rpc0));
     }
     // A lone file the owner could not produce (its backend load was
     // unavailable) fails the call; in a multi-get it only leaves that file
@@ -701,7 +732,8 @@ Status TaskCache::FetchFromOwner(sim::VirtualClock& clock,
     if (call.ok() && (k > 1 || !got[0].status().IsUnavailable())) {
       if (breaker.OnSuccess(clock.now()) ==
           CircuitBreaker::Transition::kRecovered) {
-        span.Note("breaker.recovered node=" + std::to_string(owner));
+        span.NoteAt(clock.now(),
+                    "breaker.recovered node=" + std::to_string(owner));
         obs::Flight().Record(obs::FlightEventKind::kBreaker, clock.now(),
                              "breaker recovered: n" + std::to_string(owner),
                              span.id());
@@ -711,7 +743,7 @@ Status TaskCache::FetchFromOwner(sim::VirtualClock& clock,
           got.begin(), got.end(), [](const auto& r) { return r.ok(); }));
       if (hits > 0) {
         Counters().peer_hits.Inc(hits);
-        span.Note("cache.peer_hits=" + std::to_string(hits));
+        span.NoteAt(clock.now(), "cache.peer_hits=" + std::to_string(hits));
         std::lock_guard<std::mutex> lock(stats_mutex_);
         stats_.peer_hits += hits;
       }
@@ -731,7 +763,7 @@ Status TaskCache::FetchFromOwner(sim::VirtualClock& clock,
         DropNode(owner);
         Counters().breaker_opens.Inc();
         BreakerGauge(owner).Set(1.0);
-        span.Note("breaker.open node=" + std::to_string(owner));
+        span.NoteAt(clock.now(), "breaker.open node=" + std::to_string(owner));
         obs::Flight().Record(obs::FlightEventKind::kBreaker, clock.now(),
                              "breaker open: n" + std::to_string(owner),
                              span.id());
@@ -747,7 +779,7 @@ Status TaskCache::FetchFromOwner(sim::VirtualClock& clock,
     }
     RpMetrics().backoff_ns.Observe(static_cast<double>(wait));
     if (span.active()) {
-      span.Note("phase.backoff ns=" + std::to_string(wait));
+      span.NoteAt(clock.now(), "phase.backoff ns=" + std::to_string(wait));
     }
     clock.Advance(wait);
   }
@@ -767,7 +799,7 @@ Result<core::FileSlice> TaskCache::DegradedRead(sim::VirtualClock& clock,
                                                 const core::FileMeta& meta,
                                                 obs::ScopedSpan& span) {
   Counters().failovers.Inc();
-  span.Note("cache.degraded_read");
+  span.NoteAt(clock.now(), "cache.degraded_read");
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     ++stats_.failovers;
@@ -781,7 +813,8 @@ Result<core::FileSlice> TaskCache::DegradedRead(sim::VirtualClock& clock,
       }));
   RpMetrics().degraded_ns.Observe(static_cast<double>(clock.now() - degraded0));
   if (span.active()) {
-    span.Note("phase.degraded ns=" + std::to_string(clock.now() - degraded0));
+    span.NoteAt(clock.now(), "phase.degraded ns=" +
+                                 std::to_string(clock.now() - degraded0));
   }
   return core::FileSlice::Own(std::move(content));
 }

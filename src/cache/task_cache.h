@@ -169,6 +169,10 @@ class TaskCache : public membership::MembershipListener {
   /// (Fabric::CallBatch), amortizing the per-RPC overhead across the group.
   /// A file a k >= 2 exchange leaves unserved is retried alone (k = 1); a
   /// lone file whose owner stays unreachable degrades to a server read.
+  /// The groups are in flight together: each runs, follow-ups included, on
+  /// its own clock from `clock`'s now, and `clock` resumes at the slowest.
+  /// Every group is served even after one fails; the first failure in
+  /// group order (local, then owners by node id) is returned.
   Result<std::vector<core::FileSlice>> GetFiles(
       sim::VirtualClock& clock, net::EndpointId requester,
       std::span<const core::FileMeta> metas);

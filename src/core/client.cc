@@ -55,18 +55,6 @@ Status DieselClient::Put(const std::string& path, BytesView content) {
   return Status::Ok();
 }
 
-Status DieselClient::Replace(const std::string& path, BytesView content) {
-  Status st = WithServerRetryStatus([&](DieselServer& s) {
-    return s.DeleteFile(clock_, options_.node, options_.dataset, path);
-  });
-  if (!st.ok() && !st.IsNotFound()) return st;
-  if (st.ok() && snapshot_) snapshot_.reset();  // dataset moved on
-  DIESEL_RETURN_IF_ERROR(Put(path, content));
-  // The old version is gone from metadata immediately; make the new one
-  // visible too rather than leaving it buffered indefinitely.
-  return Flush();
-}
-
 Status DieselClient::Flush() {
   if (builder_.Empty()) return Status::Ok();
   uint32_t ts_sec = static_cast<uint32_t>(clock_.now() / 1000000000ULL);

@@ -84,15 +84,11 @@ class DieselClient {
   /// DL_put: append a file to the current in-flight chunk; flushes
   /// automatically when the chunk reaches the target size.
   ///
-  /// Write-phase semantics: Put assumes `path` is fresh. To modify an
-  /// existing file use Replace() — per §4.1.1 DIESEL modifies "by first
-  /// deleting the old file and then writing a new file"; a bare Put over an
-  /// existing path would leave the old copy unaccounted in its chunk.
+  /// Write-phase semantics: Put assumes `path` is fresh. Per §4.1.1 DIESEL
+  /// modifies a file "by first deleting the old file and then writing a new
+  /// file": Delete it, then Put and Flush the new content. A bare Put over
+  /// an existing path would leave the old copy unaccounted in its chunk.
   Status Put(const std::string& path, BytesView content);
-
-  /// Modify an existing file: tombstone the old version (so purge can
-  /// reclaim it) and write the new content. Works for fresh paths too.
-  Status Replace(const std::string& path, BytesView content);
 
   /// DL_flush: push any partially-filled chunk to a server.
   Status Flush();

@@ -128,10 +128,10 @@ struct Pin {
 };
 
 constexpr Pin kPins[] = {
-    {1, 34845684, 292, 11056611, 239},  {2, 29059072, 292, 54564000, 241},
-    {3, 56400492, 296, 22081035, 240},  {5, 45339971, 293, 21364497, 240},
-    {7, 29059072, 292, 16525422, 239},  {11, 46168457, 293, 15895678, 240},
-    {13, 62328825, 294, 27447570, 238}, {42, 23660495, 293, 21994241, 239},
+    {1, 34845684, 292, 19936153, 240},  {2, 29059072, 292, 14918407, 239},
+    {3, 56400492, 296, 26424886, 240},  {5, 45339971, 293, 14923437, 240},
+    {7, 29059072, 292, 4537746, 239},   {11, 46168457, 293, 25272350, 241},
+    {13, 62328825, 294, 15798386, 238}, {42, 23660495, 293, 15524804, 239},
 };
 
 std::vector<uint64_t> SeedsUnderTest() {

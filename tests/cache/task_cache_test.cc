@@ -9,6 +9,7 @@
 
 #include "core/deployment.h"
 #include "dlt/dataset_gen.h"
+#include "net/fault_injector.h"
 #include "obs/metrics.h"
 
 namespace diesel::cache {
@@ -376,6 +377,88 @@ TEST_F(TaskCacheTest, OwnerBackendOutageFailsALoneCallButNotAMultiGet) {
     EXPECT_EQ(cache.stats().failovers, 1u);
     EXPECT_EQ(cache.stats().peer_hits, 0u);
   }
+}
+
+TEST_F(TaskCacheTest, OwnerSubRequestsOverlap) {
+  // One batch spans the requester's own partition and three remote owners.
+  // Its groups are in flight together, so it ends when its slowest group
+  // does, not after the four back to back. Each group is first read alone,
+  // a virtual second after any other read, so no read queues behind
+  // another on a device.
+  TaskCache cache = MakeCache(Oneshot());
+  Result<Nanos> warm = cache.Preload(0);
+  ASSERT_TRUE(warm.ok());
+  Nanos start = *warm;
+  auto read = [&](const std::vector<core::FileMeta>& metas) -> Nanos {
+    start += Seconds(1);
+    sim::VirtualClock clock(start);
+    EXPECT_TRUE(cache.GetFiles(clock, clients_[0]->endpoint(), metas).ok());
+    return clock.now() - start;
+  };
+  std::vector<core::FileMeta> batch;
+  Nanos slowest = 0;
+  for (sim::NodeId node = 0; node < 4; ++node) {
+    std::vector<core::FileMeta> group;
+    for (size_t i : FilesOwnedBy(cache, node, 4)) {
+      group.push_back(*snapshot_->Lookup(dlt::FilePath(spec_, i)));
+    }
+    ASSERT_EQ(group.size(), 4u);
+    slowest = std::max(slowest, read(group));
+    batch.insert(batch.end(), group.begin(), group.end());
+  }
+  const Nanos together = read(batch);
+  EXPECT_EQ(together, slowest);
+  EXPECT_LT(together, 2 * slowest);
+  EXPECT_EQ(cache.stats().local_hits, 8u);
+  EXPECT_EQ(cache.stats().peer_hits, 24u);
+}
+
+TEST_F(TaskCacheTest, FailedOwnerDoesNotStopOthers) {
+  // Owner node 1 is flapped for the whole read and degraded reads are off,
+  // so its group fails. The other owners are still asked, the call returns
+  // node 1's failure, and the clock sits where node 1's group alone ends:
+  // its retries outlast every other group.
+  TaskCacheOptions opts = Oneshot();
+  opts.degraded_reads = false;
+  TaskCache cache = MakeCache(opts);
+  TaskCache flapped_alone = MakeCache(opts);
+  Result<Nanos> warm = cache.Preload(0);
+  Result<Nanos> warm_alone = flapped_alone.Preload(0);
+  ASSERT_TRUE(warm.ok() && warm_alone.ok());
+  const Nanos start = std::max(*warm, *warm_alone) + Millis(1);
+  net::FaultPlan plan;
+  plan.node_flaps.push_back({1, start, start + Seconds(10)});
+  net::FaultInjector injector(plan);
+  deployment_->fabric().set_fault_injector(&injector);
+
+  std::vector<core::FileMeta> batch;
+  std::vector<core::FileMeta> flapped;
+  for (sim::NodeId node = 0; node < 4; ++node) {
+    for (size_t i : FilesOwnedBy(cache, node, 2)) {
+      batch.push_back(*snapshot_->Lookup(dlt::FilePath(spec_, i)));
+      if (node == 1) flapped.push_back(batch.back());
+    }
+  }
+  ASSERT_EQ(batch.size(), 8u);
+  sim::VirtualClock alone(start);
+  const Status alone_status =
+      flapped_alone.GetFiles(alone, clients_[0]->endpoint(), flapped)
+          .status();
+  ASSERT_TRUE(alone_status.IsUnavailable());
+
+  const uint64_t rpcs0 = deployment_->fabric().rpcs_issued();
+  sim::VirtualClock clock(start);
+  const Status status =
+      cache.GetFiles(clock, clients_[0]->endpoint(), batch).status();
+  EXPECT_EQ(status.ToString(), alone_status.ToString());
+  // Nodes 2 and 3 each answered one multi-get; the flapped owner's
+  // attempts never landed, so they issued nothing.
+  EXPECT_EQ(deployment_->fabric().rpcs_issued() - rpcs0, 2u);
+  EXPECT_EQ(cache.stats().local_hits, 2u);
+  EXPECT_EQ(cache.stats().peer_hits, 4u);
+  EXPECT_EQ(clock.now(), alone.now());
+  EXPECT_GT(clock.now() - start, Millis(5));
+  deployment_->fabric().set_fault_injector(nullptr);
 }
 
 TEST_F(TaskCacheTest, EvictedBytesTracksCapacityEvictions) {

@@ -130,7 +130,10 @@ TEST_F(MergeTest, ReplaceThenPurgeThenMergeKeepsLatestVersion) {
   client->clock().Advance(Seconds(2.0));
   std::string path = dlt::FilePath(spec_, 5);
   std::string new_content = "version-2 payload";
-  ASSERT_TRUE(client->Replace(path, AsBytesView(new_content)).ok());
+  // §4.1.1 modify: delete the old file, then write the new one.
+  ASSERT_TRUE(client->Delete(path).ok());
+  ASSERT_TRUE(client->Put(path, AsBytesView(new_content)).ok());
+  ASSERT_TRUE(client->Flush().ok());
 
   auto read_back = client->Get(path);
   ASSERT_TRUE(read_back.ok());

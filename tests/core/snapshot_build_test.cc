@@ -49,7 +49,9 @@ std::vector<std::string> Ingest(Deployment& dep) {
   }
   EXPECT_TRUE(writer->Flush().ok());
   EXPECT_TRUE(writer->Delete(paths[10]).ok());
-  EXPECT_TRUE(writer->Replace(paths[21], Content(999, 1234)).ok());
+  // Modify: delete, then write the new version.
+  EXPECT_TRUE(writer->Delete(paths[21]).ok());
+  EXPECT_TRUE(writer->Put(paths[21], Content(999, 1234)).ok());
   EXPECT_TRUE(writer->Flush().ok());
   return paths;
 }
