@@ -88,21 +88,16 @@ void Run() {
       readers.back()->StartEpoch(shuffle::PartitionPlan(plan, t, kThreads));
     }
     uint64_t files = 0, window = 0;
-    for (;;) {
-      size_t next = kThreads;
-      for (size_t t = 0; t < kThreads; ++t) {
-        if (readers[t]->Done()) continue;
-        if (next == kThreads || clocks[t].now() < clocks[next].now()) next = t;
-      }
-      if (next == kThreads) break;
-      auto r = readers[next]->Next(clocks[next]);
-      if (!r.ok()) std::abort();
-      ++files;
-    }
-    Nanos end = 0;
-    for (size_t t = 0; t < kThreads; ++t) {
-      end = std::max(end, clocks[t].now());
-      window = std::max(window, readers[t]->stats().peak_window_bytes);
+    Nanos end = sim::DriveEarliestFirst(
+        kThreads, [&](size_t t) { return clocks[t].now(); },
+        [&](size_t t) {
+          if (readers[t]->Done()) return false;
+          if (!readers[t]->Next(clocks[t]).ok()) std::abort();
+          ++files;
+          return true;
+        });
+    for (const auto& reader : readers) {
+      window = std::max(window, reader->stats().peak_window_bytes);
     }
     double rate = static_cast<double>(files) / ToSeconds(end);
     table.AddRow(

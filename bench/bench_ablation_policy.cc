@@ -72,17 +72,15 @@ EpochTimes RunPolicy(cache::CachePolicy policy, Nanos checkpoint_load,
     std::vector<sim::VirtualClock> clocks(clients.size(),
                                           sim::VirtualClock(train_start));
     size_t cursor = 0;
-    while (cursor < order.size()) {
-      size_t next = 0;
-      for (size_t c = 1; c < clocks.size(); ++c) {
-        if (clocks[c].now() < clocks[next].now()) next = c;
-      }
-      const core::FileMeta& fm = snap.files()[order[cursor++]];
-      auto r = cache.GetFile(clocks[next], clients[next]->endpoint(), fm);
-      if (!r.ok()) std::abort();
-    }
-    Nanos end = train_start;
-    for (const auto& c : clocks) end = std::max(end, c.now());
+    Nanos end = sim::DriveEarliestFirst(
+        clocks.size(), [&](size_t c) { return clocks[c].now(); },
+        [&](size_t c) {
+          if (cursor == order.size()) return false;
+          const core::FileMeta& fm = snap.files()[order[cursor++]];
+          auto r = cache.GetFile(clocks[c], clients[c]->endpoint(), fm);
+          if (!r.ok()) std::abort();
+          return true;
+        });
     (epoch == 0 ? times.first_epoch_s : times.second_epoch_s) =
         ToSeconds(end - train_start);
     train_start = end;

@@ -13,9 +13,9 @@
 //   clairvoyant — whole-epoch lookahead, Belady eviction.
 //
 // Reported per capacity point: summed dlt.phase.fetch for epochs >= 2
-// (steady state; epoch 1 is the cold pull everywhere) and the clairvoyant
-// reduction vs. ondemand, which the perf gate expects to stay >= 25% in the
-// capacity-bound configs.
+// (steady state; epoch 1 is the cold pull everywhere), gated per arm, and
+// the clairvoyant reduction vs. ondemand as an info row. The bench fails
+// unless that reduction is >= 25% in the capacity-bound configs.
 #include <algorithm>
 #include <memory>
 
@@ -195,15 +195,23 @@ void Run() {
                   static_cast<double>(r.sched_stats.cancelled));
       bench::AddVirtualTime(Seconds(r.total_s));
       if (arm == Arm::kClairvoyant && cap_frac < 1.0) {
-        // The acceptance gate: clairvoyant+Belady must cut steady-state
-        // fetch stall by >= 25% vs on-demand FIFO when capacity-bound.
+        // The bench's claim: clairvoyant+Belady cuts steady-state fetch
+        // stall by >= 25% vs on-demand FIFO when capacity-bound. The ratio
+        // is not gated: a faster on-demand arm would read as a regression
+        // although every arm's own fetch_s (gated above) fell.
         double reduction =
             ondemand_rest > 0
                 ? (ondemand_rest - r.fetch_rest_s) / ondemand_rest * 100
                 : 0;
-        bench::Metric("fetch_reduction_pct.cap" +
-                          bench::Fmt("%.0f", cap_frac * 100),
-                      "%", reduction, obs::Direction::kHigherIsBetter);
+        std::string cap = bench::Fmt("%.0f", cap_frac * 100);
+        bench::Info("fetch_reduction_pct.cap" + cap, "%", reduction);
+        if (reduction < 25) {
+          std::fprintf(stderr,
+                       "FAIL: clairvoyant cuts steady-state fetch stall by "
+                       "%.1f%% at %s%% capacity, short of the claimed 25%%\n",
+                       reduction, cap.c_str());
+          std::abort();
+        }
       }
     }
   }

@@ -237,44 +237,40 @@ EpochRun RunEpoch(ChurnKind kind, Nanos event_at, Nanos drain_grace,
   for (uint32_t i = 0; i < order.size(); ++i) order[i] = i;
   rng.Shuffle(order);
   std::vector<sim::VirtualClock> clocks(clients.size(), sim::VirtualClock(0));
-  // A crash kills the victim's own dataloader workers with it; the
-  // survivors drain the shared work queue (a planned drain keeps every
-  // worker: the node serves until it departs).
-  std::vector<bool> alive(clients.size(), true);
+  // A crash kills the victim's own dataloader workers with it: each retires
+  // at its first turn past the crash, and the survivors drain the shared
+  // work queue (a planned drain keeps every worker: the node serves until
+  // it departs).
   size_t cursor = 0;
-  while (cursor < order.size()) {
-    size_t next = clocks.size();
-    for (size_t c = 0; c < clocks.size(); ++c) {
-      if (!alive[c]) continue;
-      if (next == clocks.size() || clocks[c].now() < clocks[next].now())
-        next = c;
-    }
-    if (kind == ChurnKind::kCrash && next % kNodes == 3 &&
-        clocks[next].now() >= event_at) {
-      alive[next] = false;
-      continue;
-    }
-    while (next_event < events.size() &&
-           events[next_event].at <= clocks[next].now()) {
-      events[next_event++].fire();
-    }
-    const core::FileMeta& fm = snap.files()[order[cursor++]];
-    auto r = cache.GetFile(clocks[next], clients[next]->endpoint(), fm);
-    if (clocks[next].now() >= next_util) {
-      bench::ExportClusterUtil(clocks[next].now(), &util_base);
-      next_util = clocks[next].now() + Millis(1);
-    }
-    if (!section.empty()) bench::TimelineTick(clocks[next].now());
-    if (!r.ok()) {
-      ++run.failed_reads;
-      continue;
-    }
-    size_t w = static_cast<size_t>(clocks[next].now() / window);
-    if (run.windows.size() <= w) run.windows.resize(w + 1, 0);
-    ++run.windows[w];
-  }
+  run.epoch_end = sim::DriveEarliestFirst(
+      clocks.size(), [&](size_t c) { return clocks[c].now(); },
+      [&](size_t c) {
+        if (cursor == order.size()) return false;
+        if (kind == ChurnKind::kCrash && c % kNodes == 3 &&
+            clocks[c].now() >= event_at) {
+          return false;
+        }
+        while (next_event < events.size() &&
+               events[next_event].at <= clocks[c].now()) {
+          events[next_event++].fire();
+        }
+        const core::FileMeta& fm = snap.files()[order[cursor++]];
+        auto r = cache.GetFile(clocks[c], clients[c]->endpoint(), fm);
+        if (clocks[c].now() >= next_util) {
+          bench::ExportClusterUtil(clocks[c].now(), &util_base);
+          next_util = clocks[c].now() + Millis(1);
+        }
+        if (!section.empty()) bench::TimelineTick(clocks[c].now());
+        if (!r.ok()) {
+          ++run.failed_reads;
+          return true;
+        }
+        size_t w = static_cast<size_t>(clocks[c].now() / window);
+        if (run.windows.size() <= w) run.windows.resize(w + 1, 0);
+        ++run.windows[w];
+        return true;
+      });
   while (next_event < events.size()) events[next_event++].fire();
-  for (const auto& c : clocks) run.epoch_end = std::max(run.epoch_end, c.now());
   if (view_out != nullptr) {
     *view_out = bench::ExportClusterUtil(run.epoch_end, &util_base);
   } else if (!section.empty()) {

@@ -80,11 +80,7 @@ struct Job {
   bool ok = true;
 
   bool done() const { return cursor >= order.size(); }
-  double makespan_s() const {
-    Nanos end = 0;
-    for (const auto& c : clocks) end = std::max(end, c.now());
-    return ToSeconds(end);
-  }
+  double makespan_s() const { return ToSeconds(sim::LatestStream(clocks)); }
 };
 
 std::unique_ptr<Job> MakeJob(core::Deployment& dep, tenant::CacheFabric& shared,
@@ -122,31 +118,26 @@ std::unique_ptr<Job> MakeJob(core::Deployment& dep, tenant::CacheFabric& shared,
 }
 
 /// Drive every job one epoch, interleaved by global virtual time — the
-/// multi-tenant analogue of the closed-loop single-task benches.
+/// multi-tenant analogue of the closed-loop single-task benches. Worker w is
+/// client w % kClientsPerJob of job w / kClientsPerJob.
 void DriveJobs(std::vector<std::unique_ptr<Job>>& jobs) {
-  for (;;) {
-    Job* next_job = nullptr;
-    size_t next_client = 0;
-    for (auto& job : jobs) {
-      if (job->done()) continue;
-      for (size_t c = 0; c < job->clocks.size(); ++c) {
-        if (next_job == nullptr ||
-            job->clocks[c].now() < next_job->clocks[next_client].now()) {
-          next_job = job.get();
-          next_client = c;
-        }
-      }
-    }
-    if (next_job == nullptr) return;
-    sim::VirtualClock& clock = next_job->clocks[next_client];
-    const core::FileMeta& fm =
-        next_job->snap->files()[next_job->order[next_job->cursor++]];
-    Nanos start = clock.now();
-    auto r = next_job->cache->GetFile(
-        clock, next_job->clients[next_client]->endpoint(), fm);
-    if (!r.ok()) next_job->ok = false;
-    next_job->lat_ms.push_back(ToSeconds(clock.now() - start) * 1e3);
-  }
+  sim::DriveEarliestFirst(
+      jobs.size() * kClientsPerJob,
+      [&](size_t w) {
+        return jobs[w / kClientsPerJob]->clocks[w % kClientsPerJob].now();
+      },
+      [&](size_t w) {
+        Job& job = *jobs[w / kClientsPerJob];
+        if (job.done()) return false;
+        sim::VirtualClock& clock = job.clocks[w % kClientsPerJob];
+        const core::FileMeta& fm = job.snap->files()[job.order[job.cursor++]];
+        Nanos start = clock.now();
+        auto r = job.cache->GetFile(
+            clock, job.clients[w % kClientsPerJob]->endpoint(), fm);
+        if (!r.ok()) job.ok = false;
+        job.lat_ms.push_back(ToSeconds(clock.now() - start) * 1e3);
+        return true;
+      });
 }
 
 double P99Ms(std::vector<double> ms) {

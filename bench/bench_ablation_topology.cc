@@ -73,24 +73,16 @@ void Run() {
   }
   Rng rng(77);
   std::vector<size_t> done(n, 0);
-  size_t remaining = n * kOps;
-  Nanos end = 0;
-  while (remaining > 0) {
-    size_t next = n;
-    for (size_t c = 0; c < n; ++c) {
-      if (done[c] >= kOps) continue;
-      if (next == n ||
-          clients[c]->clock().now() < clients[next]->clock().now()) {
-        next = c;
-      }
-    }
-    auto r = clients[next]->Get(
-        dlt::FilePath(spec, rng.Uniform(spec.total_files())));
-    if (!r.ok()) std::abort();
-    ++done[next];
-    --remaining;
-    end = std::max(end, clients[next]->clock().now());
-  }
+  Nanos end = sim::DriveEarliestFirst(
+      n, [&](size_t c) { return clients[c]->clock().now(); },
+      [&](size_t c) {
+        if (done[c] == kOps) return false;
+        auto r = clients[c]->Get(
+            dlt::FilePath(spec, rng.Uniform(spec.total_files())));
+        if (!r.ok()) std::abort();
+        ++done[c];
+        return true;
+      });
   double master_qps = static_cast<double>(n * kOps) / ToSeconds(end);
   std::printf("\nmaster-topology cached read QPS: %s\n",
               bench::FmtCount(master_qps).c_str());

@@ -44,24 +44,15 @@ double MeasureQps(size_t num_servers, size_t client_nodes,
 
   Rng rng(17);
   std::vector<size_t> done(num_clients, 0);
-  size_t remaining = num_clients * kOpsPerThread;
-  Nanos end = 0;
-  while (remaining > 0) {
-    size_t next = num_clients;
-    for (size_t c = 0; c < num_clients; ++c) {
-      if (done[c] >= kOpsPerThread) continue;
-      if (next == num_clients ||
-          clients[c]->clock().now() < clients[next]->clock().now()) {
-        next = c;
-      }
-    }
-    size_t file = rng.Uniform(spec.total_files());
-    auto meta = clients[next]->Stat(dlt::FilePath(spec, file));
-    if (!meta.ok()) std::abort();
-    ++done[next];
-    --remaining;
-    end = std::max(end, clients[next]->clock().now());
-  }
+  Nanos end = sim::DriveEarliestFirst(
+      num_clients, [&](size_t c) { return clients[c]->clock().now(); },
+      [&](size_t c) {
+        if (done[c] == kOpsPerThread) return false;
+        size_t file = rng.Uniform(spec.total_files());
+        if (!clients[c]->Stat(dlt::FilePath(spec, file)).ok()) std::abort();
+        ++done[c];
+        return true;
+      });
   if (end_out != nullptr) *end_out = end;
   return static_cast<double>(num_clients * kOpsPerThread) / ToSeconds(end);
 }

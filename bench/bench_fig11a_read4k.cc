@@ -103,23 +103,15 @@ double DieselQps(DieselRig& rig, const dlt::DatasetSpec& spec, size_t nodes,
 
   // DIESEL-API: drive by the clients' own clocks.
   std::vector<size_t> done(num_clients, 0);
-  size_t remaining = num_clients * kOps;
-  Nanos end = 0;
-  while (remaining > 0) {
-    size_t next = num_clients;
-    for (size_t c = 0; c < num_clients; ++c) {
-      if (done[c] >= kOps) continue;
-      if (next == num_clients ||
-          clients[c]->clock().now() < clients[next]->clock().now()) {
-        next = c;
-      }
-    }
-    auto r = clients[next]->Get(dlt::FilePath(spec, picks[issued++]));
-    if (!r.ok()) std::abort();
-    ++done[next];
-    --remaining;
-    end = std::max(end, clients[next]->clock().now());
-  }
+  Nanos end = sim::DriveEarliestFirst(
+      num_clients, [&](size_t c) { return clients[c]->clock().now(); },
+      [&](size_t c) {
+        if (done[c] == kOps) return false;
+        auto r = clients[c]->Get(dlt::FilePath(spec, picks[issued++]));
+        if (!r.ok()) std::abort();
+        ++done[c];
+        return true;
+      });
   return static_cast<double>(num_clients * kOps) / ToSeconds(end);
 }
 

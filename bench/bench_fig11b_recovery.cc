@@ -93,38 +93,39 @@ void Run() {
     std::vector<sim::VirtualClock> clocks(kClients);
     size_t next_report_pct = 82;
     Nanos end = 0;
-    while (missing > 0) {
-      // Earliest-clock client issues the next random read.
-      size_t c = 0;
-      for (size_t k = 1; k < kClients; ++k) {
-        if (clocks[k].now() < clocks[c].now()) c = k;
-      }
-      size_t f = rng.Uniform(kFiles);
-      std::string path = dlt::FilePath(spec, f);
-      ++reads;
-      auto v = mc.Get(clocks[c], static_cast<sim::NodeId>(c % 10), path);
-      if (!v.ok()) {
-        auto data =
-            lustre.Read(clocks[c], static_cast<sim::NodeId>(c % 10), path);
-        if (!data.ok()) std::abort();
-        if (!cached[f]) {
-          if (!mc.Set(clocks[c], static_cast<sim::NodeId>(c % 10), path,
-                      std::string(kMeanSize, 'x')).ok()) {
-            std::abort();
+    // Clients issue random reads until no file is missing.
+    sim::DriveEarliestFirst(
+        kClients, [&](size_t c) { return clocks[c].now(); },
+        [&](size_t c) {
+          if (missing == 0) return false;
+          size_t f = rng.Uniform(kFiles);
+          std::string path = dlt::FilePath(spec, f);
+          ++reads;
+          auto v = mc.Get(clocks[c], static_cast<sim::NodeId>(c % 10), path);
+          if (!v.ok()) {
+            auto data =
+                lustre.Read(clocks[c], static_cast<sim::NodeId>(c % 10), path);
+            if (!data.ok()) std::abort();
+            if (!cached[f]) {
+              if (!mc.Set(clocks[c], static_cast<sim::NodeId>(c % 10), path,
+                          std::string(kMeanSize, 'x')).ok()) {
+                std::abort();
+              }
+              cached[f] = true;
+              --missing;
+            }
           }
-          cached[f] = true;
-          --missing;
-        }
-      }
-      end = std::max(end, clocks[c].now());
-      double ratio = 1.0 - static_cast<double>(missing) /
-                               static_cast<double>(kFiles);
-      if (ratio * 100 >= static_cast<double>(next_report_pct)) {
-        mc_table.AddRow({bench::Fmt("%.2f", ToSeconds(end)),
-                         bench::Fmt("%.3f", ratio), bench::FmtCount(reads)});
-        next_report_pct += 2;
-      }
-    }
+          end = std::max(end, clocks[c].now());
+          double ratio = 1.0 - static_cast<double>(missing) /
+                                   static_cast<double>(kFiles);
+          if (ratio * 100 >= static_cast<double>(next_report_pct)) {
+            mc_table.AddRow({bench::Fmt("%.2f", ToSeconds(end)),
+                             bench::Fmt("%.3f", ratio),
+                             bench::FmtCount(reads)});
+            next_report_pct += 2;
+          }
+          return true;
+        });
     mc_table.Print();
     std::printf("Memcached reached 100%% after %.2fs and %s random reads "
                 "(coupon-collector tail: the last missing files are only "

@@ -74,27 +74,17 @@ Row Measure(uint64_t file_size, size_t num_files,
       }
       std::vector<sim::VirtualClock> clocks(kThreads);
       uint64_t bytes = 0, files = 0;
-      bool work_left = true;
-      while (work_left) {
-        work_left = false;
-        // Advance the earliest-clock thread that still has files.
-        size_t next = kThreads;
-        for (size_t t = 0; t < kThreads; ++t) {
-          if (readers[t]->Done()) continue;
-          if (next == kThreads || clocks[t].now() < clocks[next].now()) {
-            next = t;
-          }
-        }
-        if (next == kThreads) break;
-        work_left = true;
-        auto content = readers[next]->Next(clocks[next]);
-        if (!content.ok()) std::abort();
-        if (fuse) clocks[next].Advance(2 * sim::kFuseCrossingCost);
-        bytes += content->size();
-        ++files;
-      }
-      Nanos end = 0;
-      for (auto& c : clocks) end = std::max(end, c.now());
+      Nanos end = sim::DriveEarliestFirst(
+          kThreads, [&](size_t t) { return clocks[t].now(); },
+          [&](size_t t) {
+            if (readers[t]->Done()) return false;
+            auto content = readers[t]->Next(clocks[t]);
+            if (!content.ok()) std::abort();
+            if (fuse) clocks[t].Advance(2 * sim::kFuseCrossingCost);
+            bytes += content->size();
+            ++files;
+            return true;
+          });
       double secs = ToSeconds(end);
       if (!fuse && api_view != nullptr) {
         *api_view = bench::ExportClusterUtil(end, &base);

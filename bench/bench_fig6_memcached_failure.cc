@@ -56,8 +56,8 @@ void Run() {
 
     size_t hits = 0, misses = 0;
     // Each client reads a random batch; all clients run concurrently.
-    Nanos iter_end = bench::DriveClosedLoopFrom(
-        epoch_start, kClients, kFilesPerIteration,
+    Nanos iter_end = bench::DriveClosedLoop(
+        kClients, kFilesPerIteration,
         [&](size_t c, sim::VirtualClock& clock) {
           std::string name =
               "/ds/f" + std::to_string(rng.Uniform(kNumFiles));
@@ -72,7 +72,8 @@ void Run() {
                 clock, static_cast<sim::NodeId>(c % kClientNodes), name);
             if (!data.ok()) std::abort();
           }
-        });
+        },
+        epoch_start);
 
     double secs = ToSeconds(iter_end - epoch_start);
     double speed = static_cast<double>(kClients * kFilesPerIteration) / secs;

@@ -37,23 +37,16 @@ double DieselWrite(uint64_t file_size, size_t files_per_writer) {
   // Closed loop scheduled by the clients' own clocks (the client owns its
   // virtual clock, unlike the raw-backend benches below).
   std::vector<size_t> done(kWriters, 0);
-  size_t remaining = kWriters * files_per_writer;
-  while (remaining > 0) {
-    size_t next = kWriters;
-    for (size_t w = 0; w < kWriters; ++w) {
-      if (done[w] >= files_per_writer) continue;
-      if (next == kWriters ||
-          writers[w]->clock().now() < writers[next]->clock().now()) {
-        next = w;
-      }
-    }
-    Status st = writers[next]->Put("/fig9/w" + std::to_string(next) + "/f" +
-                                       std::to_string(done[next]),
-                                   content);
-    if (!st.ok()) std::abort();
-    ++done[next];
-    --remaining;
-  }
+  sim::DriveEarliestFirst(
+      kWriters, [&](size_t w) { return writers[w]->clock().now(); },
+      [&](size_t w) {
+        if (done[w] == files_per_writer) return false;
+        Status st = writers[w]->Put("/fig9/w" + std::to_string(w) + "/f" +
+                                        std::to_string(done[w]++),
+                                    content);
+        if (!st.ok()) std::abort();
+        return true;
+      });
   // Flush the partial chunks; the write completes when every chunk is
   // durable server-side (write-behind), so the makespan is the latest
   // durability time across writers.

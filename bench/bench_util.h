@@ -25,57 +25,26 @@
 
 namespace diesel::bench {
 
-/// Deterministic closed-loop driver: repeatedly advances the worker with the
-/// smallest virtual clock by one operation until every worker has executed
-/// `ops_per_worker` operations. This matches virtual-time causality (the
-/// earliest-clock worker is the next to arrive anywhere), so shared-device
-/// queueing behaves as in a real concurrent run while staying reproducible.
-///
-/// `op(worker, clock)` performs one operation and charges the clock.
-/// Returns the makespan (max clock over workers).
+/// Fixed-count closed loop on sim::DriveEarliestFirst: each of
+/// `num_workers` workers runs `ops_per_worker` operations on its own clock,
+/// which starts at `start`. `op(worker, clock)` performs one operation and
+/// charges the clock. Returns the makespan: the latest clock, or `start`
+/// when there is no work.
 inline Nanos DriveClosedLoop(
     size_t num_workers, size_t ops_per_worker,
-    const std::function<void(size_t, sim::VirtualClock&)>& op) {
-  std::vector<sim::VirtualClock> clocks(num_workers);
-  std::vector<size_t> done(num_workers, 0);
-  size_t remaining = num_workers * ops_per_worker;
-  while (remaining > 0) {
-    size_t next = 0;
-    for (size_t w = 1; w < num_workers; ++w) {
-      bool w_ok = done[w] < ops_per_worker;
-      bool n_ok = done[next] < ops_per_worker;
-      if (w_ok && (!n_ok || clocks[w].now() < clocks[next].now())) next = w;
-    }
-    op(next, clocks[next]);
-    ++done[next];
-    --remaining;
-  }
-  Nanos end = 0;
-  for (const auto& c : clocks) end = std::max(end, c.now());
-  return end;
-}
-
-/// Same, but workers start at `start` and the driver also reports each
-/// worker's final clock through `final` (optional).
-inline Nanos DriveClosedLoopFrom(
-    Nanos start, size_t num_workers, size_t ops_per_worker,
-    const std::function<void(size_t, sim::VirtualClock&)>& op) {
+    const std::function<void(size_t, sim::VirtualClock&)>& op,
+    Nanos start = 0) {
   std::vector<sim::VirtualClock> clocks(num_workers, sim::VirtualClock(start));
   std::vector<size_t> done(num_workers, 0);
-  size_t remaining = num_workers * ops_per_worker;
-  while (remaining > 0) {
-    size_t next = num_workers;
-    for (size_t w = 0; w < num_workers; ++w) {
-      if (done[w] >= ops_per_worker) continue;
-      if (next == num_workers || clocks[w].now() < clocks[next].now()) next = w;
-    }
-    op(next, clocks[next]);
-    ++done[next];
-    --remaining;
-  }
-  Nanos end = start;
-  for (const auto& c : clocks) end = std::max(end, c.now());
-  return end;
+  Nanos end = sim::DriveEarliestFirst(
+      num_workers, [&](size_t w) { return clocks[w].now(); },
+      [&](size_t w) {
+        if (done[w] == ops_per_worker) return false;
+        op(w, clocks[w]);
+        ++done[w];
+        return true;
+      });
+  return std::max(start, end);
 }
 
 /// Fixed-width table printer.

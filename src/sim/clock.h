@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cassert>
 #include <span>
+#include <vector>
 
 #include "common/units.h"
 
@@ -55,6 +56,33 @@ inline Nanos LatestStream(std::span<const VirtualClock> streams) {
                             return a.now() < b.now();
                           })
       ->now();
+}
+
+/// Closed-loop driver over `n` workers: steps the worker whose clock is
+/// earliest (the lowest index on ties) until every worker has retired. The
+/// earliest clock is the next arrival anywhere, so shared devices queue as
+/// in a real concurrent run while the run stays single-threaded and
+/// deterministic. `clock_of(w)` is worker w's clock now. `step(w)` runs w's
+/// next operation and returns true; it returns false, having done nothing,
+/// when w has no work left, and w is never stepped again. Every live clock
+/// is read afresh before each step, so a step may move any clock. Returns
+/// the latest clock over all `n` workers (0 when there are none).
+template <typename ClockOf, typename Step>
+Nanos DriveEarliestFirst(size_t n, ClockOf&& clock_of, Step&& step) {
+  std::vector<bool> live(n, true);
+  for (size_t left = n; left > 0;) {
+    size_t next = n;
+    for (size_t w = 0; w < n; ++w) {
+      if (live[w] && (next == n || clock_of(w) < clock_of(next))) next = w;
+    }
+    if (!step(next)) {
+      live[next] = false;
+      --left;
+    }
+  }
+  Nanos end = 0;
+  for (size_t w = 0; w < n; ++w) end = std::max(end, clock_of(w));
+  return end;
 }
 
 }  // namespace diesel::sim

@@ -1,62 +1,13 @@
-// The experiment harness itself is load-bearing: every figure's numbers
-// flow through DriveClosedLoop and the table printer. Pin their semantics.
+// The experiment harness's output helpers are load-bearing: every figure's
+// numbers are printed through the table printer and the count formatter.
+// Pin their semantics. The closed-loop driver is pinned in
+// tests/sim/driver_test.cc.
 #include <gtest/gtest.h>
 
 #include "bench/bench_util.h"
-#include "sim/device.h"
 
 namespace diesel::bench {
 namespace {
-
-TEST(DriveClosedLoopTest, RunsExactlyOpsPerWorker) {
-  std::vector<size_t> counts(5, 0);
-  Nanos end = DriveClosedLoop(5, 100, [&](size_t w, sim::VirtualClock& c) {
-    ++counts[w];
-    c.Advance(10);
-  });
-  for (size_t w = 0; w < 5; ++w) EXPECT_EQ(counts[w], 100u);
-  EXPECT_EQ(end, 1000u);  // each worker independently reaches 100 * 10
-}
-
-TEST(DriveClosedLoopTest, SchedulesEarliestClockFirst) {
-  // One slow worker, one fast worker: the driver must interleave so that
-  // the fast worker gets proportionally more turns early on — equivalently,
-  // arrival times at a shared device are globally nondecreasing.
-  sim::Device device({.name = "d", .channels = 1, .latency = 1,
-                      .bytes_per_sec = 0});
-  Nanos last_arrival = 0;
-  bool monotonic = true;
-  DriveClosedLoop(2, 200, [&](size_t w, sim::VirtualClock& c) {
-    if (c.now() < last_arrival) monotonic = false;
-    last_arrival = c.now();
-    device.Serve(c.now(), 0);
-    c.Advance(w == 0 ? 5 : 50);  // worker 0 is 10x faster
-  });
-  EXPECT_TRUE(monotonic);
-}
-
-TEST(DriveClosedLoopTest, MakespanIsSlowestWorker) {
-  Nanos end = DriveClosedLoop(3, 10, [&](size_t w, sim::VirtualClock& c) {
-    c.Advance((w + 1) * 100);
-  });
-  EXPECT_EQ(end, 10u * 300u);
-}
-
-TEST(DriveClosedLoopFromTest, StartsAllWorkersAtOffset) {
-  Nanos end = DriveClosedLoopFrom(5000, 2, 3,
-                                  [&](size_t, sim::VirtualClock& c) {
-                                    EXPECT_GE(c.now(), 5000u);
-                                    c.Advance(100);
-                                  });
-  EXPECT_EQ(end, 5300u);
-}
-
-TEST(DriveClosedLoopTest, ZeroWorkIsZeroTime) {
-  EXPECT_EQ(DriveClosedLoop(4, 0, [](size_t, sim::VirtualClock&) {
-              FAIL() << "no ops expected";
-            }),
-            0u);
-}
 
 TEST(FmtTest, CountFormatting) {
   EXPECT_EQ(FmtCount(999), "999");

@@ -16,6 +16,7 @@
 #include "dlt/dataset_gen.h"
 #include "membership/membership.h"
 #include "obs/metrics.h"
+#include "sim/clock.h"
 #include "tests/testutil/flightrec_listener.h"
 
 namespace diesel {
@@ -98,27 +99,28 @@ TEST(RescaleTest, MidEpochPlannedRescale8To12HasZeroFailedReads) {
   std::vector<sim::VirtualClock> clocks(h->clients.size(),
                                         sim::VirtualClock(0));
   const size_t rescale_at = order.size() * 2 / 5;
-  size_t failed = 0;
-  for (size_t cursor = 0; cursor < order.size(); ++cursor) {
-    size_t next = 0;
-    for (size_t c = 1; c < clocks.size(); ++c) {
-      if (clocks[c].now() < clocks[next].now()) next = c;
-    }
-    if (cursor == rescale_at) {
-      for (size_t n = 8; n < 12; ++n) {
-        h->table.Join(h->dep->client_node(n), clocks[next].now());
-      }
-      EXPECT_EQ(h->table.NumActive(), 12u);
-    }
-    auto r = h->cache->GetFile(clocks[next], h->clients[next]->endpoint(),
-                               h->File(order[cursor]));
-    if (!r.ok()) {
-      ++failed;
-      continue;
-    }
-    EXPECT_TRUE(dlt::VerifyContent(h->spec, order[cursor], r->view()))
-        << "file " << order[cursor];
-  }
+  size_t cursor = 0, failed = 0;
+  sim::DriveEarliestFirst(
+      clocks.size(), [&](size_t c) { return clocks[c].now(); },
+      [&](size_t c) {
+        if (cursor == order.size()) return false;
+        if (cursor == rescale_at) {
+          for (size_t n = 8; n < 12; ++n) {
+            h->table.Join(h->dep->client_node(n), clocks[c].now());
+          }
+          EXPECT_EQ(h->table.NumActive(), 12u);
+        }
+        uint32_t file = order[cursor++];
+        auto r = h->cache->GetFile(clocks[c], h->clients[c]->endpoint(),
+                                   h->File(file));
+        if (!r.ok()) {
+          ++failed;
+          return true;
+        }
+        EXPECT_TRUE(dlt::VerifyContent(h->spec, file, r->view()))
+            << "file " << file;
+        return true;
+      });
   EXPECT_EQ(failed, 0u);  // the acceptance bar: zero failed reads
 
   // Only the consistent-hashing share moved: the four joiners own ~1/3 of

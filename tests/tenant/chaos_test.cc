@@ -18,6 +18,7 @@
 #include "core/deployment.h"
 #include "dlt/dataset_gen.h"
 #include "net/fault_injector.h"
+#include "sim/clock.h"
 #include "tenant/fabric.h"
 
 namespace diesel::tenant {
@@ -108,26 +109,25 @@ RunOutput RunWorkload(uint64_t seed) {
   }
 
   // Closed-loop interleave by global virtual time.
-  for (;;) {
-    Tenant* next = nullptr;
-    for (auto& t : tenants) {
-      if (t->cursor >= t->order.size()) continue;
-      if (next == nullptr || t->clock.now() < next->clock.now()) {
-        next = t.get();
-      }
-    }
-    if (next == nullptr) break;
-    size_t index = next->order[next->cursor++];
-    const core::FileMeta* fm =
-        next->client->snapshot()->Lookup(dlt::FilePath(spec, index));
-    if (fm == nullptr) {
-      ADD_FAILURE() << "missing metadata for file " << index;
-      continue;
-    }
-    auto r = next->cache->GetFile(next->clock, next->client->endpoint(), *fm);
-    ++out.reads_total;
-    if (r.ok() && dlt::VerifyContent(spec, index, r->view())) ++out.reads_ok;
-  }
+  sim::DriveEarliestFirst(
+      tenants.size(), [&](size_t j) { return tenants[j]->clock.now(); },
+      [&](size_t j) {
+        Tenant& t = *tenants[j];
+        if (t.cursor == t.order.size()) return false;
+        size_t index = t.order[t.cursor++];
+        const core::FileMeta* fm =
+            t.client->snapshot()->Lookup(dlt::FilePath(spec, index));
+        if (fm == nullptr) {
+          ADD_FAILURE() << "missing metadata for file " << index;
+          return true;
+        }
+        auto r = t.cache->GetFile(t.clock, t.client->endpoint(), *fm);
+        ++out.reads_total;
+        if (r.ok() && dlt::VerifyContent(spec, index, r->view())) {
+          ++out.reads_ok;
+        }
+        return true;
+      });
 
   out.dataset_chunks = tenants[0]->client->snapshot()->chunks().size();
   for (auto& t : tenants) {
