@@ -43,7 +43,7 @@ void Run() {
 
       Rng rng(9);
       sim::VirtualClock clock;
-      uint64_t ops_before = dep.ssd_store().device().ops_served();
+      uint64_t ops_before = dep.store().device().ops_served();
       const int kBatches = 20;
       for (int b = 0; b < kBatches; ++b) {
         std::vector<std::string> paths;
@@ -55,7 +55,7 @@ void Run() {
         if (!r.ok()) std::abort();
       }
       double ops_per_batch =
-          static_cast<double>(dep.ssd_store().device().ops_served() -
+          static_cast<double>(dep.store().device().ops_served() -
                               ops_before) /
           kBatches;
       double latency_ms = ToMillis(clock.now()) / kBatches;

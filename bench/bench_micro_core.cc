@@ -666,6 +666,11 @@ int main(int argc, char** argv) {
   diesel::bench::Info("wall_clock_only", "bool", 0.0);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
+  // google-benchmark picks its iteration counts from the wall clock, so
+  // whatever its runs counted (slice views, CRC skips, ...) differs from run
+  // to run. Zero the registry here: the dumps then hold only the fixed-count
+  // kernels below and stay byte-stable.
+  diesel::obs::Metrics().ResetAll();
   diesel::ReportRpcBatchKernel();
   diesel::ReportSliceSpeedRatio();
   diesel::ReportChunkGetVsCopy();

@@ -599,16 +599,7 @@ Result<std::vector<core::FileSlice>> TaskCache::GetFiles(
   // follow-ups stay on its clock: retries, backoff and breaker, the
   // retry-alone reads a multi-get leaves and the degraded reads. Groups
   // share no chunks and no breaker, so none sees another's virtual future.
-  // Every group is served even after one fails; the caller resumes at the
-  // slowest group and gets the first failure in group order (local, then
-  // owners by node id).
-  const Nanos start = clock.now();
-  Nanos done = start;
-  Status first_failure;
-  auto settle = [&](const sim::VirtualClock& group, Status status) {
-    done = std::max(done, group.now());
-    if (first_failure.ok()) first_failure = std::move(status);
-  };
+  // Group order is local, then owners by node id.
   auto serve_local = [&](sim::VirtualClock& group) -> Status {
     for (const BatchSub& sub : local) {
       DIESEL_ASSIGN_OR_RETURN(
@@ -638,16 +629,16 @@ Result<std::vector<core::FileSlice>> TaskCache::GetFiles(
     }
     return Status::Ok();
   };
+  sim::ScatterGather fan(clock);
   if (!local.empty()) {
-    sim::VirtualClock group(start);
-    settle(group, serve_local(group));
+    fan.Issue([&](sim::VirtualClock& group) { return serve_local(group); });
   }
   for (const auto& [owner, subs] : remote) {
-    sim::VirtualClock group(start);
-    settle(group, serve_owner(group, owner, subs));
+    fan.Issue([&](sim::VirtualClock& group) {
+      return serve_owner(group, owner, subs);
+    });
   }
-  clock.AdvanceTo(done);
-  DIESEL_RETURN_IF_ERROR(first_failure);
+  DIESEL_RETURN_IF_ERROR(fan.Finish());
   return out;
 }
 

@@ -22,19 +22,9 @@ Deployment::Deployment(DeploymentOptions options) : options_(options) {
   kv_ = std::make_unique<kv::KvCluster>(*fabric_, kv_opts);
 
   backing_ = std::make_unique<ostore::MemStore>();
-  ssd_ = std::make_unique<ostore::ModeledStore>(
+  store_ = std::make_unique<ostore::ModeledStore>(
       *fabric_, storage_node(), sim::SsdClusterSpec(),
       sim::SsdClusterWriteSpec(), backing_.get());
-  if (options_.tiered_store) {
-    hdd_backing_ = std::make_unique<ostore::MemStore>();
-    hdd_ = std::make_unique<ostore::ModeledStore>(
-        *fabric_, storage_node(), sim::HddClusterSpec(), hdd_backing_.get());
-    tiered_ = std::make_unique<ostore::TieredStore>(ssd_.get(), hdd_.get(),
-                                                    options_.ssd_cache_bytes);
-    store_ = tiered_.get();
-  } else {
-    store_ = ssd_.get();
-  }
 
   for (size_t i = 0; i < options_.num_servers; ++i) {
     ServerOptions so;
@@ -82,12 +72,8 @@ Result<std::unique_ptr<DieselClient>> Deployment::MakeClientViaDiscovery(
 void Deployment::ResetDevices() {
   cluster_->ResetDevices();
   kv_->ResetDevices();
-  ssd_->device().Reset();
-  ssd_->write_device().Reset();
-  if (hdd_) {
-    hdd_->device().Reset();
-    hdd_->write_device().Reset();
-  }
+  store_->device().Reset();
+  store_->write_device().Reset();
   for (auto& s : servers_) s->service().Reset();
 }
 

@@ -20,7 +20,6 @@
 #include "net/fabric.h"
 #include "ostore/mem_store.h"
 #include "ostore/modeled_store.h"
-#include "ostore/tiered_store.h"
 #include "sim/node.h"
 
 namespace diesel::core {
@@ -30,10 +29,6 @@ struct DeploymentOptions {
   size_t num_kv_nodes = 4;
   uint32_t kv_shards_per_node = 4;
   size_t num_servers = 1;
-  /// Use the HDD backend with an SSD server cache (Fig. 4's two-tier path)
-  /// instead of the plain SSD-class store.
-  bool tiered_store = false;
-  uint64_t ssd_cache_bytes = 0;  // 0 = unbounded fast tier
 };
 
 class Deployment {
@@ -48,8 +43,8 @@ class Deployment {
   sim::Cluster& cluster() { return *cluster_; }
   net::Fabric& fabric() { return *fabric_; }
   kv::KvCluster& kv() { return *kv_; }
-  ostore::ObjectStore& store() { return *store_; }
-  ostore::ModeledStore& ssd_store() { return *ssd_; }
+  /// The SSD-class object store every server reads and writes.
+  ostore::ModeledStore& store() { return *store_; }
 
   size_t num_servers() const { return servers_.size(); }
   DieselServer& server(size_t i) { return *servers_.at(i); }
@@ -106,11 +101,7 @@ class Deployment {
   std::unique_ptr<net::Fabric> fabric_;
   std::unique_ptr<kv::KvCluster> kv_;
   std::unique_ptr<ostore::MemStore> backing_;
-  std::unique_ptr<ostore::ModeledStore> ssd_;
-  std::unique_ptr<ostore::MemStore> hdd_backing_;
-  std::unique_ptr<ostore::ModeledStore> hdd_;
-  std::unique_ptr<ostore::TieredStore> tiered_;
-  ostore::ObjectStore* store_ = nullptr;
+  std::unique_ptr<ostore::ModeledStore> store_;
   std::vector<std::unique_ptr<DieselServer>> servers_;
   std::unique_ptr<etcd::ConfigStore> config_;
 };

@@ -435,23 +435,6 @@ Status DieselServer::DeleteDataset(sim::VirtualClock& clock,
   return op_status;
 }
 
-Result<Nanos> DieselServer::PrefetchDataset(sim::VirtualClock& clock,
-                                            const std::string& dataset,
-                                            size_t streams) {
-  DIESEL_ASSIGN_OR_RETURN(std::vector<ChunkId> chunks,
-                          meta_.ListChunks(clock, dataset));
-  std::vector<sim::VirtualClock> clocks(std::max<size_t>(1, streams), clock);
-  for (const ChunkId& id : chunks) {
-    // A whole-object read promotes the chunk into the fast tier when the
-    // store is tiered; on a flat store this is a no-op warm read.
-    DIESEL_RETURN_IF_ERROR(store_.Get(sim::EarliestStream(clocks),
-                                      options_.node,
-                                      ChunkObjectKey(dataset, id))
-                               .status());
-  }
-  return sim::LatestStream(clocks);
-}
-
 Result<RecoveryStats> DieselServer::RecoverMetadata(sim::VirtualClock& clock,
                                                     const std::string& dataset,
                                                     uint32_t from_ts_sec) {

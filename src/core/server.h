@@ -44,8 +44,7 @@ struct RecoveryStats {
 };
 
 /// Parallel object-store streams one server request reads on: the chunk
-/// ranges of a ReadFiles batch, and by default the chunks of ReadChunks and
-/// PrefetchDataset.
+/// ranges of a ReadFiles batch, and by default the chunks of ReadChunks.
 inline constexpr size_t kStoreStreams = 8;
 
 /// Object-store key of a chunk blob.
@@ -139,15 +138,6 @@ class DieselServer {
 
   Status DeleteDataset(sim::VirtualClock& clock, sim::NodeId client,
                        const std::string& dataset);
-
-  /// Server cache warming (Fig. 4): "if a cache miss occurs on the
-  /// server-side, the server will start to cache the dataset in the
-  /// background" — pull every chunk of `dataset` through the (tiered) store
-  /// with `streams` parallel fetches so subsequent reads hit the fast tier.
-  /// Returns the virtual time the warm-up finished. Runs server-side.
-  Result<Nanos> PrefetchDataset(sim::VirtualClock& clock,
-                                const std::string& dataset,
-                                size_t streams = kStoreStreams);
 
   /// Rebuild KV metadata by scanning chunk headers from object storage in
   /// write order. `from_ts_sec == 0` scans everything (scenario b: total KV

@@ -2,7 +2,6 @@
 
 #include <cassert>
 
-#include "shuffle/shuffle.h"
 #include "sim/calibration.h"
 
 namespace diesel::fusefs {
@@ -42,61 +41,6 @@ Result<Bytes> FuseMount::ReadFile(sim::VirtualClock& clock,
   Crossing(clock);
   bytes_read_.fetch_add(size, std::memory_order_relaxed);
   return content;
-}
-
-Status FuseMount::WriteFile(sim::VirtualClock& clock, const std::string& path,
-                            BytesView content) {
-  core::DieselClient* client = PickClient();
-  // create(2).
-  Crossing(clock);
-  client->clock().AdvanceTo(clock.now());
-  Status st = client->Put(path, content);
-  clock.AdvanceTo(client->clock().now());
-  if (!st.ok()) return st;
-  // write(2) slices beyond the first, then close(2).
-  uint64_t slices = content.empty()
-                        ? 1
-                        : (content.size() + sim::kFuseMaxRead - 1) /
-                              sim::kFuseMaxRead;
-  for (uint64_t i = 1; i < slices; ++i) Crossing(clock);
-  Crossing(clock);
-  return Status::Ok();
-}
-
-Status FuseMount::Flush(sim::VirtualClock& clock) {
-  for (core::DieselClient* client : clients_) {
-    Crossing(clock);
-    client->clock().AdvanceTo(clock.now());
-    DIESEL_RETURN_IF_ERROR(client->Flush());
-    clock.AdvanceTo(client->clock().now());
-  }
-  return Status::Ok();
-}
-
-Result<std::string> FuseMount::ReadShuffleList(sim::VirtualClock& clock,
-                                               size_t group_size,
-                                               uint64_t epoch_seed) {
-  core::DieselClient* client = PickClient();
-  Crossing(clock);
-  if (client->snapshot() == nullptr)
-    return Status::FailedPrecondition(
-        "shuffle list needs a loaded metadata snapshot (DL_load_meta)");
-  const core::MetadataSnapshot& snap = *client->snapshot();
-  Rng rng(epoch_seed);
-  shuffle::ShufflePlan plan =
-      shuffle::ChunkWiseShuffle(snap, {.group_size = group_size}, rng);
-  std::string out;
-  out.reserve(plan.file_order.size() * 48);
-  for (uint32_t idx : plan.file_order) {
-    out += snap.files()[idx].full_name;
-    out += '\n';
-  }
-  // List generation is client-local CPU work plus streaming it back through
-  // the FUSE pipe in kFuseMaxRead slices.
-  clock.Advance(sim::kSnapshotLookupCost * plan.file_order.size() / 4);
-  uint64_t slices = (out.size() + sim::kFuseMaxRead - 1) / sim::kFuseMaxRead;
-  for (uint64_t i = 1; i < slices; ++i) Crossing(clock);
-  return out;
 }
 
 Result<std::vector<core::DirEntry>> FuseMount::ReadDir(

@@ -33,22 +33,6 @@ class FuseMount : public PosixLike {
   /// request pipeline.
   Result<Bytes> ReadFile(sim::VirtualClock& clock, const std::string& path);
 
-  /// create(2) + write(2) loop + close(2): store a file through the daemon
-  /// (buffered into the client's current chunk; DL_flush publishes it).
-  Status WriteFile(sim::VirtualClock& clock, const std::string& path,
-                   BytesView content);
-
-  /// Flush all daemon clients' pending chunks (fsync(2)-ish).
-  Status Flush(sim::VirtualClock& clock);
-
-  /// §5: "DIESEL provides helper functions to let the user read the
-  /// generated file list" — the chunk-wise-shuffle control file. Reading it
-  /// generates a fresh epoch order (group size `group_size`) and returns one
-  /// full path per line; training code then opens files in exactly that
-  /// order. Requires a loaded snapshot on the daemon clients.
-  Result<std::string> ReadShuffleList(sim::VirtualClock& clock,
-                                      size_t group_size, uint64_t epoch_seed);
-
   Result<std::vector<core::DirEntry>> ReadDir(sim::VirtualClock& clock,
                                               const std::string& path) override;
 

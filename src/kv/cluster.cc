@@ -243,45 +243,43 @@ Result<std::vector<std::optional<std::string>>> KvCluster::MGet(
       GroupByShard(keys.size(), shards_.size(),
                    [&](size_t i) { return ring_.OwnerOfHash(hashes[i]); });
   // Scatter-gather: each shard group's RPC, retries included, runs on its
-  // own clock from the caller's now, so the sub-requests are in flight
-  // together (the devices queue whatever overlaps). Every touched shard is
-  // issued even after one fails; the caller resumes once the slowest is
-  // done and sees the first failure in shard order.
-  Nanos done = clock.now();
-  Status first_failure;
+  // own clock, so the sub-requests are in flight together (the devices
+  // queue whatever overlaps). Every touched shard is issued; the caller sees
+  // the first failure in shard order.
+  sim::ScatterGather fan(clock);
   for (uint32_t s = 0; s < shards_.size(); ++s) {
     const std::span<const uint32_t> indices = groups.of(s);
     if (indices.empty()) continue;
-    Shard& shard = *shards_[s];
-    uint64_t req = kOpOverheadBytes;
-    for (size_t i : indices) req += keys[i].size();
-    sim::VirtualClock sub(clock.now());
-    uint32_t attempts = 0;
-    Status shard_status = options_.retry.Run(sub, [&]() -> Status {
-      ++attempts;
-      DIESEL_RETURN_IF_ERROR(CheckShardUp(s));
-      return CallShard(
-          fabric_, sub, client, shard_node_[s], req, kOpOverheadBytes,
-          [&](Nanos arrival) {
-            uint64_t resp = 0;
-            for (uint32_t i : indices) {
-              Result<std::string> v = shard.Get(HashedKey(keys[i], hashes[i]));
-              if (v.ok()) {
-                resp += v.value().size();
-                out[i] = std::move(v).value();
+    fan.Issue([&](sim::VirtualClock& sub) -> Status {
+      Shard& shard = *shards_[s];
+      uint64_t req = kOpOverheadBytes;
+      for (size_t i : indices) req += keys[i].size();
+      uint32_t attempts = 0;
+      Status shard_status = options_.retry.Run(sub, [&]() -> Status {
+        ++attempts;
+        DIESEL_RETURN_IF_ERROR(CheckShardUp(s));
+        return CallShard(
+            fabric_, sub, client, shard_node_[s], req, kOpOverheadBytes,
+            [&](Nanos arrival) {
+              uint64_t resp = 0;
+              for (uint32_t i : indices) {
+                Result<std::string> v =
+                    shard.Get(HashedKey(keys[i], hashes[i]));
+                if (v.ok()) {
+                  resp += v.value().size();
+                  out[i] = std::move(v).value();
+                }
               }
-            }
-            return shard.service().Serve(
-                arrival, req + resp,
-                sim::kKvBatchEntryCost * (indices.size() - 1));
-          });
+              return shard.service().Serve(
+                  arrival, req + resp,
+                  sim::kKvBatchEntryCost * (indices.size() - 1));
+            });
+      });
+      metrics.Record(attempts, shard_status, span);
+      return shard_status;
     });
-    metrics.Record(attempts, shard_status, span);
-    done = std::max(done, sub.now());
-    if (first_failure.ok()) first_failure = std::move(shard_status);
   }
-  clock.AdvanceTo(done);
-  DIESEL_RETURN_IF_ERROR(first_failure);
+  DIESEL_RETURN_IF_ERROR(fan.Finish());
   return out;
 }
 

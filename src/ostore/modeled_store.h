@@ -2,8 +2,7 @@
 //
 // Wraps any backing store with (a) an RPC from the client node to the
 // storage gateway node and (b) a storage-device charge sized to the bytes
-// moved. With SsdClusterSpec() this reproduces the Table 2 block-size sweep;
-// with HddClusterSpec() it models the slow backend tier of Fig. 4.
+// moved. With SsdClusterSpec() this reproduces the Table 2 block-size sweep.
 #pragma once
 
 #include <memory>

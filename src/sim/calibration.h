@@ -63,13 +63,6 @@ inline DeviceSpec SsdClusterWriteSpec() {
           .bytes_per_sec = 8.0e9 / 16};
 }
 
-/// HDD-class backend tier (server cache misses go here): high seek cost,
-/// decent streaming bandwidth.
-inline DeviceSpec HddClusterSpec() {
-  return {.name = "hdd-cluster", .channels = 16, .latency = Millis(6),
-          .bytes_per_sec = 1.6e9 / 16};
-}
-
 // ---------------------------------------------------------------------------
 // Lustre baseline
 // ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@
 #include <span>
 #include <vector>
 
+#include "common/status.h"
 #include "common/units.h"
 
 namespace diesel::sim {
@@ -57,6 +58,36 @@ inline Nanos LatestStream(std::span<const VirtualClock> streams) {
                           })
       ->now();
 }
+
+/// Scatter-gather: sub-requests in flight together. Each `Issue(run)` runs
+/// one group as `run(sub)` on its own clock `sub`, which starts at the
+/// caller's now, and keeps going after a group fails. `Finish()` moves the
+/// caller's clock to the slowest group and returns the first failure in
+/// issue order.
+class ScatterGather {
+ public:
+  explicit ScatterGather(VirtualClock& clock)
+      : clock_(clock), start_(clock.now()), done_(start_) {}
+
+  template <typename Run>
+  void Issue(Run&& run) {
+    VirtualClock sub(start_);
+    Status status = run(sub);
+    done_ = std::max(done_, sub.now());
+    if (first_failure_.ok()) first_failure_ = std::move(status);
+  }
+
+  Status Finish() {
+    clock_.AdvanceTo(done_);
+    return std::move(first_failure_);
+  }
+
+ private:
+  VirtualClock& clock_;
+  const Nanos start_;
+  Nanos done_;
+  Status first_failure_;
+};
 
 /// Closed-loop driver over `n` workers: steps the worker whose clock is
 /// earliest (the lowest index on ties) until every worker has retired. The

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "dlt/dataset_gen.h"
-
 namespace diesel::core {
 namespace {
 
@@ -62,37 +60,6 @@ TEST(DeploymentTest, MakeClientConnectsToAllServers) {
   Deployment dep(opts);
   auto client = dep.MakeClient(0, 5, "ds");
   EXPECT_EQ(dep.fabric().connections().ConnectionsOf(client->endpoint()), 3u);
-}
-
-TEST(DeploymentTest, TieredStoreRoutesThroughSsdCache) {
-  DeploymentOptions opts;
-  opts.tiered_store = true;
-  opts.ssd_cache_bytes = 0;  // unbounded fast tier
-  Deployment dep(opts);
-
-  dlt::DatasetSpec spec;
-  spec.name = "tiered";
-  spec.num_classes = 2;
-  spec.files_per_class = 10;
-  spec.mean_file_bytes = 1024;
-  auto writer = dep.MakeClient(0, 0, spec.name, 8 * 1024);
-  ASSERT_TRUE(dlt::ForEachFile(spec, [&](const dlt::GeneratedFile& f) {
-                return writer->Put(f.path, f.content);
-              }).ok());
-  ASSERT_TRUE(writer->Flush().ok());
-
-  // First read: HDD tier (slow) + promotion; second read: SSD tier (fast).
-  auto reader = dep.MakeClient(1, 0, spec.name);
-  sim::VirtualClock c1, c2;
-  {
-    auto r = dep.server(0).ReadFile(c1, 1, spec.name, dlt::FilePath(spec, 0));
-    ASSERT_TRUE(r.ok());
-  }
-  {
-    auto r = dep.server(0).ReadFile(c2, 1, spec.name, dlt::FilePath(spec, 0));
-    ASSERT_TRUE(r.ok());
-  }
-  EXPECT_LT(c2.now(), c1.now());
 }
 
 TEST(DeploymentTest, DistinctDeploymentsAreIsolated) {

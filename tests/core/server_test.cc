@@ -68,11 +68,11 @@ TEST_F(ServerTest, RequestExecutorMergesBatchIntoFewRangeReads) {
   std::vector<std::string> paths;
   for (size_t i = 0; i < 40; ++i) paths.push_back(dlt::FilePath(spec_, i));
 
-  uint64_t ops_before = deployment_->ssd_store().device().ops_served();
+  uint64_t ops_before = deployment_->store().device().ops_served();
   auto contents = server().ReadFiles(clock_, 0, spec_.name, paths);
   ASSERT_TRUE(contents.ok()) << contents.status().ToString();
   uint64_t storage_ops =
-      deployment_->ssd_store().device().ops_served() - ops_before;
+      deployment_->store().device().ops_served() - ops_before;
 
   ASSERT_EQ(contents->size(), paths.size());
   for (size_t i = 0; i < paths.size(); ++i) {

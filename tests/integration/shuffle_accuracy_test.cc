@@ -3,10 +3,15 @@
 // tolerance), end-to-end through DIESEL storage.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <vector>
+
 #include "core/deployment.h"
 #include "dlt/dataset_gen.h"
-#include "dlt/distributed_task.h"
+#include "dlt/pipeline.h"
 #include "dlt/trainer.h"
+#include "shuffle/group_reader.h"
 #include "shuffle/shuffle.h"
 
 namespace diesel {
@@ -58,12 +63,13 @@ struct Rig {
 TEST(ShuffleAccuracyTest, ChunkWiseMatchesDatasetShuffle) {
   Rig rig;
 
+  sim::VirtualClock snap_clock;
+  auto snap = rig.dep->server(0).BuildSnapshot(snap_clock, 0, "acc");
+  ASSERT_TRUE(snap.ok());
+
   // Arm A: conventional dataset shuffle, reading through the server.
   dlt::SoftmaxTrainer baseline = rig.MakeTrainer();
   {
-    sim::VirtualClock snap_clock;
-    auto snap = rig.dep->server(0).BuildSnapshot(snap_clock, 0, "acc");
-    ASSERT_TRUE(snap.ok());
     Rng rng(404);
     sim::VirtualClock clock;
     for (size_t epoch = 0; epoch < kEpochs; ++epoch) {
@@ -82,29 +88,54 @@ TEST(ShuffleAccuracyTest, ChunkWiseMatchesDatasetShuffle) {
     }
   }
 
-  // Arm B: chunk-wise shuffle through the DistributedTrainingTask.
+  // Arm B: chunk-wise shuffle in the memory-constrained mode (§4.3). Each
+  // I/O worker (two per node on two nodes) reads its share of the epoch's
+  // groups through a group window; the training loop consumes the workers'
+  // mini-batches in iteration order.
   dlt::SoftmaxTrainer chunkwise = rig.MakeTrainer();
   {
-    dlt::DistributedTaskOptions topts;
-    topts.num_nodes = 2;
-    topts.io_workers_per_node = 2;
-    topts.minibatch = 32;
-    topts.shuffle.group_size = 4;
-    topts.use_task_cache = false;  // memory-constrained group windows
-    dlt::DistributedTrainingTask task(*rig.dep, "acc", topts);
-    ASSERT_TRUE(task.Setup().ok());
+    constexpr size_t kWorkers = 4;
+    constexpr size_t kMinibatch = 32;
+    std::vector<std::unique_ptr<shuffle::GroupWindowReader>> readers;
+    for (size_t w = 0; w < kWorkers; ++w) {
+      readers.push_back(std::make_unique<shuffle::GroupWindowReader>(
+          rig.dep->server(0), *snap, static_cast<sim::NodeId>(w % 2)));
+    }
+    dlt::TrainingPipeline pipeline({.io_workers = kWorkers});
+    Rng rng(42);
+    Nanos start = 0;
     for (size_t epoch = 0; epoch < kEpochs; ++epoch) {
-      auto report = task.RunEpoch([&](std::span<const Bytes> batch) {
-        std::vector<dlt::LabelledSample> decoded;
-        for (const Bytes& b : batch) {
-          auto s = dlt::SoftmaxTrainer::Decode(b);
-          if (!s.ok()) return s.status();
-          decoded.push_back(std::move(s).value());
-        }
-        chunkwise.TrainBatch(decoded);
-        return Status::Ok();
-      });
-      ASSERT_TRUE(report.ok());
+      shuffle::ShufflePlan plan =
+          shuffle::ChunkWiseShuffle(*snap, {.group_size = 4}, rng);
+      size_t longest = 0;
+      for (size_t w = 0; w < kWorkers; ++w) {
+        shuffle::ShufflePlan part = shuffle::PartitionPlan(plan, w, kWorkers);
+        longest = std::max(longest, part.file_order.size());
+        readers[w]->StartEpoch(std::move(part));
+      }
+      // Enough rounds for the longest share; a drained worker's batch is
+      // empty.
+      const size_t iterations =
+          kWorkers * ((longest + kMinibatch - 1) / kMinibatch);
+      auto result = pipeline.RunEpoch(
+          start, iterations, /*shuffle_cost=*/0,
+          [&](size_t iter, sim::VirtualClock& clock) -> Status {
+            shuffle::GroupWindowReader& reader = *readers[iter % kWorkers];
+            std::vector<dlt::LabelledSample> batch;
+            while (batch.size() < kMinibatch && !reader.Done()) {
+              DIESEL_ASSIGN_OR_RETURN(core::FileSlice file,
+                                      reader.Next(clock));
+              DIESEL_ASSIGN_OR_RETURN(
+                  dlt::LabelledSample s,
+                  dlt::SoftmaxTrainer::Decode(file.view()));
+              batch.push_back(std::move(s));
+            }
+            if (!batch.empty()) chunkwise.TrainBatch(batch);
+            return Status::Ok();
+          });
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      for (const auto& reader : readers) ASSERT_TRUE(reader->Done());
+      start = result->epoch_end;
     }
   }
 

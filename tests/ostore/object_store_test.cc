@@ -14,7 +14,6 @@
 #include "ostore/dir_store.h"
 #include "ostore/mem_store.h"
 #include "ostore/modeled_store.h"
-#include "ostore/tiered_store.h"
 #include "sim/calibration.h"
 
 namespace diesel::ostore {
@@ -169,19 +168,6 @@ TEST(BlobOwnershipTest, ModeledStoreSharesThePutPointer) {
     EXPECT_EQ(modeled.Get(clock, 0, key).value(), blob) << key;
     EXPECT_EQ(backing.Get(clock, 0, key).value(), blob) << key;
   }
-}
-
-TEST(BlobOwnershipTest, TieredPromotionSharesTheSlowTierBlob) {
-  MemStore fast, slow;
-  TieredStore tiered(&fast, &slow, /*fast_capacity_bytes=*/0);
-  sim::VirtualClock clock;
-  SharedBytes blob = Filled(256, 9);
-  ASSERT_TRUE(tiered.Put(clock, 0, "k", blob).ok());
-  EXPECT_EQ(tiered.Get(clock, 0, "k").value(), blob);  // slow hit, promotes
-  ASSERT_EQ(tiered.stats().promotions, 1u);
-  EXPECT_EQ(fast.Get(clock, 0, "k").value(), blob);
-  EXPECT_EQ(tiered.Get(clock, 0, "k").value(), blob);  // fast hit
-  EXPECT_EQ(tiered.stats().fast_hits, 1u);
 }
 
 TEST(BlobOwnershipTest, OverwriteAndDeleteLeaveHeldBlobIntact) {
