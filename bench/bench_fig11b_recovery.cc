@@ -53,8 +53,7 @@ void Run() {
   if (!clients[0]->FetchSnapshot().ok()) std::abort();
   const core::MetadataSnapshot& snap = *clients[0]->snapshot();
   cache::TaskCache cache(dep.fabric(), dep.server(0), snap, registry,
-                         {.policy = cache::CachePolicy::kOneshot,
-                          .preload_streams = 8});
+                         {.policy = cache::CachePolicy::kOneshot});
   auto load_end = cache.Preload(0);
   if (!load_end.ok()) std::abort();
   std::printf("\nDIESEL task-grained cache: full dataset (%zu chunks) loaded "

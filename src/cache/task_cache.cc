@@ -527,8 +527,8 @@ Result<core::FileSlice> TaskCache::ReadFromPartition(sim::VirtualClock& clock,
 Result<Nanos> TaskCache::PreloadPartition(sim::NodeId node,
                                           std::span<const size_t> chunks,
                                           Nanos start, uint64_t* loaded) {
-  const size_t streams = std::max<uint32_t>(1, options_.preload_streams);
-  std::vector<sim::VirtualClock> clocks(streams, sim::VirtualClock(start));
+  std::vector<sim::VirtualClock> clocks(kPreloadStreams,
+                                        sim::VirtualClock(start));
   for (size_t ci : chunks) {
     if (ChunkResident(ci)) continue;
     DIESEL_RETURN_IF_ERROR(FillChunk(sim::EarliestStream(clocks), node, ci,
@@ -541,7 +541,7 @@ Result<Nanos> TaskCache::PreloadPartition(sim::NodeId node,
 }
 
 Result<Nanos> TaskCache::Preload(Nanos start) {
-  // Each master pulls its partition with `preload_streams` concurrent
+  // Each master pulls its partition with kPreloadStreams concurrent
   // fetch streams; nodes work in parallel so the makespan is the slowest
   // node's finish time.
   Nanos makespan = start;
@@ -622,7 +622,6 @@ Result<std::vector<core::FileSlice>> TaskCache::GetFiles(
         // (e.g. persistent corruption) exactly as an unbatched read would.
         got[j] = GetFile(group, requester, meta);
       } else if (!exchange.ok()) {
-        if (!options_.degraded_reads) return exchange;
         got[j] = DegradedRead(group, requester, meta, span);
       }
       DIESEL_ASSIGN_OR_RETURN(out[subs[j].pos], std::move(got[j]));
@@ -1024,7 +1023,6 @@ void TaskCache::MigrateForChange(const membership::MembershipChange& change) {
     // not resident (or whose transfer fails) simply faults in at the new
     // owner on demand.
     std::map<sim::NodeId, std::vector<sim::VirtualClock>> dest_streams;
-    const size_t streams = std::max<uint32_t>(1, options_.preload_streams);
     for (const Move& m : moves) {
       // Share the source buffer instead of copying it: the migration "send"
       // is charged on the fabric below, but host-side the move is a refcount
@@ -1039,7 +1037,9 @@ void TaskCache::MigrateForChange(const membership::MembershipChange& change) {
       }
       if (!moved.buffer.valid()) continue;
       auto& clocks = dest_streams[m.to];
-      if (clocks.empty()) clocks.assign(streams, sim::VirtualClock(start));
+      if (clocks.empty()) {
+        clocks.assign(kPreloadStreams, sim::VirtualClock(start));
+      }
       sim::VirtualClock& stream = sim::EarliestStream(clocks);
       const uint64_t size = moved.buffer.size();
       obs::ScopedSpan span(fabric_.tracer(), "membership.migrate", stream,

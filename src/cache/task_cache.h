@@ -38,6 +38,11 @@ namespace diesel::cache {
 
 enum class CachePolicy { kOnDemand, kOneshot };
 
+/// Concurrent chunk-fetch streams per node during Preload (the oneshot
+/// policy pulls with multiple I/O workers) and per destination node when a
+/// rescale migrates chunks.
+inline constexpr size_t kPreloadStreams = 8;
+
 /// Clairvoyant eviction hook (src/prefetch): while an oracle is installed,
 /// capacity eviction picks the resident chunk whose next access lies
 /// farthest ahead in the epoch (Belady's MIN) instead of FIFO order. The
@@ -61,18 +66,13 @@ struct TaskCacheOptions {
   CachePolicy policy = CachePolicy::kOnDemand;
   /// Cap on cached bytes per node; 0 = unbounded. When full, FIFO eviction.
   uint64_t per_node_capacity_bytes = 0;
-  /// Concurrent chunk-fetch streams per node during Preload (the
-  /// oneshot policy pulls with multiple I/O workers).
-  uint32_t preload_streams = 8;
   /// Retry policy for peer and backend RPCs (rides out flaps/drops).
   RetryPolicy retry{};
   /// Per-owner-node circuit breaker: after `failure_threshold` consecutive
   /// peer failures the node is declared down (partition dropped) and reads
-  /// fail over without paying the detection timeout each time.
+  /// fail over without paying the detection timeout each time. A read whose
+  /// owner is unreachable degrades to a direct server read.
   CircuitBreakerConfig breaker{};
-  /// When a peer master is unreachable, fall back to reading the file
-  /// directly from the server instead of failing the Get.
-  bool degraded_reads = true;
 };
 
 struct TaskCacheStats {
@@ -285,7 +285,7 @@ class TaskCache : public membership::MembershipListener {
   void OnOwnerRecovered(sim::NodeId owner, Nanos now);
 
   /// Fill every chunk of `chunks` not yet resident into `node` (unverified)
-  /// on `preload_streams` closed-loop stream clocks starting at `start`: the
+  /// on kPreloadStreams closed-loop stream clocks starting at `start`: the
   /// earliest stream takes the next chunk. Returns the slowest stream's
   /// finish time; `loaded`, when given, counts the chunks filled.
   Result<Nanos> PreloadPartition(sim::NodeId node,

@@ -45,9 +45,6 @@ struct ClientOptions {
   sim::NodeId node = 0;
   uint32_t client_index = 0;  // endpoint index on the node (rank tiebreak)
   uint64_t chunk_target_bytes = kDefaultChunkTarget;
-  /// Retry policy for server RPCs; every attempt re-picks a server, so a
-  /// flapped server fails over to its peers instead of failing the op.
-  RetryPolicy retry;
 };
 
 struct ClientStats {
@@ -137,17 +134,18 @@ class DieselClient {
  private:
   Result<FileMeta> ResolveMeta(const std::string& path);
 
-  /// Drive `fn(server)` under the retry policy, re-picking the server on
-  /// every attempt so transient faults fail over across the server set.
+  /// Drive `fn(server)` under the default retry policy, re-picking the
+  /// server on every attempt so a flapped server fails over to its peers
+  /// instead of failing the op.
   template <typename T, typename Fn>
   Result<T> WithServerRetry(Fn&& fn) {
-    return options_.retry.RunResult<T>(
+    return RetryPolicy{}.RunResult<T>(
         clock_, [&]() -> Result<T> { return fn(*PickServer()); });
   }
   template <typename Fn>
   Status WithServerRetryStatus(Fn&& fn) {
-    return options_.retry.Run(clock_,
-                              [&]() -> Status { return fn(*PickServer()); });
+    return RetryPolicy{}.Run(clock_,
+                             [&]() -> Status { return fn(*PickServer()); });
   }
 
   net::Fabric& fabric_;

@@ -18,7 +18,6 @@ Deployment::Deployment(DeploymentOptions options) : options_(options) {
   for (size_t i = 0; i < options_.num_kv_nodes; ++i) {
     kv_opts.nodes.push_back(kv_node(i));
   }
-  kv_opts.shards_per_node = options_.kv_shards_per_node;
   kv_ = std::make_unique<kv::KvCluster>(*fabric_, kv_opts);
 
   backing_ = std::make_unique<ostore::MemStore>();

@@ -27,7 +27,6 @@ namespace diesel::core {
 struct DeploymentOptions {
   size_t num_client_nodes = 4;
   size_t num_kv_nodes = 4;
-  uint32_t kv_shards_per_node = 4;
   size_t num_servers = 1;
 };
 

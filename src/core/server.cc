@@ -4,6 +4,7 @@
 #include <cassert>
 #include <numeric>
 
+#include "common/retry.h"
 #include "core/chunk_format.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -439,7 +440,10 @@ Result<RecoveryStats> DieselServer::RecoverMetadata(sim::VirtualClock& clock,
                                                     const std::string& dataset,
                                                     uint32_t from_ts_sec) {
   RecoveryStats stats;
-  const RetryPolicy& rp = options_.recovery_retry;
+  // Recovery typically runs while the cluster is still unhealthy, so the
+  // object-store reads (List / GetRange / Size) retry: a transient drop must
+  // not abort the whole redrive.
+  const RetryPolicy rp{};
   DIESEL_ASSIGN_OR_RETURN(
       std::vector<std::string> keys,
       rp.RunResult<std::vector<std::string>>(clock, [&] {

@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "common/retry.h"
 #include "core/metadata.h"
 #include "core/snapshot.h"
 #include "kv/cluster.h"
@@ -31,10 +30,6 @@ struct ServerOptions {
   /// Merge adjacent file ranges within a chunk when the gap is at most this
   /// many bytes (request executor).
   uint64_t merge_gap_bytes = 64 * 1024;
-  /// Retry for the object-store reads RecoverMetadata drives (List /
-  /// GetRange / Size). Recovery typically runs while the cluster is still
-  /// unhealthy, so a transient drop must not abort the whole redrive.
-  RetryPolicy recovery_retry{};
 };
 
 struct RecoveryStats {

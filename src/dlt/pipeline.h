@@ -31,10 +31,6 @@ struct PipelineOptions {
   /// batch read — the point where the shuffle plan is fixed and a prefetch
   /// scheduler can install the epoch's access schedule and start filling.
   std::function<Status(Nanos workers_start)> epoch_start_hook{};
-  /// Called before every batch read with the iteration index and the reading
-  /// worker's virtual time. Membership churn drivers hang off this hook to
-  /// fire due join/drain/crash events mid-epoch, between batches.
-  std::function<void(size_t iter, Nanos now)> batch_hook{};
 };
 
 /// Reads the mini-batch for iteration `iter`, charging `worker_clock` with

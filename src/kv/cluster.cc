@@ -88,8 +88,7 @@ ShardGroups GroupByShard(size_t n, size_t num_shards, OwnerOf owner_of) {
 }  // namespace
 
 KvCluster::KvCluster(net::Fabric& fabric, KvClusterOptions options)
-    : fabric_(fabric), options_(std::move(options)),
-      ring_(options_.ring_vnodes) {
+    : fabric_(fabric), options_(std::move(options)) {
   assert(!options_.nodes.empty());
   uint32_t id = 0;
   for (sim::NodeId node : options_.nodes) {

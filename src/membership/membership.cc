@@ -53,9 +53,6 @@ const char* ToString(NodeState state) {
   return "?";
 }
 
-MembershipTable::MembershipTable(MembershipOptions options)
-    : options_(options), ring_(options.vnodes_per_member) {}
-
 void MembershipTable::Bootstrap(const std::vector<sim::NodeId>& nodes,
                                 Nanos at) {
   std::vector<MembershipListener*> listeners;

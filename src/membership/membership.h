@@ -66,19 +66,15 @@ class MembershipListener {
   virtual void OnMembershipChange(const MembershipChange& change) = 0;
 };
 
-struct MembershipOptions {
-  /// Virtual nodes per member on the ownership ring. More vnodes = tighter
-  /// balance (stddev ~ 1/sqrt(vnodes)) at O(log) lookup cost.
-  uint32_t vnodes_per_member = 128;
-};
+/// Virtual nodes per member on the ownership ring. More vnodes = tighter
+/// balance (stddev ~ 1/sqrt(vnodes)) at O(log) lookup cost.
+inline constexpr uint32_t kVnodesPerMember = 128;
 
 /// The authoritative, versioned view of which nodes belong to the task and
 /// which chunks they own. Thread-safe; mutations are serialized and each
 /// bumps `epoch()` exactly once.
 class MembershipTable {
  public:
-  explicit MembershipTable(MembershipOptions options = {});
-
   /// Install the initial node set (epoch 1). Must be called exactly once,
   /// before any other mutation.
   void Bootstrap(const std::vector<sim::NodeId>& nodes, Nanos at);
@@ -117,10 +113,9 @@ class MembershipTable {
   uint64_t ApplyLocked(ChangeKind kind, sim::NodeId node, Nanos at,
                        std::unique_lock<std::mutex>& lock);
 
-  MembershipOptions options_;
   mutable std::mutex mutex_;
   uint64_t epoch_ = 0;
-  kv::HashRing ring_;
+  kv::HashRing ring_{kVnodesPerMember};
   std::map<sim::NodeId, NodeState> states_;
   std::vector<MembershipChange> log_;
   std::vector<MembershipListener*> listeners_;

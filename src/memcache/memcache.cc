@@ -12,7 +12,7 @@ constexpr uint64_t kItemOverheadBytes = 40;  // memcached protocol framing
 }  // namespace
 
 MemcachedCluster::MemcachedCluster(net::Fabric& fabric, MemcacheOptions options)
-    : fabric_(fabric), ring_(options.ring_vnodes) {
+    : fabric_(fabric) {
   assert(!options.nodes.empty());
   for (uint32_t i = 0; i < options.nodes.size(); ++i) {
     auto inst = std::make_unique<Instance>();
@@ -127,18 +127,6 @@ void MemcachedCluster::DisableInstance(uint32_t instance_index) {
   std::lock_guard<std::mutex> lock(inst.mutex);
   inst.enabled = false;
   inst.items.clear();  // in-memory cache: contents are gone
-}
-
-void MemcachedCluster::EnableInstance(uint32_t instance_index) {
-  Instance& inst = *instances_.at(instance_index);
-  std::lock_guard<std::mutex> lock(inst.mutex);
-  inst.enabled = true;
-}
-
-bool MemcachedCluster::InstanceEnabled(uint32_t instance_index) const {
-  Instance& inst = *instances_.at(instance_index);
-  std::lock_guard<std::mutex> lock(inst.mutex);
-  return inst.enabled;
 }
 
 size_t MemcachedCluster::TotalItems() const {

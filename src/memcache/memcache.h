@@ -24,7 +24,6 @@ namespace diesel::memcache {
 
 struct MemcacheOptions {
   std::vector<sim::NodeId> nodes;   // one instance per node
-  uint32_t ring_vnodes = 64;
 };
 
 class MemcachedCluster {
@@ -51,8 +50,6 @@ class MemcachedCluster {
 
   /// Disable the instance on `instance_index`: its items become misses.
   void DisableInstance(uint32_t instance_index);
-  void EnableInstance(uint32_t instance_index);
-  bool InstanceEnabled(uint32_t instance_index) const;
 
   /// Count of items currently stored across enabled instances.
   size_t TotalItems() const;

@@ -1,6 +1,6 @@
 #include "net/fault_injector.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "common/hash.h"
 
@@ -30,40 +30,10 @@ bool FaultInjector::NodeDown(sim::NodeId node, Nanos now) const {
   return false;
 }
 
-Nanos FaultInjector::RecoveryTime(sim::NodeId node, Nanos now) const {
-  Nanos latest = 0;
-  for (const NodeFlap& f : plan_.node_flaps) {
-    if (f.node == node && now >= f.down_at && now < f.up_at)
-      latest = std::max(latest, f.up_at);
-  }
-  return latest;
-}
-
 bool FaultInjector::ShouldDropRpc(sim::NodeId src, sim::NodeId dst,
                                   Nanos now) {
-  // Direction-sensitive rules first: an asymmetric partition severs src->dst
-  // only (RollFor hashes the ordered pair, so the reverse direction rolls —
-  // and passes — independently).
-  for (const AsymmetricPartition& p : plan_.asym_partitions) {
-    if (p.src != src || p.dst != dst) continue;
-    if (now < p.start || now >= p.end) continue;
-    if (p.drop_prob <= 0.0) continue;
-    if (RollFor(plan_.seed, src, dst, now) < p.drop_prob) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++stats_.rpc_drops;
-      ++stats_.asym_drops;
-      return true;
-    }
-  }
-  double prob = plan_.rpc_drop_prob;
-  for (const LinkDropRule& r : plan_.link_drops) {
-    if ((r.a == src && r.b == dst) || (r.a == dst && r.b == src)) {
-      prob = r.drop_prob;
-      break;
-    }
-  }
-  if (prob <= 0.0) return false;
-  if (RollFor(plan_.seed, src, dst, now) >= prob) return false;
+  if (plan_.rpc_drop_prob <= 0.0) return false;
+  if (RollFor(plan_.seed, src, dst, now) >= plan_.rpc_drop_prob) return false;
   std::lock_guard<std::mutex> lock(mutex_);
   ++stats_.rpc_drops;
   return true;

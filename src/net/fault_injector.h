@@ -3,10 +3,11 @@
 // A FaultInjector attached to a Fabric turns a seeded, schedule-driven
 // FaultPlan into observable failures on the simulated network:
 //
-//  - RPC drops: per-link (or global) drop probability. The decision for one
-//    (src, dst, virtual-time) triple is a pure hash of the plan seed, so runs
-//    are bit-reproducible regardless of OS-thread interleaving, and a retry
-//    after backoff (different virtual time) re-rolls independently.
+//  - RPC drops: one drop probability for every inter-node RPC. The decision
+//    for one (src, dst, virtual-time) triple is a pure hash of the plan
+//    seed, so runs are bit-reproducible regardless of OS-thread
+//    interleaving, and a retry after backoff (different virtual time)
+//    re-rolls independently.
 //  - Node flaps: a node is down for a virtual-time window [down_at, up_at)
 //    and auto-recovers when the window passes — no manual RecoverNode needed.
 //    When a flap first fires, the fabric tears down the node's connections so
@@ -46,32 +47,10 @@ struct LatencySpike {
   Nanos extra = 0;
 };
 
-/// Per-link drop-probability override (matched on exact src/dst pair,
-/// either direction).
-struct LinkDropRule {
-  sim::NodeId a = sim::kInvalidNode;
-  sim::NodeId b = sim::kInvalidNode;
-  double drop_prob = 0.0;
-};
-
-/// One-way link failure during [start, end): RPCs src->dst drop with
-/// `drop_prob` while dst->src keeps delivering — the half-split churn tests
-/// need (a node everyone hears but nobody reaches, and vice versa). Rolled
-/// with the same seeded hash as plain drops, so replays are deterministic.
-struct AsymmetricPartition {
-  sim::NodeId src = sim::kInvalidNode;
-  sim::NodeId dst = sim::kInvalidNode;
-  Nanos start = 0;
-  Nanos end = ~Nanos{0};
-  double drop_prob = 1.0;
-};
-
 struct FaultPlan {
   uint64_t seed = 1;
   /// Drop probability applied to every inter-node RPC (loopback is exempt).
   double rpc_drop_prob = 0.0;
-  std::vector<LinkDropRule> link_drops;
-  std::vector<AsymmetricPartition> asym_partitions;
   std::vector<NodeFlap> node_flaps;
   std::vector<LatencySpike> latency_spikes;
   /// Chunk indices whose next fetch returns a corrupted payload (one-shot
@@ -88,7 +67,6 @@ struct FaultInjectorStats {
   uint64_t latency_spike_hits = 0;
   uint64_t corruptions_injected = 0;
   uint64_t flaps_fired = 0;
-  uint64_t asym_drops = 0;  // drops charged to a one-way partition rule
 };
 
 class FaultInjector {
@@ -100,10 +78,6 @@ class FaultInjector {
   /// Is `node` inside an active flap window at `now`? Pure function of the
   /// plan — recovery is automatic once the window passes.
   bool NodeDown(sim::NodeId node, Nanos now) const;
-
-  /// Virtual time at which the latest flap covering `now` ends (callers can
-  /// size retry budgets); 0 when the node is up.
-  Nanos RecoveryTime(sim::NodeId node, Nanos now) const;
 
   /// Roll the (deterministic) dice for one RPC on src->dst at `now`.
   /// Counts a drop when it hits.

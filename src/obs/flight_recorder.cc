@@ -22,10 +22,6 @@ std::string JsonEscape(const std::string& s) {
   return out;
 }
 
-uint8_t KindBit(FlightEventKind kind) {
-  return static_cast<uint8_t>(1u << static_cast<uint8_t>(kind));
-}
-
 }  // namespace
 
 const char* ToString(FlightEventKind kind) {
@@ -51,31 +47,18 @@ FlightRecorder& FlightRecorder::Default() {
 
 void FlightRecorder::Record(FlightEventKind kind, Nanos at, std::string what,
                             uint64_t span) {
-  std::string dump_path, dump_json;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    FlightEvent ev;
-    ev.seq = ++event_seq_;
-    ev.at = at;
-    ev.kind = kind;
-    ev.what = std::move(what);
-    ev.span = span;
-    events_.push_back(std::move(ev));
-    if (events_.size() > event_capacity_) {
-      events_.erase(events_.begin(),
-                    events_.begin() +
-                        static_cast<long>(events_.size() - event_capacity_));
-    }
-    if (!auto_dump_path_.empty() && (auto_dump_mask_ & KindBit(kind)) != 0) {
-      dump_path = auto_dump_path_;
-      dump_json = JsonLocked();
-    }
-  }
-  if (!dump_path.empty()) {
-    // Best effort, outside the lock; the recorder must never fail the
-    // workload it is observing.
-    std::ofstream out(dump_path, std::ios::binary | std::ios::trunc);
-    if (out) out << dump_json;
+  std::lock_guard<std::mutex> lock(mutex_);
+  FlightEvent ev;
+  ev.seq = ++event_seq_;
+  ev.at = at;
+  ev.kind = kind;
+  ev.what = std::move(what);
+  ev.span = span;
+  events_.push_back(std::move(ev));
+  if (events_.size() > event_capacity_) {
+    events_.erase(events_.begin(),
+                  events_.begin() +
+                      static_cast<long>(events_.size() - event_capacity_));
   }
 }
 
@@ -96,14 +79,6 @@ void FlightRecorder::RecordSpan(const Span& span) {
                  spans_.begin() +
                      static_cast<long>(spans_.size() - span_capacity_));
   }
-}
-
-void FlightRecorder::ArmAutoDump(std::string path,
-                                 std::initializer_list<FlightEventKind> kinds) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto_dump_path_ = std::move(path);
-  auto_dump_mask_ = 0;
-  for (FlightEventKind k : kinds) auto_dump_mask_ |= KindBit(k);
 }
 
 std::vector<FlightEvent> FlightRecorder::events() const {
@@ -129,7 +104,8 @@ void FlightRecorder::Clear() {
   span_seq_ = 0;
 }
 
-std::string FlightRecorder::JsonLocked() const {
+std::string FlightRecorder::Json() const {
+  std::lock_guard<std::mutex> lock(mutex_);
   std::string out = "{\n  \"schema\": \"diesel.flightrec/v1\",\n";
   out += "  \"events_recorded\": " + std::to_string(event_seq_) + ",\n";
   out += "  \"spans_recorded\": " + std::to_string(span_seq_) + ",\n";
@@ -160,11 +136,6 @@ std::string FlightRecorder::JsonLocked() const {
   }
   out += "\n  ]\n}\n";
   return out;
-}
-
-std::string FlightRecorder::Json() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return JsonLocked();
 }
 
 Status FlightRecorder::DumpToFile(const std::string& path) const {

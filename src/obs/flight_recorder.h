@@ -15,7 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <initializer_list>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -60,18 +59,12 @@ class FlightRecorder {
   /// attached via Tracer::set_flight_recorder).
   void RecordSpan(const Span& span);
 
-  /// Arm auto-dump: when an event of one of `kinds` is recorded, the ring is
-  /// dumped to `path` (best-effort; failures are ignored — the recorder must
-  /// never take down the workload it is observing). An empty path disarms.
-  void ArmAutoDump(std::string path,
-                   std::initializer_list<FlightEventKind> kinds);
-
   /// Retained events/spans, oldest first.
   std::vector<FlightEvent> events() const;
   uint64_t events_recorded() const;
   uint64_t spans_recorded() const;
 
-  /// Drop everything (fresh run); auto-dump arming survives.
+  /// Drop everything (fresh run).
   void Clear();
 
   /// Byte-stable `diesel.flightrec/v1` dump of both rings.
@@ -79,8 +72,6 @@ class FlightRecorder {
   Status DumpToFile(const std::string& path) const;
 
  private:
-  std::string JsonLocked() const;
-
   mutable std::mutex mutex_;
   size_t event_capacity_;
   size_t span_capacity_;
@@ -100,8 +91,6 @@ class FlightRecorder {
     size_t notes = 0;
   };
   std::vector<SpanRecord> spans_;  // ring, oldest first
-  std::string auto_dump_path_;
-  uint8_t auto_dump_mask_ = 0;
 };
 
 /// Shorthand for the process-wide recorder.

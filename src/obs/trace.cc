@@ -164,29 +164,6 @@ std::string Tracer::TreeDump(uint64_t id) const {
   return DumpForest(all, {i});
 }
 
-std::string Tracer::JsonDump() const {
-  std::vector<Span> all = spans();
-  std::string out = "[";
-  for (size_t i = 0; i < all.size(); ++i) {
-    const Span& s = all[i];
-    out += i == 0 ? "\n" : ",\n";
-    out += "  {\"id\": " + std::to_string(s.id) +
-           ", \"parent\": " + std::to_string(s.parent) + ", \"name\": \"" +
-           s.name + "\", \"node\": " +
-           (s.node == kNoNode ? std::string("-1") : std::to_string(s.node)) +
-           ", \"start\": " + std::to_string(s.start) +
-           ", \"end\": " + std::to_string(s.end) + ", \"notes\": [";
-    for (size_t n = 0; n < s.notes.size(); ++n) {
-      if (n > 0) out += ", ";
-      out += "{\"at\": " + std::to_string(s.notes[n].at) + ", \"text\": \"" +
-             s.notes[n].text + "\"}";
-    }
-    out += "]}";
-  }
-  out += "\n]";
-  return out;
-}
-
 ScopedSpan::ScopedSpan(Tracer* tracer, std::string name,
                        sim::VirtualClock& clock, uint32_t node)
     : tracer_(tracer), clock_(&clock) {

@@ -80,8 +80,6 @@ class Tracer {
   /// The tree containing span `id`: walks up to the root, then dumps that
   /// root's subtree in TextDump format. Empty for unknown ids.
   std::string TreeDump(uint64_t id) const;
-  /// Flat JSON array of spans in id order.
-  std::string JsonDump() const;
 
  private:
   mutable std::mutex mutex_;

@@ -36,7 +36,6 @@ PrefetchScheduler::PrefetchScheduler(cache::TaskCache& cache,
       fabric_(fabric),
       snapshot_(snapshot),
       options_(options) {
-  if (options_.streams_per_node == 0) options_.streams_per_node = 1;
   // Payload estimate per chunk, for budget accounting before the real blob
   // size is known.
   chunk_bytes_.assign(snapshot_.chunks().size(), 0);
@@ -48,25 +47,6 @@ PrefetchScheduler::PrefetchScheduler(cache::TaskCache& cache,
 }
 
 PrefetchScheduler::~PrefetchScheduler() { FinishEpoch(); }
-
-uint64_t PrefetchScheduler::EffectiveBudget() const {
-  uint64_t base = options_.budget_bytes_per_node;
-  if (base == 0) {
-    // Inherit half the cache partition: pinned prefetch bytes may never
-    // saturate capacity, or fills start getting denied (every resident chunk
-    // pinned) and the cancelled chunks fall back to on-demand loads on the
-    // critical path — worse than no prefetch at all.
-    base = cache_.options().per_node_capacity_bytes / 2;
-  }
-  if (const BudgetGovernor* g = governor_.load(std::memory_order_acquire)) {
-    return g->PrefetchBudgetBytes(base);
-  }
-  return base;
-}
-
-void PrefetchScheduler::SetBudgetGovernor(const BudgetGovernor* governor) {
-  governor_.store(governor, std::memory_order_release);
-}
 
 void PrefetchScheduler::StartEpoch(const shuffle::ShufflePlan& plan,
                                    Nanos now) {
@@ -97,8 +77,7 @@ void PrefetchScheduler::StartEpoch(const shuffle::ShufflePlan& plan,
   for (size_t i = 0; i < owners.size(); ++i) {
     nodes_[i].node = owners[i];
     nodes_[i].fill_order = std::move(fills[i]);
-    nodes_[i].streams.assign(options_.streams_per_node,
-                             sim::VirtualClock(now));
+    nodes_[i].streams.assign(kStreamsPerNode, sim::VirtualClock(now));
   }
 
   if (options_.belady_eviction) cache_.InstallEvictionOracle(schedule_.get());
@@ -170,7 +149,7 @@ void PrefetchScheduler::RescaleLocked(Nanos now) {
       }
     }
     if (ns.streams.empty()) {
-      ns.streams.assign(options_.streams_per_node, sim::VirtualClock(now));
+      ns.streams.assign(kStreamsPerNode, sim::VirtualClock(now));
     }
     return ns;
   };
@@ -237,7 +216,11 @@ void PrefetchScheduler::AdvanceLocked(size_t position, Nanos now) {
 }
 
 void PrefetchScheduler::IssueFillsLocked(size_t position, Nanos now) {
-  const uint64_t budget = EffectiveBudget();
+  // Half the cache partition: pinned prefetch bytes may never saturate
+  // capacity, or fills start getting denied (every resident chunk pinned)
+  // and the cancelled chunks fall back to on-demand loads on the critical
+  // path — worse than no prefetch at all.
+  const uint64_t budget = cache_.options().per_node_capacity_bytes / 2;
   const size_t unlimited = static_cast<size_t>(-1);
   for (NodeState& ns : nodes_) {
     while (ns.next < ns.fill_order.size()) {

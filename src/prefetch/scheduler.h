@@ -19,7 +19,6 @@
 // prefetch to on-demand instead of wedging the cache.
 #pragma once
 
-#include <atomic>
 #include <deque>
 #include <memory>
 #include <mutex>
@@ -34,31 +33,19 @@
 
 namespace diesel::prefetch {
 
-/// QoS hook over the scheduler's per-node byte budget (src/tenant). With a
-/// governor installed, every budget decision passes the configured base
-/// through it — the multi-tenant fabric returns this tenant's weighted fair
-/// share so one job's fills cannot monopolize prefetch bandwidth.
-class BudgetGovernor {
- public:
-  virtual ~BudgetGovernor() = default;
+/// Concurrent background fill streams per owner node.
+inline constexpr size_t kStreamsPerNode = 2;
 
-  /// Final per-node prefetch byte budget given the scheduler's configured
-  /// base (0 = unbounded). Return `base` unchanged to opt out.
-  virtual uint64_t PrefetchBudgetBytes(uint64_t base) const = 0;
-};
-
+/// Scheduler options. The byte budget is not one: pinned prefetch bytes per
+/// node (in-flight fills plus resident chunks pinned ahead of their access)
+/// are capped at HALF the cache's per_node_capacity_bytes, so pins can
+/// never saturate the partition (unbounded when the cache is). A first fill
+/// larger than the cap still goes through, or the scheduler would livelock.
 struct PrefetchOptions {
   /// Fill chunks whose first access lies within this many file-order
   /// positions of the training cursor; SIZE_MAX = the whole epoch (the byte
   /// budget still bounds how far fills actually run ahead).
   size_t lookahead_files = static_cast<size_t>(-1);
-  /// Concurrent background fill streams per owner node.
-  uint32_t streams_per_node = 2;
-  /// Cap on pinned prefetch bytes per node (in-flight fills plus resident
-  /// chunks pinned ahead of their access); 0 inherits HALF the cache's
-  /// per_node_capacity_bytes so pins can never saturate the partition
-  /// (unbounded when that is 0 too).
-  uint64_t budget_bytes_per_node = 0;
   /// Install the schedule as the cache's Belady eviction oracle. Off keeps
   /// FIFO eviction (the "next-group"-style ablation arm).
   bool belady_eviction = true;
@@ -114,10 +101,6 @@ class PrefetchScheduler : public membership::MembershipListener {
   /// cancelled` holds across any churn sequence.
   void OnMembershipChange(const membership::MembershipChange& change) override;
 
-  /// Install the multi-tenant budget governor (nullptr restores the
-  /// ungoverned budget). The governor must outlive the scheduler.
-  void SetBudgetGovernor(const BudgetGovernor* governor);
-
   /// The current epoch's schedule (nullptr between epochs).
   const AccessSchedule* schedule() const;
 
@@ -143,15 +126,11 @@ class PrefetchScheduler : public membership::MembershipListener {
   void AdvanceLocked(size_t position, Nanos now);
   void IssueFillsLocked(size_t position, Nanos now);
   void RescaleLocked(Nanos now);
-  uint64_t EffectiveBudget() const;
 
   cache::TaskCache& cache_;
   net::Fabric& fabric_;
   const core::MetadataSnapshot& snapshot_;
   PrefetchOptions options_;
-  /// Multi-tenant budget governor (null = ungoverned). Lock-free: budget
-  /// checks run under mutex_ but installs may come from outside the epoch.
-  std::atomic<const BudgetGovernor*> governor_{nullptr};
   std::vector<uint64_t> chunk_bytes_;  // payload estimate per chunk
 
   mutable std::mutex mutex_;

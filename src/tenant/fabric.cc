@@ -1,7 +1,5 @@
 #include "tenant/fabric.h"
 
-#include <algorithm>
-
 #include "obs/metrics.h"
 
 namespace diesel::tenant {
@@ -59,10 +57,6 @@ void TenantBinding::Invalidate(size_t chunk_index,
 }
 
 std::string TenantBinding::dataset() const { return fabric_->DatasetOf(slot_); }
-
-uint64_t TenantBinding::PrefetchBudgetBytes(uint64_t base) const {
-  return fabric_->GovernedBudget(slot_, base);
-}
 
 // ---------------------------------------------------------------------------
 // CacheFabric
@@ -122,7 +116,7 @@ void CacheFabric::DeregisterTenant(TenantBinding* binding) {
 
 double CacheFabric::EffectiveWeight(const TenantRec& t) const {
   double w = t.opts.weight > 0.0 ? t.opts.weight : 1.0;
-  return t.active ? w : w * options_.departed_weight;
+  return t.active ? w : w * kDepartedWeight;
 }
 
 bool CacheFabric::EvictOldestLocked(size_t victim, size_t for_tenant) {
@@ -154,15 +148,6 @@ bool CacheFabric::EvictOldestLocked(size_t victim, size_t for_tenant) {
 }
 
 bool CacheFabric::AdmitLocked(size_t slot, uint64_t bytes) {
-  TenantRec& t = *tenants_[slot];
-  // Per-tenant hard budget: shrink own footprint first; a chunk larger than
-  // the whole budget can never be admitted.
-  if (t.opts.budget_bytes != 0) {
-    if (bytes > t.opts.budget_bytes) return false;
-    while (t.charged_bytes + bytes > t.opts.budget_bytes) {
-      if (!EvictOldestLocked(slot, slot)) return false;
-    }
-  }
   if (options_.capacity_bytes == 0) return true;
   if (bytes > options_.capacity_bytes) return false;
   // Weighted fair capacity: repeatedly evict from the tenant carrying the
@@ -337,23 +322,6 @@ Result<core::ChunkBuffer> CacheFabric::AdoptImpl(
     }
   }
   return buffer;
-}
-
-uint64_t CacheFabric::GovernedBudget(size_t slot, uint64_t base) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  uint64_t pool = options_.prefetch_pool_bytes_per_node;
-  if (pool == 0) return base;
-  const TenantRec& t = *tenants_.at(slot);
-  if (!t.active) return base;
-  double total = 0.0;
-  for (const auto& c : tenants_) {
-    if (c->active) total += c->opts.weight > 0.0 ? c->opts.weight : 1.0;
-  }
-  if (total <= 0.0) return base;
-  double w = t.opts.weight > 0.0 ? t.opts.weight : 1.0;
-  auto share = static_cast<uint64_t>(static_cast<double>(pool) * w / total);
-  if (share == 0) share = 1;  // a zero budget would read as "unbounded"
-  return base == 0 ? share : std::min(base, share);
 }
 
 std::vector<TenantStats> CacheFabric::Stats() const {

@@ -14,14 +14,11 @@
 // immutable blob, so slices handed to task A stay valid after task B — the
 // task that loaded the bytes — tears down, migrates, or crashes.
 //
-// Admission/QoS: tenants carry weights and optional hard byte budgets.
-// Under capacity pressure the fabric evicts from the tenant with the
-// largest bytes/weight ratio (weighted max-min fairness), so a large job
-// cannot starve small ones of shared capacity; departed tenants' residue
-// stays adoptable but at a reduced weight, making it the preferred victim.
-// The same weights govern prefetch bandwidth through
-// prefetch::BudgetGovernor: each binding grants its scheduler a weighted
-// share of the fabric-wide prefetch pool.
+// Admission/QoS: tenants carry weights. Under capacity pressure the fabric
+// evicts from the tenant with the largest bytes/weight ratio (weighted
+// max-min fairness), so a large job cannot starve small ones of shared
+// capacity; departed tenants' residue stays adoptable but at a quarter of
+// its weight (kDepartedWeight), making it the preferred victim.
 #pragma once
 
 #include <deque>
@@ -35,32 +32,25 @@
 #include "cache/shared_tier.h"
 #include "net/fabric.h"
 #include "obs/metrics.h"
-#include "prefetch/scheduler.h"
 
 namespace diesel::tenant {
 
 struct TenantOptions {
   /// Display/metrics name; must be unique per fabric.
   std::string name{};
-  /// Fair-share weight for capacity eviction and prefetch budget splits.
+  /// Fair-share weight for capacity eviction.
   double weight = 1.0;
-  /// Hard cap on this tenant's shared-tier bytes; 0 = bounded only by the
-  /// fabric capacity and the weighted fair policy.
-  uint64_t budget_bytes = 0;
 };
 
 struct FabricOptions {
   /// Shared-tier capacity in bytes; 0 = unbounded.
   uint64_t capacity_bytes = 0;
-  /// Fabric-wide prefetch byte pool per node, split across active tenants
-  /// by weight through each binding's BudgetGovernor; 0 leaves every
-  /// scheduler's own budget untouched.
-  uint64_t prefetch_pool_bytes_per_node = 0;
-  /// Weight multiplier applied to a departed tenant's residue: still
-  /// adoptable (that is the whole point of demotion), but the first to be
-  /// evicted when live tenants need the capacity.
-  double departed_weight = 0.25;
 };
+
+/// Weight multiplier applied to a departed tenant's residue: still
+/// adoptable (that is the whole point of demotion), but the first to be
+/// evicted when live tenants need the capacity.
+inline constexpr double kDepartedWeight = 0.25;
 
 /// Per-tenant accounting row (returned by CacheFabric::Stats, mirrored into
 /// the registry as tenant.*{tenant=} series).
@@ -82,12 +72,10 @@ struct TenantStats {
 class CacheFabric;
 
 /// One task's handle on the fabric: implements the cache-facing
-/// SharedCacheTier (attach with TaskCache::AttachSharedTier) and the
-/// prefetch-facing BudgetGovernor (install with
-/// PrefetchScheduler::SetBudgetGovernor). Owned by the fabric; valid until
-/// the fabric is destroyed — deregistering only marks the tenant departed.
-class TenantBinding : public cache::SharedCacheTier,
-                      public prefetch::BudgetGovernor {
+/// SharedCacheTier (attach with TaskCache::AttachSharedTier). Owned by the
+/// fabric; valid until the fabric is destroyed — deregistering only marks
+/// the tenant departed.
+class TenantBinding : public cache::SharedCacheTier {
  public:
   Result<core::ChunkBuffer> Adopt(sim::VirtualClock& clock, sim::NodeId reader,
                                   size_t chunk_index) override;
@@ -97,7 +85,6 @@ class TenantBinding : public cache::SharedCacheTier,
                   const core::ChunkBuffer& buffer, Nanos now) override;
   void Invalidate(size_t chunk_index,
                   const core::ChunkBuffer& buffer) override;
-  uint64_t PrefetchBudgetBytes(uint64_t base) const override;
 
   /// Bound dataset. Read under the fabric mutex — revival may rebind it
   /// concurrently with readers.
@@ -130,7 +117,7 @@ class CacheFabric {
                                 TenantOptions options);
 
   /// Mark the tenant departed: its residue stays adoptable at
-  /// `departed_weight` priority. Idempotent.
+  /// kDepartedWeight priority. Idempotent.
   void DeregisterTenant(TenantBinding* binding);
 
   /// Accounting rows in registration order.
@@ -182,9 +169,9 @@ class CacheFabric {
   /// Effective fair-share weight (departed tenants count reduced).
   double EffectiveWeight(const TenantRec& t) const;
 
-  /// Admit `bytes` for tenant `slot` (lock held): enforce the tenant's own
-  /// budget (self-eviction), then global capacity (weighted fair eviction
-  /// across tenants). False = cannot fit (declined).
+  /// Admit `bytes` for tenant `slot` (lock held): enforce the fabric
+  /// capacity by weighted fair eviction across tenants. False = cannot fit
+  /// (declined).
   bool AdmitLocked(size_t slot, uint64_t bytes);
 
   /// Evict `victim`'s oldest entry (lock held). False when it has none.
@@ -208,9 +195,6 @@ class CacheFabric {
   /// charge outside it (the handler touches shared simulated devices).
   Result<core::ChunkBuffer> AdoptImpl(size_t slot, sim::VirtualClock& clock,
                                       sim::NodeId reader, size_t chunk_index);
-
-  /// BudgetGovernor body: weighted share of the prefetch pool.
-  uint64_t GovernedBudget(size_t slot, uint64_t base) const;
 
   net::Fabric& fabric_;
   FabricOptions options_;

@@ -310,17 +310,6 @@ TEST_F(TaskCacheTest, DownOwnerNodeFailsOverToServer) {
   EXPECT_GT(alone.stats().failovers, 0u);
   EXPECT_EQ(grouped.stats().failovers, alone.stats().failovers);
   EXPECT_EQ(grouped.stats().breaker_opens, alone.stats().breaker_opens);
-  // Degraded reads are opt-out: with them disabled the old containment
-  // behavior (visible, immediate failure) is preserved at any group size.
-  TaskCacheOptions strict = Oneshot();
-  strict.degraded_reads = false;
-  for (size_t group : {1u, 4u}) {
-    TaskCache contained = MakeCache(strict);
-    sim::VirtualClock clock;
-    EXPECT_TRUE(ReadInGroups(contained, clock, victims, group)
-                    .status().IsUnavailable())
-        << "group " << group;
-  }
 }
 
 TEST_F(TaskCacheTest, RepeatedPeerFailuresOpenBreaker) {
@@ -414,20 +403,21 @@ TEST_F(TaskCacheTest, OwnerSubRequestsOverlap) {
 }
 
 TEST_F(TaskCacheTest, FailedOwnerDoesNotStopOthers) {
-  // Owner node 1 is flapped for the whole read and degraded reads are off,
-  // so its group fails. The other owners are still asked, the call returns
-  // node 1's failure, and the clock sits where node 1's group alone ends:
-  // its retries outlast every other group.
-  TaskCacheOptions opts = Oneshot();
-  opts.degraded_reads = false;
-  TaskCache cache = MakeCache(opts);
-  TaskCache flapped_alone = MakeCache(opts);
+  // Owner node 1 and the server's node are flapped over the same window
+  // for the whole read, so node 1's group fails and so does its degraded
+  // fallback to the server. The other owners are still asked, the call
+  // returns node 1's failure, and the clock sits where node 1's group alone
+  // ends: its retries outlast every other group.
+  TaskCache cache = MakeCache(Oneshot());
+  TaskCache flapped_alone = MakeCache(Oneshot());
   Result<Nanos> warm = cache.Preload(0);
   Result<Nanos> warm_alone = flapped_alone.Preload(0);
   ASSERT_TRUE(warm.ok() && warm_alone.ok());
   const Nanos start = std::max(*warm, *warm_alone) + Millis(1);
   net::FaultPlan plan;
   plan.node_flaps.push_back({1, start, start + Seconds(10)});
+  plan.node_flaps.push_back(
+      {deployment_->server_node(0), start, start + Seconds(10)});
   net::FaultInjector injector(plan);
   deployment_->fabric().set_fault_injector(&injector);
 
@@ -451,11 +441,13 @@ TEST_F(TaskCacheTest, FailedOwnerDoesNotStopOthers) {
   const Status status =
       cache.GetFiles(clock, clients_[0]->endpoint(), batch).status();
   EXPECT_EQ(status.ToString(), alone_status.ToString());
-  // Nodes 2 and 3 each answered one multi-get; the flapped owner's
-  // attempts never landed, so they issued nothing.
+  // Nodes 2 and 3 each answered one multi-get; the attempts on the flapped
+  // owner and on the flapped server never landed, so they issued nothing.
   EXPECT_EQ(deployment_->fabric().rpcs_issued() - rpcs0, 2u);
   EXPECT_EQ(cache.stats().local_hits, 2u);
   EXPECT_EQ(cache.stats().peer_hits, 4u);
+  // Node 1's first file fell back to the server, which failed too.
+  EXPECT_EQ(cache.stats().failovers, 1u);
   EXPECT_EQ(clock.now(), alone.now());
   EXPECT_GT(clock.now() - start, Millis(5));
   deployment_->fabric().set_fault_injector(nullptr);

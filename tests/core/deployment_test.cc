@@ -44,10 +44,10 @@ TEST(DeploymentTest, ServersSelfRegisterAndDiscoveryWorks) {
 TEST(DeploymentTest, KvShardsPlacedOnKvNodes) {
   DeploymentOptions opts;
   opts.num_kv_nodes = 3;
-  opts.kv_shards_per_node = 2;
   Deployment dep(opts);
-  EXPECT_EQ(dep.kv().NumShards(), 6u);
-  for (uint32_t s = 0; s < 6; ++s) {
+  const uint32_t shards = 3 * kv::KvClusterOptions{}.shards_per_node;
+  EXPECT_EQ(dep.kv().NumShards(), shards);
+  for (uint32_t s = 0; s < shards; ++s) {
     sim::NodeId node = dep.kv().ShardNode(s);
     EXPECT_GE(node, dep.kv_node(0));
     EXPECT_LE(node, dep.kv_node(2));

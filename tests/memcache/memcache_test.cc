@@ -68,19 +68,6 @@ TEST_F(MemcacheTest, DisabledInstanceRejectsWrites) {
   EXPECT_TRUE(mc_->Set(clock_, 4, victim_key, "v").IsUnavailable());
 }
 
-TEST_F(MemcacheTest, ReEnabledInstanceStartsEmpty) {
-  std::string key;
-  for (int i = 0;; ++i) {
-    key = "probe" + std::to_string(i);
-    if (mc_->OwnerInstance(key) == 0) break;
-  }
-  ASSERT_TRUE(mc_->Set(clock_, 4, key, "v").ok());
-  mc_->DisableInstance(0);
-  mc_->EnableInstance(0);
-  EXPECT_TRUE(mc_->InstanceEnabled(0));
-  EXPECT_TRUE(mc_->Get(clock_, 4, key).status().IsNotFound());
-}
-
 TEST_F(MemcacheTest, EveryOpPaysNetworkTime) {
   Nanos t0 = clock_.now();
   ASSERT_TRUE(mc_->Set(clock_, 4, "k", "v").ok());

@@ -20,8 +20,6 @@ TEST(FaultInjectorTest, NodeFlapWindowIsExact) {
   EXPECT_TRUE(inj.NodeDown(2, Millis(19)));
   EXPECT_FALSE(inj.NodeDown(2, Millis(20)));  // auto-recovered
   EXPECT_FALSE(inj.NodeDown(1, Millis(15)));  // other nodes unaffected
-  EXPECT_EQ(inj.RecoveryTime(2, Millis(15)), Millis(20));
-  EXPECT_EQ(inj.RecoveryTime(2, Millis(25)), 0u);
 }
 
 TEST(FaultInjectorTest, DropDecisionIsPureFunctionOfSeedAndTime) {
@@ -48,52 +46,6 @@ TEST(FaultInjectorTest, DifferentSeedsRollDifferently) {
     if (a.ShouldDropRpc(0, 1, t) != b.ShouldDropRpc(0, 1, t)) ++differ;
   }
   EXPECT_GT(differ, 0);
-}
-
-TEST(FaultInjectorTest, LinkDropRuleOverridesGlobalEitherDirection) {
-  FaultPlan plan;
-  plan.rpc_drop_prob = 0.0;
-  plan.link_drops.push_back({.a = 1, .b = 2, .drop_prob = 1.0});
-  FaultInjector inj(plan);
-  EXPECT_TRUE(inj.ShouldDropRpc(1, 2, Micros(5)));
-  EXPECT_TRUE(inj.ShouldDropRpc(2, 1, Micros(5)));
-  EXPECT_FALSE(inj.ShouldDropRpc(0, 2, Micros(5)));
-}
-
-TEST(FaultInjectorTest, AsymmetricPartitionDropsOneDirectionOnly) {
-  FaultPlan plan;
-  plan.asym_partitions.push_back(
-      {.src = 1, .dst = 2, .start = Millis(5), .end = Millis(15)});
-  FaultInjector inj(plan);
-  // Inside the window: 1->2 is severed, 2->1 keeps delivering.
-  EXPECT_TRUE(inj.ShouldDropRpc(1, 2, Millis(10)));
-  EXPECT_FALSE(inj.ShouldDropRpc(2, 1, Millis(10)));
-  // Other links are untouched.
-  EXPECT_FALSE(inj.ShouldDropRpc(0, 2, Millis(10)));
-  EXPECT_FALSE(inj.ShouldDropRpc(1, 0, Millis(10)));
-  // Outside the window the link heals.
-  EXPECT_FALSE(inj.ShouldDropRpc(1, 2, Millis(4)));
-  EXPECT_FALSE(inj.ShouldDropRpc(1, 2, Millis(15)));
-  EXPECT_EQ(inj.stats().asym_drops, 1u);
-  EXPECT_EQ(inj.stats().rpc_drops, 1u);  // asym drops count as rpc drops too
-}
-
-TEST(FaultInjectorTest, AsymmetricPartitionRollsSeededProbability) {
-  FaultPlan plan;
-  plan.seed = 7;
-  plan.asym_partitions.push_back(
-      {.src = 0, .dst = 1, .start = 0, .end = ~Nanos{0}, .drop_prob = 0.5});
-  FaultInjector a(plan), b(plan);
-  uint64_t forward = 0;
-  for (Nanos t = 0; t < Micros(200); t += Micros(1)) {
-    bool drop = a.ShouldDropRpc(0, 1, t);
-    EXPECT_EQ(drop, b.ShouldDropRpc(0, 1, t));  // bit-reproducible
-    if (drop) ++forward;
-    EXPECT_FALSE(a.ShouldDropRpc(1, 0, t));  // reverse never drops
-  }
-  EXPECT_GT(forward, 50u);  // ~100 of 200 rolls
-  EXPECT_LT(forward, 150u);
-  EXPECT_EQ(a.stats().asym_drops, forward);
 }
 
 TEST(FaultInjectorTest, LatencySpikesSumOverOverlappingWindows) {

@@ -1,8 +1,5 @@
 #include "obs/flight_recorder.h"
 
-#include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -12,14 +9,6 @@
 
 namespace diesel::obs {
 namespace {
-
-std::string ReadAll(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return "";
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
 
 TEST(FlightRecorderTest, EventRingEvictsOldest) {
   FlightRecorder rec(/*event_capacity=*/4, /*span_capacity=*/2);
@@ -77,31 +66,8 @@ TEST(FlightRecorderTest, TracerMirrorsCompletedSpans) {
   EXPECT_EQ(rec.spans_recorded(), 2u);
 }
 
-TEST(FlightRecorderTest, AutoDumpFiresOnlyOnArmedKinds) {
+TEST(FlightRecorderTest, ClearResetsSequences) {
   FlightRecorder rec;
-  std::string path = ::testing::TempDir() + "flightrec_armed.json";
-  std::remove(path.c_str());
-  rec.ArmAutoDump(path, {FlightEventKind::kChaos});
-  rec.Record(FlightEventKind::kInfo, 1, "benign");
-  EXPECT_EQ(ReadAll(path), "");
-  rec.Record(FlightEventKind::kChaos, 2, "test failure");
-  std::string dump = ReadAll(path);
-  EXPECT_NE(dump.find("\"schema\": \"diesel.flightrec/v1\""),
-            std::string::npos);
-  EXPECT_NE(dump.find("test failure"), std::string::npos);
-
-  // An empty path disarms: further armed-kind events stop writing.
-  std::remove(path.c_str());
-  rec.ArmAutoDump("", {});
-  rec.Record(FlightEventKind::kChaos, 3, "after disarm");
-  EXPECT_EQ(ReadAll(path), "");
-}
-
-TEST(FlightRecorderTest, ClearResetsSequencesAndPreservesArming) {
-  FlightRecorder rec;
-  std::string path = ::testing::TempDir() + "flightrec_clear.json";
-  std::remove(path.c_str());
-  rec.ArmAutoDump(path, {FlightEventKind::kBreaker});
   auto run = [&rec] {
     rec.Record(FlightEventKind::kFault, 10, "drop n0->n1");
     rec.Record(FlightEventKind::kMembership, 20, "crash: n2", 7);
@@ -113,9 +79,6 @@ TEST(FlightRecorderTest, ClearResetsSequencesAndPreservesArming) {
   // Identical event sequences dump byte-identically after a Clear.
   std::string second = run();
   EXPECT_EQ(first, second);
-  // Arming survived the Clear.
-  rec.Record(FlightEventKind::kBreaker, 30, "open");
-  EXPECT_NE(ReadAll(path).find("\"kind\": \"breaker\""), std::string::npos);
 }
 
 TEST(FlightRecorderTest, JsonRecordsKindNamesAndSpanLinks) {

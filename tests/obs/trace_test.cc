@@ -168,19 +168,6 @@ TEST(TracerTest, TextDumpShowsTreeAndNotes) {
   EXPECT_NE(dump.find("    ! at=10ns hello"), std::string::npos);
 }
 
-TEST(TracerTest, JsonDumpListsSpansInIdOrder) {
-  Tracer tracer;
-  sim::VirtualClock clock;
-  {
-    ScopedSpan a(&tracer, "a", clock, 0);
-    ScopedSpan b(&tracer, "b", clock, 1);
-  }
-  std::string json = tracer.JsonDump();
-  EXPECT_LT(json.find("\"name\": \"a\""), json.find("\"name\": \"b\""));
-  EXPECT_NE(json.find("\"id\": 1"), std::string::npos);
-  EXPECT_NE(json.find("\"parent\": 1"), std::string::npos);
-}
-
 TEST(TracerTest, SpanOnAnotherThreadIsARoot) {
   // The open-span stack is per thread: a span opened on a fresh thread
   // does not adopt a span still open on the thread that started it.

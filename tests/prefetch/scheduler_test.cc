@@ -1,5 +1,7 @@
 #include "prefetch/scheduler.h"
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "cache/task_cache.h"
@@ -221,6 +223,97 @@ TEST(PrefetchSchedulerTest, MidEpochRescaleKeepsInvariantsAndBytes) {
   EXPECT_GE(churn.sched.rescales, 3u);
   EXPECT_GT(churn.sched.retargeted, 0u);
   EXPECT_GT(churn.cache.migrated_chunks, 0u);
+}
+
+/// Largest number of chunks whose payloads fit in `budget` together: the
+/// most pins any set of chunks can hold within the budget.
+size_t MaxChunksWithin(const core::MetadataSnapshot& snap, uint64_t budget) {
+  std::vector<uint64_t> payloads(snap.chunks().size(), 0);
+  for (size_t ci = 0; ci < payloads.size(); ++ci) {
+    for (uint32_t fi : snap.FilesOfChunk(ci)) {
+      payloads[ci] += snap.files()[fi].length;
+    }
+  }
+  std::sort(payloads.begin(), payloads.end());
+  size_t n = 0;
+  for (uint64_t sum = 0; n < payloads.size(); ++n) {
+    sum += payloads[n];
+    if (sum > budget) break;
+  }
+  return n;
+}
+
+struct PinOutcome {
+  size_t max_pinned = 0;  // most chunks pinned after any Advance
+  size_t bound = 0;       // most chunks half the partition can hold
+  uint64_t issued = 0;
+};
+
+/// One owner node, so the cache's pin count is that node's. Drives one
+/// epoch of plan-order reads through a cache of `capacity` bytes and
+/// records the most chunks the scheduler held pinned at once.
+PinOutcome RunPinned(uint64_t capacity) {
+  core::DeploymentOptions dopts;
+  dopts.num_client_nodes = 1;
+  core::Deployment dep(dopts);
+  dlt::DatasetSpec spec;
+  spec.name = "pins";
+  spec.num_classes = 2;
+  spec.files_per_class = 64;
+  spec.mean_file_bytes = 2048;
+  spec.fixed_size = true;
+  auto writer = dep.MakeClient(0, 9, spec.name, 16 * 1024);
+  EXPECT_TRUE(dlt::ForEachFile(spec, [&](const dlt::GeneratedFile& f) {
+                return writer->Put(f.path, f.content);
+              }).ok());
+  EXPECT_TRUE(writer->Flush().ok());
+  dep.ResetDevices();
+
+  auto client = dep.MakeClient(0, 0, spec.name);
+  cache::TaskRegistry registry;
+  registry.Register(client->endpoint());
+  EXPECT_TRUE(client->FetchSnapshot().ok());
+  const core::MetadataSnapshot& snap = *client->snapshot();
+  cache::TaskCache cache(dep.fabric(), dep.server(0), snap, registry,
+                         {.per_node_capacity_bytes = capacity});
+  cache.EstablishConnections();
+  PrefetchScheduler sched(cache, dep.fabric(), snap, PrefetchOptions{});
+
+  PinOutcome out;
+  out.bound = MaxChunksWithin(snap, capacity / 2);
+  Rng rng(11);
+  shuffle::ShufflePlan plan =
+      shuffle::ChunkWiseShuffle(snap, {.group_size = 3}, rng);
+  sim::VirtualClock w;
+  sched.StartEpoch(plan, w.now());
+  for (size_t pos = 0; pos < plan.file_order.size(); ++pos) {
+    sched.Advance(pos, w.now());
+    out.max_pinned = std::max<size_t>(out.max_pinned,
+                                      cache.stats().pinned_chunks);
+    const core::FileMeta& fm = snap.files()[plan.file_order[pos]];
+    EXPECT_TRUE(cache.GetFile(w, client->endpoint(), fm).ok());
+    w.Advance(Micros(400));  // per-file compute, gives fills lead time
+  }
+  sched.FinishEpoch();
+  out.issued = sched.stats().issued;
+  return out;
+}
+
+TEST(PrefetchSchedulerTest, PinnedBytesStayWithinHalfThePartition) {
+  // Each chunk carries 16 KiB of payload. The partition holds ~10 chunks
+  // and half of it holds 5: fills pin several chunks at once, and never
+  // more than that half holds.
+  PinOutcome half = RunPinned(160 * 1024);
+  EXPECT_EQ(half.bound, 5u);
+  EXPECT_GE(half.max_pinned, 2u);
+  EXPECT_LE(half.max_pinned, half.bound);
+
+  // Half of a 24 KiB partition holds no whole chunk. The first fill
+  // still goes through, and it is the only pin.
+  PinOutcome oversized = RunPinned(24 * 1024);
+  EXPECT_EQ(oversized.bound, 0u);
+  EXPECT_GT(oversized.issued, 0u);
+  EXPECT_EQ(oversized.max_pinned, 1u);
 }
 
 TEST(PrefetchSchedulerTest, RescaleRunsAreDeterministic) {

@@ -1,6 +1,6 @@
 // CacheFabric unit tests: directory dedup, demote/adopt accounting,
-// per-tenant budgets, weighted fair eviction, departed-residue priority and
-// the prefetch budget governor — all against the raw fabric, no deployment.
+// weighted fair eviction and departed-residue priority — all against the
+// raw fabric, no deployment.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -95,25 +95,6 @@ TEST_F(FabricTest, DemoteRetainsResidencyAndDedups) {
   EXPECT_EQ(fabric.Stats()[0].demoted_chunks, 2u);
 }
 
-TEST_F(FabricTest, PerTenantBudgetEvictsOwnOldestFirst) {
-  CacheFabric fabric(net_, {});
-  TenantBinding* a =
-      fabric.RegisterTenant("ds", {.name = "a", .budget_bytes = 1024});
-  for (size_t ci = 0; ci < 4; ++ci) {
-    a->Publish(0, ci, MakeBuffer(512, static_cast<uint8_t>(ci)), 0);
-  }
-  // Budget holds 2 x 512; the oldest two were self-evicted.
-  EXPECT_EQ(fabric.resident_chunks(), 2u);
-  auto stats = fabric.Stats();
-  EXPECT_EQ(stats[0].evictions, 2u);
-  EXPECT_EQ(stats[0].evicted_by_other, 0u);
-  sim::VirtualClock clock;
-  EXPECT_FALSE(a->Adopt(clock, 0, 0).ok());  // oldest gone
-  EXPECT_TRUE(a->Adopt(clock, 0, 3).ok());   // newest retained
-  // A chunk bigger than the whole budget is declined outright.
-  EXPECT_EQ(a->Demote(0, 9, MakeBuffer(4096, 0xff), 0), 0u);
-}
-
 TEST_F(FabricTest, CapacityEvictsFromHeaviestTenantPerWeight) {
   FabricOptions fopts;
   fopts.capacity_bytes = 4 * 512;
@@ -136,7 +117,6 @@ TEST_F(FabricTest, CapacityEvictsFromHeaviestTenantPerWeight) {
 TEST_F(FabricTest, DepartedResidueIsThePreferredVictim) {
   FabricOptions fopts;
   fopts.capacity_bytes = 4 * 512;
-  fopts.departed_weight = 0.25;
   CacheFabric fabric(net_, fopts);
   TenantBinding* gone = fabric.RegisterTenant("ds", {.name = "gone"});
   TenantBinding* live = fabric.RegisterTenant("ds2", {.name = "live"});
@@ -270,30 +250,6 @@ TEST_F(FabricTest, ReRegisteringRevivesTheDepartedTenant) {
   ASSERT_EQ(stats.size(), 1u);
   EXPECT_TRUE(stats[0].active);
   EXPECT_EQ(stats[0].resident_chunks, 1u);
-}
-
-TEST_F(FabricTest, PrefetchBudgetIsAWeightedShareOfThePool) {
-  FabricOptions fopts;
-  fopts.prefetch_pool_bytes_per_node = 4000;
-  CacheFabric fabric(net_, fopts);
-  TenantBinding* light =
-      fabric.RegisterTenant("ds", {.name = "light", .weight = 1.0});
-  TenantBinding* heavy =
-      fabric.RegisterTenant("ds2", {.name = "heavy", .weight = 3.0});
-  EXPECT_EQ(light->PrefetchBudgetBytes(0), 1000u);
-  EXPECT_EQ(heavy->PrefetchBudgetBytes(0), 3000u);
-  // A configured base still caps the share.
-  EXPECT_EQ(heavy->PrefetchBudgetBytes(500), 500u);
-  // Departed tenants drop out of the split.
-  fabric.DeregisterTenant(heavy);
-  EXPECT_EQ(light->PrefetchBudgetBytes(0), 4000u);
-}
-
-TEST_F(FabricTest, NoPoolLeavesSchedulerBudgetsUntouched) {
-  CacheFabric fabric(net_, {});
-  TenantBinding* a = fabric.RegisterTenant("ds", {.name = "a"});
-  EXPECT_EQ(a->PrefetchBudgetBytes(0), 0u);
-  EXPECT_EQ(a->PrefetchBudgetBytes(12345), 12345u);
 }
 
 }  // namespace
