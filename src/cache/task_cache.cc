@@ -8,6 +8,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/calibration.h"
+#include "tenant/fabric.h"
 
 namespace diesel::cache {
 namespace {
@@ -348,10 +349,9 @@ Result<SharedBytes> TaskCache::FetchChunkBlob(sim::VirtualClock& clock,
   const Nanos device0 = clock.now();
   DIESEL_ASSIGN_OR_RETURN(
       SharedBytes blob,
-      options_.retry.RunResult<SharedBytes>(
-          clock, [&]() -> Result<SharedBytes> {
-            return server_.ReadChunk(clock, reader, snapshot_.dataset(), id);
-          }));
+      options_.retry.Run(clock, [&] {
+        return server_.ReadChunk(clock, reader, snapshot_.dataset(), id);
+      }));
   RpMetrics().device_ns.Observe(static_cast<double>(clock.now() - device0));
   if (fabric_.tracer() != nullptr) {
     obs::ScopedSpan::NoteCurrent(
@@ -389,7 +389,7 @@ Result<TaskCache::Fill> TaskCache::FillChunk(sim::VirtualClock& clock,
                                              bool prefetched) {
   Fill fill;
   CachedChunk local;
-  SharedCacheTier* tier = shared_tier_.load(std::memory_order_acquire);
+  tenant::TenantBinding* tier = shared_tier_.load(std::memory_order_acquire);
   if (tier != nullptr) {
     // Warm start: another task already holds these bytes — adopt the shared
     // buffer (a refcount bump plus the simulated transfer), CRC memo
@@ -511,7 +511,7 @@ Result<core::FileSlice> TaskCache::ReadFromPartition(sim::VirtualClock& clock,
       CountCorruption();
     }
   }
-  SharedCacheTier* tier = shared_tier_.load(std::memory_order_acquire);
+  tenant::TenantBinding* tier = shared_tier_.load(std::memory_order_acquire);
   if (tier != nullptr && corrupt_evicted) {
     // The evicted copy's bytes may also be resident in the shared tier
     // (publish is a refcount share): purge them so the adopt below — and
@@ -682,7 +682,9 @@ Status TaskCache::FetchFromOwner(sim::VirtualClock& clock,
 
   // The owner sits behind a per-node circuit breaker: transient failures
   // retry with backoff; an unreachable owner opens the breaker (its in-RAM
-  // partition is presumed lost) and the caller falls back.
+  // partition is presumed lost) and the caller falls back. The loop is
+  // RetryPolicy::Run's, spelled out: an open breaker ends it without a
+  // retry, and each backoff is observed into read.path.backoff_ns.
   CircuitBreaker& breaker = BreakerFor(owner);
   const RetryPolicy& retry = options_.retry;
   const uint32_t max_attempts = std::max<uint32_t>(1, retry.max_attempts);
@@ -763,10 +765,7 @@ Status TaskCache::FetchFromOwner(sim::VirtualClock& clock,
     }
     if (attempt >= max_attempts) break;
     Nanos wait = retry.BackoffBefore(attempt);
-    if (retry.deadline_budget != 0 &&
-        clock.now() - start + wait > retry.deadline_budget) {
-      break;
-    }
+    if (clock.now() - start + wait > RetryPolicy::kDeadlineBudget) break;
     RpMetrics().backoff_ns.Observe(static_cast<double>(wait));
     if (span.active()) {
       span.NoteAt(clock.now(), "phase.backoff ns=" + std::to_string(wait));
@@ -797,7 +796,7 @@ Result<core::FileSlice> TaskCache::DegradedRead(sim::VirtualClock& clock,
   const Nanos degraded0 = clock.now();
   DIESEL_ASSIGN_OR_RETURN(
       Bytes content,
-      options_.retry.RunResult<Bytes>(clock, [&]() -> Result<Bytes> {
+      options_.retry.Run(clock, [&] {
         return server_.ReadFile(clock, requester.node, snapshot_.dataset(),
                                 meta.full_name);
       }));
@@ -1148,12 +1147,12 @@ void TaskCache::DropAll() {
   }
 }
 
-void TaskCache::AttachSharedTier(SharedCacheTier* tier) {
+void TaskCache::AttachSharedTier(tenant::TenantBinding* tier) {
   shared_tier_.store(tier, std::memory_order_release);
 }
 
 uint64_t TaskCache::Teardown(Nanos now) {
-  SharedCacheTier* tier = shared_tier_.load(std::memory_order_acquire);
+  tenant::TenantBinding* tier = shared_tier_.load(std::memory_order_acquire);
   uint64_t demoted_chunks = 0;
   uint64_t demoted_bytes = 0;
   uint64_t discarded_bytes = 0;

@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "cache/registry.h"
-#include "cache/shared_tier.h"
 #include "common/circuit_breaker.h"
 #include "common/retry.h"
 #include "core/chunk_buffer.h"
@@ -33,6 +32,10 @@
 #include "core/snapshot.h"
 #include "membership/membership.h"
 #include "net/fabric.h"
+
+namespace diesel::tenant {
+class TenantBinding;
+}  // namespace diesel::tenant
 
 namespace diesel::cache {
 
@@ -188,11 +191,12 @@ class TaskCache : public membership::MembershipListener {
 
   // ---- Cross-task shared tier (src/tenant) -------------------------------
 
-  /// Attach the cluster-wide shared tier: misses first try to adopt an
-  /// already-resident copy from another task, backend loads are published
-  /// for later tasks, and Teardown demotes residency instead of dropping
-  /// it. nullptr detaches. The tier must outlive the cache.
-  void AttachSharedTier(SharedCacheTier* tier);
+  /// Attach this task's binding on the cluster-wide shared tier
+  /// (tenant::CacheFabric): misses first try to adopt an already-resident
+  /// copy from another task, backend loads are published for later tasks,
+  /// and Teardown demotes residency instead of dropping it. nullptr
+  /// detaches. The fabric must outlive the cache.
+  void AttachSharedTier(tenant::TenantBinding* tier);
 
   /// Orderly end of task: every resident chunk is offered to the shared
   /// tier (demote) before the partitions are cleared. Without a tier this
@@ -421,7 +425,7 @@ class TaskCache : public membership::MembershipListener {
   /// Cross-task shared tier (null = task-private caching, the seed
   /// behavior). Hot paths read it lock-free; it only engages on misses and
   /// teardown, so attached-but-idle costs nothing.
-  std::atomic<SharedCacheTier*> shared_tier_{nullptr};
+  std::atomic<tenant::TenantBinding*> shared_tier_{nullptr};
   /// In-flight move of one chunk: the old owner serves reads until
   /// ready_at, after which the source copy is finalized away.
   struct MigrationRec {

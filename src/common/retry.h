@@ -23,57 +23,46 @@
 namespace diesel {
 
 struct RetryPolicy {
+  /// Each backoff is the previous one times kBackoffMultiplier, capped at
+  /// kMaxBackoff, then scaled by a factor drawn from [1 - kJitterFrac,
+  /// 1 + kJitterFrac] via a hash of (kJitterSeed, attempt).
+  static constexpr double kBackoffMultiplier = 2.0;
+  static constexpr Nanos kMaxBackoff = Millis(50);
+  static constexpr double kJitterFrac = 0.25;
+  static constexpr uint64_t kJitterSeed = 0x9E3779B97F4A7C15ULL;
+  /// Virtual-time budget for the whole operation (waits included), measured
+  /// from the first attempt. A retry whose backoff would exceed it is not
+  /// attempted.
+  static constexpr Nanos kDeadlineBudget = Millis(500);
+
   /// Total tries including the first. <= 1 disables retrying.
   uint32_t max_attempts = 4;
   Nanos initial_backoff = Micros(500);
-  double backoff_multiplier = 2.0;
-  Nanos max_backoff = Millis(50);
-  /// Virtual-time budget for the whole operation (waits included), measured
-  /// from the first attempt. 0 = unlimited. A retry whose backoff would
-  /// exceed the budget is not attempted.
-  Nanos deadline_budget = Millis(500);
-  /// Deterministic jitter: each backoff is scaled by a factor drawn from
-  /// [1 - jitter_frac, 1 + jitter_frac] via a hash of (jitter_seed, attempt).
-  double jitter_frac = 0.25;
-  uint64_t jitter_seed = 0x9E3779B97F4A7C15ULL;
 
   /// Backoff charged before retry number `attempt` (1 = first retry).
   Nanos BackoffBefore(uint32_t attempt) const;
 
-  /// Drive `fn` (returning Status) until it succeeds, fails with a
-  /// non-transient code, or the policy is exhausted. Backoff waits advance
-  /// `clock`; the last Status is returned.
+  /// Drive `fn` (returning Status or Result<T>) until it succeeds, fails
+  /// with a non-transient code, or the policy is exhausted. Backoff waits
+  /// advance `clock`; the last outcome is returned.
   template <typename Fn>
-  Status Run(sim::VirtualClock& clock, Fn&& fn) const {
+  auto Run(sim::VirtualClock& clock, Fn&& fn) const -> decltype(fn()) {
     const Nanos start = clock.now();
     for (uint32_t attempt = 1;; ++attempt) {
-      Status st = fn();
-      if (!st.IsUnavailable()) return st;
-      if (attempt >= std::max<uint32_t>(1, max_attempts)) return st;
+      decltype(fn()) r = fn();
+      if (!Transient(r)) return r;
+      if (attempt >= std::max<uint32_t>(1, max_attempts)) return r;
       Nanos wait = BackoffBefore(attempt);
-      if (deadline_budget != 0 &&
-          clock.now() - start + wait > deadline_budget) {
-        return st;
-      }
+      if (clock.now() - start + wait > kDeadlineBudget) return r;
       clock.Advance(wait);
     }
   }
 
-  /// Result<T> flavour of Run().
-  template <typename T, typename Fn>
-  Result<T> RunResult(sim::VirtualClock& clock, Fn&& fn) const {
-    const Nanos start = clock.now();
-    for (uint32_t attempt = 1;; ++attempt) {
-      Result<T> r = fn();
-      if (!r.status().IsUnavailable()) return r;
-      if (attempt >= std::max<uint32_t>(1, max_attempts)) return r;
-      Nanos wait = BackoffBefore(attempt);
-      if (deadline_budget != 0 &&
-          clock.now() - start + wait > deadline_budget) {
-        return r;
-      }
-      clock.Advance(wait);
-    }
+ private:
+  static bool Transient(const Status& st) { return st.IsUnavailable(); }
+  template <typename T>
+  static bool Transient(const Result<T>& r) {
+    return r.status().IsUnavailable();
   }
 };
 

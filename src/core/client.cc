@@ -65,7 +65,7 @@ Status DieselClient::Flush() {
   // Write-behind: DL_flush returns once the local buffer is on the wire;
   // durability time is tracked for callers that need the write makespan.
   DIESEL_ASSIGN_OR_RETURN(
-      Nanos durable, WithServerRetry<Nanos>([&](DieselServer& s) {
+      Nanos durable, WithServerRetry([&](DieselServer& s) {
         return s.IngestChunkAsync(clock_, options_.node, options_.dataset,
                                   chunk);
       }));
@@ -83,7 +83,7 @@ Result<FileMeta> DieselClient::ResolveMeta(const std::string& path) {
     return *fm;
   }
   ++stats_.server_metadata_ops;
-  return WithServerRetry<FileMeta>([&](DieselServer& s) {
+  return WithServerRetry([&](DieselServer& s) {
     return s.StatFile(clock_, options_.node, options_.dataset, path);
   });
 }
@@ -97,7 +97,7 @@ Result<Bytes> DieselClient::Get(const std::string& path) {
     return content.ToBytes();  // DL_get hands the caller an owned buffer
   }
   DIESEL_ASSIGN_OR_RETURN(Bytes content,
-                          WithServerRetry<Bytes>([&](DieselServer& s) {
+                          WithServerRetry([&](DieselServer& s) {
                             return s.ReadFile(clock_, options_.node,
                                               options_.dataset, path);
                           }));
@@ -124,14 +124,14 @@ Result<std::vector<DirEntry>> DieselClient::List(const std::string& dir_path) {
     return out;
   }
   ++stats_.server_metadata_ops;
-  return WithServerRetry<std::vector<DirEntry>>([&](DieselServer& s) {
+  return WithServerRetry([&](DieselServer& s) {
     return s.ListDir(clock_, options_.node, options_.dataset, dir_path);
   });
 }
 
 Status DieselClient::Delete(const std::string& path) {
   // Deletion invalidates any loaded snapshot (dataset timestamp moves).
-  Status st = WithServerRetryStatus([&](DieselServer& s) {
+  Status st = WithServerRetry([&](DieselServer& s) {
     return s.DeleteFile(clock_, options_.node, options_.dataset, path);
   });
   if (st.ok() && snapshot_) snapshot_.reset();
@@ -141,7 +141,7 @@ Status DieselClient::Delete(const std::string& path) {
 Status DieselClient::FetchSnapshot() {
   DIESEL_ASSIGN_OR_RETURN(
       MetadataSnapshot snap,
-      WithServerRetry<MetadataSnapshot>([&](DieselServer& s) {
+      WithServerRetry([&](DieselServer& s) {
         return s.BuildSnapshot(clock_, options_.node, options_.dataset);
       }));
   snapshot_ = std::move(snap);
@@ -168,7 +168,7 @@ Status DieselClient::LoadMeta(ostore::ObjectStore& local_disk,
   // Freshness check against the KV record (§4.1.3).
   DIESEL_ASSIGN_OR_RETURN(
       DatasetMeta current,
-      WithServerRetry<DatasetMeta>([&](DieselServer& s) {
+      WithServerRetry([&](DieselServer& s) {
         return s.GetDatasetMeta(clock_, options_.node, options_.dataset);
       }));
   if (!snap.IsUpToDate(current))

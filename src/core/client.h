@@ -137,15 +137,9 @@ class DieselClient {
   /// Drive `fn(server)` under the default retry policy, re-picking the
   /// server on every attempt so a flapped server fails over to its peers
   /// instead of failing the op.
-  template <typename T, typename Fn>
-  Result<T> WithServerRetry(Fn&& fn) {
-    return RetryPolicy{}.RunResult<T>(
-        clock_, [&]() -> Result<T> { return fn(*PickServer()); });
-  }
   template <typename Fn>
-  Status WithServerRetryStatus(Fn&& fn) {
-    return RetryPolicy{}.Run(clock_,
-                             [&]() -> Status { return fn(*PickServer()); });
+  auto WithServerRetry(Fn&& fn) {
+    return RetryPolicy{}.Run(clock_, [&] { return fn(*PickServer()); });
   }
 
   net::Fabric& fabric_;

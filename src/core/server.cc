@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 #include <numeric>
 
 #include "common/retry.h"
@@ -189,15 +190,21 @@ Result<std::vector<Bytes>> DieselServer::ReadFiles(
           const ChunkId& chunk = metas[order[i]].chunk;
           if (i == 0 || metas[order[i - 1]].chunk != chunk)
             key = ChunkObjectKey(dataset, chunk);
-          uint64_t lo = metas[order[i]].offset;
-          uint64_t hi = lo + metas[order[i]].length;
-          size_t j = i + 1;
-          while (j < order.size() && metas[order[j]].chunk == chunk) {
-            uint64_t b = metas[order[j]].offset;
-            uint64_t e = b + metas[order[j]].length;
-            if (b > hi + options_.merge_gap_bytes) break;
-            hi = std::max(hi, e);
-            ++j;
+          // Subtractions only: a decoded record whose offset + length
+          // wraps must not shrink the range its neighbours are copied from.
+          const uint64_t lo = metas[order[i]].offset;
+          uint64_t hi = lo;
+          size_t j = i;
+          for (; j < order.size() && metas[order[j]].chunk == chunk; ++j) {
+            const FileMeta& fm = metas[order[j]];
+            if (fm.length > std::numeric_limits<uint64_t>::max() - fm.offset) {
+              result = Status::Corruption("file range wraps: " + fm.full_name);
+              return srv.now();
+            }
+            if (j > i && fm.offset > hi &&
+                fm.offset - hi > options_.merge_gap_bytes)
+              break;
+            hi = std::max(hi, fm.offset + fm.length);
           }
           sim::VirtualClock& stream = sim::EarliestStream(streams);
           Result<Bytes> range =
@@ -446,7 +453,7 @@ Result<RecoveryStats> DieselServer::RecoverMetadata(sim::VirtualClock& clock,
   const RetryPolicy rp{};
   DIESEL_ASSIGN_OR_RETURN(
       std::vector<std::string> keys,
-      rp.RunResult<std::vector<std::string>>(clock, [&] {
+      rp.Run(clock, [&] {
         return store_.List(clock, options_.node, ChunkObjectPrefix(dataset));
       }));
   // Keys are lexicographically sorted == chunk write order (base64lex).
@@ -458,14 +465,14 @@ Result<RecoveryStats> DieselServer::RecoverMetadata(sim::VirtualClock& clock,
     if (from_ts_sec != 0 && id.timestamp_sec() < from_ts_sec) continue;
     // Header-only read: peek the header length, then fetch just the header.
     DIESEL_ASSIGN_OR_RETURN(Bytes first12,
-                            rp.RunResult<Bytes>(clock, [&] {
+                            rp.Run(clock, [&] {
                               return store_.GetRange(clock, options_.node,
                                                      key, 0, 12);
                             }));
     DIESEL_ASSIGN_OR_RETURN(uint32_t header_len,
                             ChunkView::PeekHeaderLen(first12));
     DIESEL_ASSIGN_OR_RETURN(Bytes header,
-                            rp.RunResult<Bytes>(clock, [&] {
+                            rp.Run(clock, [&] {
                               return store_.GetRange(clock, options_.node,
                                                      key, 0, header_len);
                             }));
@@ -473,7 +480,7 @@ Result<RecoveryStats> DieselServer::RecoverMetadata(sim::VirtualClock& clock,
     DIESEL_ASSIGN_OR_RETURN(ChunkView view, ChunkView::ParseHeaderOnly(header));
 
     DIESEL_ASSIGN_OR_RETURN(uint64_t blob_size,
-                            rp.RunResult<uint64_t>(clock, [&] {
+                            rp.Run(clock, [&] {
                               return store_.Size(clock, options_.node, key);
                             }));
     DIESEL_ASSIGN_OR_RETURN(

@@ -4,7 +4,9 @@
 #include <cassert>
 #include <functional>
 #include <span>
+#include <type_traits>
 
+#include "common/retry.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/calibration.h"
@@ -14,46 +16,6 @@ namespace {
 
 // Wire framing overhead per KV op (command name, lengths).
 constexpr uint64_t kOpOverheadBytes = 16;
-
-/// Per-op registry handles (op mix, retry count, terminal failures),
-/// resolved once per op kind.
-struct OpMetrics {
-  obs::Counter& ops;
-  obs::Counter& retries;
-  obs::Counter& failures;
-
-  explicit OpMetrics(const char* op)
-      : ops(obs::Metrics().GetCounter("kv.ops", {{"op", op}})),
-        retries(obs::Metrics().GetCounter("kv.retries", {{"op", op}})),
-        failures(obs::Metrics().GetCounter("kv.failures", {{"op", op}})) {}
-
-  /// Fold one finished operation in: `attempts` lambda invocations beyond
-  /// the first are retries; a bad terminal status is a failure. Retries are
-  /// also noted on `span` so fault runs read off the trace directly.
-  void Record(uint32_t attempts, const Status& final_status,
-              obs::ScopedSpan& span) {
-    ops.Inc();
-    if (attempts > 1) {
-      retries.Inc(attempts - 1);
-      span.Note("kv.retries=" + std::to_string(attempts - 1));
-    }
-    if (!final_status.ok()) {
-      failures.Inc();
-      span.Note("kv.failed: " + final_status.message());
-    }
-  }
-};
-
-/// Fabric::Call with `handler` passed by reference: a std::function keeps a
-/// reference_wrapper inline, where it would heap-allocate a lambda that
-/// captures more than two references, once per RPC.
-template <typename Handler>
-Status CallShard(net::Fabric& fabric, sim::VirtualClock& clock,
-                 sim::NodeId client, sim::NodeId shard_node, uint64_t req_bytes,
-                 uint64_t resp_bytes, Handler&& handler) {
-  return fabric.Call(clock, client, shard_node, req_bytes, resp_bytes,
-                     std::ref(handler));
-}
 
 /// Item indexes 0..n-1 grouped by owning shard, each group in item order
 /// (a counting sort): shard s's items are order[start[s], start[s+1]).
@@ -87,6 +49,39 @@ ShardGroups GroupByShard(size_t n, size_t num_shards, OwnerOf owner_of) {
 
 }  // namespace
 
+/// Per-op registry handles (op mix, retry count, terminal failures),
+/// resolved once per op kind.
+struct KvCluster::OpMetrics {
+  obs::Counter& ops;
+  obs::Counter& retries;
+  obs::Counter& failures;
+  /// A NotFound Get is a semantic answer, not a failed op.
+  const bool not_found_is_answer;
+
+  explicit OpMetrics(const char* op, bool not_found_is_answer = false)
+      : ops(obs::Metrics().GetCounter("kv.ops", {{"op", op}})),
+        retries(obs::Metrics().GetCounter("kv.retries", {{"op", op}})),
+        failures(obs::Metrics().GetCounter("kv.failures", {{"op", op}})),
+        not_found_is_answer(not_found_is_answer) {}
+
+  /// Fold one finished operation in: `attempts` lambda invocations beyond
+  /// the first are retries; a bad terminal status is a failure. Retries are
+  /// also noted on `span` so fault runs read off the trace directly.
+  void Record(uint32_t attempts, const Status& final_status,
+              obs::ScopedSpan& span) {
+    ops.Inc();
+    if (attempts > 1) {
+      retries.Inc(attempts - 1);
+      span.Note("kv.retries=" + std::to_string(attempts - 1));
+    }
+    if (!final_status.ok() &&
+        !(not_found_is_answer && final_status.IsNotFound())) {
+      failures.Inc();
+      span.Note("kv.failed: " + final_status.message());
+    }
+  }
+};
+
 KvCluster::KvCluster(net::Fabric& fabric, KvClusterOptions options)
     : fabric_(fabric), options_(std::move(options)) {
   assert(!options_.nodes.empty());
@@ -109,6 +104,31 @@ Status KvCluster::CheckShardUp(uint32_t s) const {
   return Status::Ok();
 }
 
+template <typename R, typename Handler>
+R KvCluster::CallWithRetry(sim::VirtualClock& clock, sim::NodeId client,
+                           uint32_t s, uint64_t req_bytes, uint64_t resp_bytes,
+                           OpMetrics& metrics, obs::ScopedSpan& span,
+                           R& outcome, Handler&& handler) {
+  uint32_t attempts = 0;
+  R final_outcome = RetryPolicy{}.Run(clock, [&]() -> R {
+    ++attempts;
+    DIESEL_RETURN_IF_ERROR(CheckShardUp(s));
+    // `handler` by reference: a std::function keeps a reference_wrapper
+    // inline, where it would heap-allocate a lambda that captures more than
+    // two references, once per RPC.
+    DIESEL_RETURN_IF_ERROR(fabric_.Call(clock, client, shard_node_[s],
+                                        req_bytes, resp_bytes,
+                                        std::ref(handler)));
+    return std::move(outcome);
+  });
+  if constexpr (std::is_same_v<R, Status>) {
+    metrics.Record(attempts, final_outcome, span);
+  } else {
+    metrics.Record(attempts, final_outcome.status(), span);
+  }
+  return final_outcome;
+}
+
 Status KvCluster::Put(sim::VirtualClock& clock, sim::NodeId client,
                       std::string_view key, std::string_view value) {
   static OpMetrics metrics("put");
@@ -117,52 +137,29 @@ Status KvCluster::Put(sim::VirtualClock& clock, sim::NodeId client,
   uint32_t s = ring_.OwnerOfHash(hkey.hash);
   Shard& shard = *shards_[s];
   uint64_t req = key.size() + value.size() + kOpOverheadBytes;
-  uint32_t attempts = 0;
-  Status final_status = options_.retry.Run(clock, [&]() -> Status {
-    ++attempts;
-    DIESEL_RETURN_IF_ERROR(CheckShardUp(s));
-    Status op_status;
-    DIESEL_RETURN_IF_ERROR(CallShard(
-        fabric_, clock, client, shard_node_[s], req, kOpOverheadBytes,
-        [&](Nanos arrival) {
-          op_status = shard.Put(hkey, value);
-          return shard.service().Serve(arrival, req);
-        }));
-    return op_status;
-  });
-  metrics.Record(attempts, final_status, span);
-  return final_status;
+  Status op_status;
+  return CallWithRetry(clock, client, s, req, kOpOverheadBytes, metrics, span,
+                       op_status, [&](Nanos arrival) {
+                         op_status = shard.Put(hkey, value);
+                         return shard.service().Serve(arrival, req);
+                       });
 }
 
 Result<std::string> KvCluster::Get(sim::VirtualClock& clock, sim::NodeId client,
                                    const std::string& key) {
-  static OpMetrics metrics("get");
+  static OpMetrics metrics("get", /*not_found_is_answer=*/true);
   obs::ScopedSpan span(fabric_.tracer(), "kv.get", clock, client);
   const HashedKey hkey(key);
   uint32_t s = ring_.OwnerOfHash(hkey.hash);
   Shard& shard = *shards_[s];
   uint64_t req = key.size() + kOpOverheadBytes;
-  uint32_t attempts = 0;
-  Result<std::string> final_result =
-      options_.retry.RunResult<std::string>(clock, [&]() -> Result<std::string> {
-    ++attempts;
-    DIESEL_RETURN_IF_ERROR(CheckShardUp(s));
-    Result<std::string> result = Status::Internal("unset");
-    DIESEL_RETURN_IF_ERROR(CallShard(
-        fabric_, clock, client, shard_node_[s], req, /*resp guess=*/256,
-        [&](Nanos arrival) {
-          result = shard.Get(hkey);
-          uint64_t resp = result.ok() ? result.value().size() : 0;
-          return shard.service().Serve(arrival, req + resp);
-        }));
-    return result;
-  });
-  // A NotFound Get is a semantic answer, not a failed op.
-  metrics.Record(attempts,
-                 final_result.status().IsNotFound() ? Status::Ok()
-                                                    : final_result.status(),
-                 span);
-  return final_result;
+  Result<std::string> result = Status::Internal("unset");
+  return CallWithRetry(clock, client, s, req, /*resp guess=*/256, metrics,
+                       span, result, [&](Nanos arrival) {
+                         result = shard.Get(hkey);
+                         uint64_t resp = result.ok() ? result.value().size() : 0;
+                         return shard.service().Serve(arrival, req + resp);
+                       });
 }
 
 Status KvCluster::Delete(sim::VirtualClock& clock, sim::NodeId client,
@@ -173,21 +170,12 @@ Status KvCluster::Delete(sim::VirtualClock& clock, sim::NodeId client,
   uint32_t s = ring_.OwnerOfHash(hkey.hash);
   Shard& shard = *shards_[s];
   uint64_t req = key.size() + kOpOverheadBytes;
-  uint32_t attempts = 0;
-  Status final_status = options_.retry.Run(clock, [&]() -> Status {
-    ++attempts;
-    DIESEL_RETURN_IF_ERROR(CheckShardUp(s));
-    Status op_status;
-    DIESEL_RETURN_IF_ERROR(CallShard(
-        fabric_, clock, client, shard_node_[s], req, kOpOverheadBytes,
-        [&](Nanos arrival) {
-          op_status = shard.Delete(hkey);
-          return shard.service().Serve(arrival, req);
-        }));
-    return op_status;
-  });
-  metrics.Record(attempts, final_status, span);
-  return final_status;
+  Status op_status;
+  return CallWithRetry(clock, client, s, req, kOpOverheadBytes, metrics, span,
+                       op_status, [&](Nanos arrival) {
+                         op_status = shard.Delete(hkey);
+                         return shard.service().Serve(arrival, req);
+                       });
 }
 
 Status KvCluster::BatchPut(sim::VirtualClock& clock, sim::NodeId client,
@@ -207,24 +195,16 @@ Status KvCluster::BatchPut(sim::VirtualClock& clock, sim::NodeId client,
     for (uint32_t i : group) {
       req += batch.key(i).key.size() + batch.value(i).size() + kOpOverheadBytes;
     }
-    uint32_t attempts = 0;
-    Status shard_status = options_.retry.Run(clock, [&]() -> Status {
-      ++attempts;
-      DIESEL_RETURN_IF_ERROR(CheckShardUp(s));
-      Status op_status;
-      DIESEL_RETURN_IF_ERROR(CallShard(
-          fabric_, clock, client, shard_node_[s], req, kOpOverheadBytes,
-          [&](Nanos arrival) {
-            // Pipelined batch: the shard pays its per-command latency once
-            // and a marginal per-entry cost for the rest (Redis pipelining).
-            op_status = shard.PutBatch(batch, group);
-            return shard.service().Serve(
-                arrival, req, sim::kKvBatchEntryCost * (group.size() - 1));
-          }));
-      return op_status;
-    });
-    metrics.Record(attempts, shard_status, span);
-    if (!shard_status.ok()) return shard_status;
+    Status op_status;
+    DIESEL_RETURN_IF_ERROR(CallWithRetry(
+        clock, client, s, req, kOpOverheadBytes, metrics, span, op_status,
+        [&](Nanos arrival) {
+          // Pipelined batch: the shard pays its per-command latency once
+          // and a marginal per-entry cost for the rest (Redis pipelining).
+          op_status = shard.PutBatch(batch, group);
+          return shard.service().Serve(
+              arrival, req, sim::kKvBatchEntryCost * (group.size() - 1));
+        }));
   }
   return Status::Ok();
 }
@@ -253,29 +233,22 @@ Result<std::vector<std::optional<std::string>>> KvCluster::MGet(
       Shard& shard = *shards_[s];
       uint64_t req = kOpOverheadBytes;
       for (size_t i : indices) req += keys[i].size();
-      uint32_t attempts = 0;
-      Status shard_status = options_.retry.Run(sub, [&]() -> Status {
-        ++attempts;
-        DIESEL_RETURN_IF_ERROR(CheckShardUp(s));
-        return CallShard(
-            fabric_, sub, client, shard_node_[s], req, kOpOverheadBytes,
-            [&](Nanos arrival) {
-              uint64_t resp = 0;
-              for (uint32_t i : indices) {
-                Result<std::string> v =
-                    shard.Get(HashedKey(keys[i], hashes[i]));
-                if (v.ok()) {
-                  resp += v.value().size();
-                  out[i] = std::move(v).value();
-                }
+      Status served;  // a delivered multi-get cannot fail at the shard
+      return CallWithRetry(
+          sub, client, s, req, kOpOverheadBytes, metrics, span, served,
+          [&](Nanos arrival) {
+            uint64_t resp = 0;
+            for (uint32_t i : indices) {
+              Result<std::string> v = shard.Get(HashedKey(keys[i], hashes[i]));
+              if (v.ok()) {
+                resp += v.value().size();
+                out[i] = std::move(v).value();
               }
-              return shard.service().Serve(
-                  arrival, req + resp,
-                  sim::kKvBatchEntryCost * (indices.size() - 1));
-            });
-      });
-      metrics.Record(attempts, shard_status, span);
-      return shard_status;
+            }
+            return shard.service().Serve(
+                arrival, req + resp,
+                sim::kKvBatchEntryCost * (indices.size() - 1));
+          });
     });
   }
   DIESEL_RETURN_IF_ERROR(fan.Finish());
@@ -289,28 +262,23 @@ Status KvCluster::Scan(sim::VirtualClock& clock, sim::NodeId client,
   obs::ScopedSpan span(fabric_.tracer(), "kv.pscan", clock, client);
   for (uint32_t s = 0; s < shards_.size(); ++s) {
     Shard& shard = *shards_[s];
+    // Returned after the retries, not as the attempt's answer: the handler
+    // has visited entries by the time it is known.
     Status scan_status = Status::Internal("unset");
-    uint32_t attempts = 0;
-    Status shard_status = options_.retry.Run(clock, [&]() -> Status {
-      ++attempts;
-      DIESEL_RETURN_IF_ERROR(CheckShardUp(s));
-      return CallShard(
-          fabric_, clock, client, shard_node_[s],
-          prefix.size() + kOpOverheadBytes, /*resp guess=*/1024,
-          [&](Nanos arrival) {
-            // The handler runs only once the request is delivered, and
-            // nothing after it can fail the call, so it runs at most once.
-            uint64_t resp = 0;
-            scan_status = shard.Scan(
-                prefix, limit, [&](std::string_view key, std::string_view value) {
-                  resp += key.size() + value.size();
-                  visit(s, key, value);
-                });
-            return shard.service().Serve(arrival, resp + kOpOverheadBytes);
-          });
-    });
-    metrics.Record(attempts, shard_status, span);
-    DIESEL_RETURN_IF_ERROR(shard_status);
+    Status served;
+    DIESEL_RETURN_IF_ERROR(CallWithRetry(
+        clock, client, s, prefix.size() + kOpOverheadBytes,
+        /*resp guess=*/1024, metrics, span, served, [&](Nanos arrival) {
+          // The handler runs only once the request is delivered, and
+          // nothing after it can fail the call, so it runs at most once.
+          uint64_t resp = 0;
+          scan_status = shard.Scan(
+              prefix, limit, [&](std::string_view key, std::string_view value) {
+                resp += key.size() + value.size();
+                visit(s, key, value);
+              });
+          return shard.service().Serve(arrival, resp + kOpOverheadBytes);
+        }));
     DIESEL_RETURN_IF_ERROR(scan_status);
   }
   return Status::Ok();

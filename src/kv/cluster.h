@@ -18,12 +18,15 @@
 #include <utility>
 #include <vector>
 
-#include "common/retry.h"
 #include "common/status.h"
 #include "kv/ring.h"
 #include "kv/shard.h"
 #include "net/fabric.h"
 #include "sim/clock.h"
+
+namespace diesel::obs {
+class ScopedSpan;
+}  // namespace diesel::obs
 
 namespace diesel::kv {
 
@@ -31,10 +34,6 @@ struct KvClusterOptions {
   /// Nodes hosting shards.
   std::vector<sim::NodeId> nodes;
   uint32_t shards_per_node = 4;
-  /// Per-operation retry around shard flaps and injected RPC drops. The
-  /// default budget rides out short outages; permanently-down shards still
-  /// surface Unavailable once the policy is exhausted.
-  RetryPolicy retry{};
 };
 
 class KvCluster {
@@ -111,7 +110,19 @@ class KvCluster {
   }
 
  private:
+  struct OpMetrics;
+
   Status CheckShardUp(uint32_t s) const;
+
+  /// The protocol every op runs against shard `s`, under RetryPolicy{} so
+  /// short flaps and injected RPC drops are ridden out: each attempt checks
+  /// the shard is up, then calls it with `handler` (arrival -> service end),
+  /// which leaves the op's answer in `outcome`. Returns the call's error or
+  /// that answer, after folding the attempts into `metrics`.
+  template <typename R, typename Handler>
+  R CallWithRetry(sim::VirtualClock& clock, sim::NodeId client, uint32_t s,
+                  uint64_t req_bytes, uint64_t resp_bytes, OpMetrics& metrics,
+                  obs::ScopedSpan& span, R& outcome, Handler&& handler);
 
   net::Fabric& fabric_;
   KvClusterOptions options_;

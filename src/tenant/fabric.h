@@ -7,12 +7,17 @@
 // PAPERS.md): a chunk resident for one task is served to every task reading
 // that dataset, a newly registered task warm-starts by adopting resident
 // chunks instead of re-reading the object store, and an orderly teardown
-// demotes residency into the fabric instead of dropping it.
+// demotes residency into the fabric instead of dropping it. Each task
+// reaches it through its TenantBinding (TaskCache::AttachSharedTier); the
+// task cache stays the authority for its own partitions.
 //
 // Sharing is by core::ChunkBuffer refcount: the directory, every task
 // cache, and every outstanding FileSlice hold references on the same
-// immutable blob, so slices handed to task A stay valid after task B — the
-// task that loaded the bytes — tears down, migrates, or crashes.
+// immutable blob, so adoption is a refcount bump (plus the simulated
+// transfer charge) and slices handed to task A stay valid after task B —
+// the task that loaded the bytes — tears down, migrates, or crashes. The
+// buffer carries its own per-file CRC memo, so a file whose checksum one
+// task has checked is not scanned again by any task holding the blob.
 //
 // Admission/QoS: tenants carry weights. Under capacity pressure the fabric
 // evicts from the tenant with the largest bytes/weight ratio (weighted
@@ -29,9 +34,13 @@
 #include <utility>
 #include <vector>
 
-#include "cache/shared_tier.h"
+#include "common/status.h"
+#include "common/units.h"
+#include "core/chunk_buffer.h"
 #include "net/fabric.h"
 #include "obs/metrics.h"
+#include "sim/clock.h"
+#include "sim/node.h"
 
 namespace diesel::tenant {
 
@@ -71,20 +80,36 @@ struct TenantStats {
 
 class CacheFabric;
 
-/// One task's handle on the fabric: implements the cache-facing
-/// SharedCacheTier (attach with TaskCache::AttachSharedTier). Owned by the
-/// fabric; valid until the fabric is destroyed — deregistering only marks
-/// the tenant departed.
-class TenantBinding : public cache::SharedCacheTier {
+/// One task's handle on the fabric (attach with TaskCache::AttachSharedTier).
+/// Owned by the fabric; valid until the fabric is destroyed — deregistering
+/// only marks the tenant departed. All state lives in the fabric.
+class TenantBinding {
  public:
+  /// Warm-start lookup for `chunk_index` of the bound dataset. On a hit the
+  /// simulated transfer (home node -> `reader`) is charged to `clock` and
+  /// the shared buffer is returned; NotFound means nothing is resident and
+  /// the caller pays the backend read.
   Result<core::ChunkBuffer> Adopt(sim::VirtualClock& clock, sim::NodeId reader,
-                                  size_t chunk_index) override;
+                                  size_t chunk_index);
+
+  /// Offer a freshly backend-loaded chunk (now resident on `home`) so other
+  /// tasks can adopt it. Admission may decline; either way the caller keeps
+  /// its own copy.
   void Publish(sim::NodeId home, size_t chunk_index,
-               const core::ChunkBuffer& buffer, Nanos now) override;
+               const core::ChunkBuffer& buffer, Nanos now);
+
+  /// Teardown demote: offer a resident chunk to the fabric instead of
+  /// dropping it. Returns the bytes the fabric retained (0 = declined, the
+  /// bytes are genuinely discarded).
   uint64_t Demote(sim::NodeId home, size_t chunk_index,
-                  const core::ChunkBuffer& buffer, Nanos now) override;
-  void Invalidate(size_t chunk_index,
-                  const core::ChunkBuffer& buffer) override;
+                  const core::ChunkBuffer& buffer, Nanos now);
+
+  /// A reader detected CRC corruption in `buffer` (a copy it adopted from,
+  /// or published to, the fabric). Drop the shared entry for `chunk_index`
+  /// iff it still holds those exact bytes, so later adopters do not keep
+  /// paying the adopt transfer + failed scan + backend refetch; if the
+  /// entry was already replaced with a different blob, this is a no-op.
+  void Invalidate(size_t chunk_index, const core::ChunkBuffer& buffer);
 
   /// Bound dataset. Read under the fabric mutex — revival may rebind it
   /// concurrently with readers.
@@ -94,6 +119,11 @@ class TenantBinding : public cache::SharedCacheTier {
   friend class CacheFabric;
   TenantBinding(CacheFabric* fabric, size_t slot)
       : fabric_(fabric), slot_(slot) {}
+
+  /// Publish/Demote shared body (takes the fabric lock). Returns bytes
+  /// retained in the fabric (0 = declined/discarded).
+  uint64_t Offer(sim::NodeId home, size_t chunk_index,
+                 const core::ChunkBuffer& buffer, bool demote);
 
   CacheFabric* fabric_;
   size_t slot_;  // index into the fabric's tenant table
@@ -149,19 +179,9 @@ class CacheFabric {
   };
 
   struct TenantRec {
-    TenantOptions opts;
     std::string dataset;
     Series series;
-    bool active = true;
-    uint64_t charged_bytes = 0;
-    uint64_t resident_chunks = 0;
-    uint64_t published_chunks = 0;
-    uint64_t demoted_chunks = 0;
-    uint64_t adopted_chunks = 0;
-    uint64_t adopted_bytes = 0;
-    uint64_t shared_hits = 0;
-    uint64_t evictions = 0;
-    uint64_t evicted_by_other = 0;
+    TenantStats stats;  // name, weight, active and the counters
     std::deque<Key> fifo;  // own entries, insertion order (victim scan)
     std::unique_ptr<TenantBinding> binding;
   };
@@ -176,25 +196,6 @@ class CacheFabric {
 
   /// Evict `victim`'s oldest entry (lock held). False when it has none.
   bool EvictOldestLocked(size_t victim, size_t for_tenant);
-
-  /// Publish/Demote shared body (takes the lock). Returns bytes retained in
-  /// the shared tier (0 = declined/discarded).
-  uint64_t Offer(size_t slot, sim::NodeId home, size_t chunk_index,
-                 const core::ChunkBuffer& buffer, bool demote);
-
-  /// Corruption invalidation body: erase the entry iff it still holds
-  /// exactly `buffer`'s bytes (identity by shared blob pointer).
-  void InvalidateImpl(size_t slot, size_t chunk_index,
-                      const core::ChunkBuffer& buffer);
-
-  /// Binding accessor body (the bound dataset is rebound on revival, so
-  /// reads go through the fabric mutex).
-  std::string DatasetOf(size_t slot) const;
-
-  /// Adoption body: directory lookup under the lock, virtual-time transfer
-  /// charge outside it (the handler touches shared simulated devices).
-  Result<core::ChunkBuffer> AdoptImpl(size_t slot, sim::VirtualClock& clock,
-                                      sim::NodeId reader, size_t chunk_index);
 
   net::Fabric& fabric_;
   FabricOptions options_;

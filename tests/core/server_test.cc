@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <utility>
 
@@ -295,6 +296,32 @@ TEST_F(ServerTest, FileRecordsAddressTheStoredChunk) {
     }
   }
   EXPECT_EQ(files, spec_.total_files());
+}
+
+// A decoded file record whose offset + length wraps past 2^64 is corrupt.
+// Read behind a neighbour in the same chunk it must not shrink the merged
+// range the neighbour is copied from: the batch fails with Corruption.
+TEST_F(ServerTest, ReadFilesRejectsAWrappingFileRecord) {
+  const std::string first = dlt::FilePath(spec_, 0);
+  const std::string second = dlt::FilePath(spec_, 1);
+  auto a = server().metadata().GetFile(clock_, spec_.name, first);
+  auto b = server().metadata().GetFile(clock_, spec_.name, second);
+  ASSERT_TRUE(a.ok() && b.ok());
+  ASSERT_EQ(a->chunk, b->chunk);
+  ASSERT_LT(a->offset, b->offset);
+  FileMeta wrapped = *b;
+  wrapped.length = std::numeric_limits<uint64_t>::max() - b->offset + 2;
+  ASSERT_TRUE(deployment_->kv()
+                  .Put(clock_, 0, FileKey(spec_.name, second),
+                       AsStringView(wrapped.Serialize()))
+                  .ok());
+  std::vector<std::string> paths{first, second};
+  auto contents = server().ReadFiles(clock_, 0, spec_.name, paths);
+  EXPECT_TRUE(contents.status().IsCorruption()) << contents.status().ToString();
+  // The neighbour alone still reads back exactly.
+  auto alone = server().ReadFile(clock_, 0, spec_.name, first);
+  ASSERT_TRUE(alone.ok()) << alone.status().ToString();
+  EXPECT_TRUE(dlt::VerifyContent(spec_, 0, alone.value()));
 }
 
 // The whole dataset as one batch: its files span every chunk.

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
+#include "common/retry.h"
 #include "kv/cluster.h"
 #include "net/fault_injector.h"
 #include "obs/metrics.h"
@@ -117,13 +119,12 @@ struct FreshKv {
 };
 
 // A down shard fails the call, but every other touched shard is still
-// asked, and the caller's clock moves past those live sub-requests. Without
-// retries the down shard's sub-request ends at once, so the call takes
-// exactly as long as the live one alone.
+// asked, and the caller's clock moves past those live sub-requests. The
+// down shard's sub-request spends only its backoffs (the shard refuses
+// before any RPC), so the call takes as long as the longer of the live
+// group alone and those backoffs.
 TEST(MGetFanOutTest, DownShardStillWaitsForLiveSubRequests) {
-  KvClusterOptions opts;
-  opts.retry.max_attempts = 1;
-  FreshKv f(opts);
+  FreshKv f(KvClusterOptions{});
   KvCluster& kv = *f.kv;
   // The victim is shard 0, first in shard order; the live key is elsewhere.
   std::string victim, live;
@@ -148,7 +149,13 @@ TEST(MGetFanOutTest, DownShardStillWaitsForLiveSubRequests) {
   kv.FailShard(0);
   sim::VirtualClock clock(Millis(2000));
   EXPECT_TRUE(kv.MGet(clock, 0, {victim, live}).status().IsUnavailable());
-  EXPECT_EQ(clock.now() - Millis(2000), alone.now() - Millis(1000));
+  const RetryPolicy retry{};
+  Nanos backoffs = 0;
+  for (uint32_t a = 1; a < retry.max_attempts; ++a) {
+    backoffs += retry.BackoffBefore(a);
+  }
+  EXPECT_EQ(clock.now() - Millis(2000),
+            std::max(alone.now() - Millis(1000), backoffs));
   EXPECT_EQ(ops.value() - ops0, 2u);  // one op per shard group
   EXPECT_EQ(failures.value() - failures0, 1u);
 }

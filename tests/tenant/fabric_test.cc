@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "core/chunk_format.h"
 #include "net/fabric.h"
+#include "obs/metrics.h"
 #include "sim/node.h"
 #include "tenant/fabric.h"
 
@@ -250,6 +252,85 @@ TEST_F(FabricTest, ReRegisteringRevivesTheDepartedTenant) {
   ASSERT_EQ(stats.size(), 1u);
   EXPECT_TRUE(stats[0].active);
   EXPECT_EQ(stats[0].resident_chunks, 1u);
+}
+
+// Every Stats() row equals its tenant's labeled registry series after
+// publish, adopt, capacity eviction and invalidation by two tenants. The
+// registry is process-wide, so the names are this test's own and the
+// counters are compared as deltas.
+TEST_F(FabricTest, StatsRowsMatchTheRegistrySeries) {
+  const std::vector<std::string> names{"stats-mirror-a", "stats-mirror-b"};
+  struct Series {
+    const obs::Gauge& resident_bytes;
+    const obs::Gauge& resident_chunks;
+    const obs::Counter& adopted_chunks;
+    const obs::Counter& shared_hits;
+    const obs::Counter& evictions;
+    const obs::Counter& evicted_by_other;
+    uint64_t adopted0, hits0, evictions0, by_other0;
+  };
+  std::vector<Series> series;
+  for (const std::string& name : names) {
+    const obs::Labels labels{{"tenant", name}};
+    obs::MetricsRegistry& m = obs::Metrics();
+    Series s{m.GetGauge("tenant.resident_bytes", labels),
+             m.GetGauge("tenant.resident_chunks", labels),
+             m.GetCounter("tenant.fabric.adopted_chunks", labels),
+             m.GetCounter("tenant.shared_hits", labels),
+             m.GetCounter("tenant.evictions", labels),
+             m.GetCounter("tenant.evicted_by_other", labels),
+             0, 0, 0, 0};
+    s.adopted0 = s.adopted_chunks.value();
+    s.hits0 = s.shared_hits.value();
+    s.evictions0 = s.evictions.value();
+    s.by_other0 = s.evicted_by_other.value();
+    series.push_back(s);
+  }
+
+  FabricOptions fopts;
+  fopts.capacity_bytes = 4 * 512;
+  CacheFabric fabric(net_, fopts);
+  TenantBinding* a = fabric.RegisterTenant("ds", {.name = names[0]});
+  TenantBinding* b = fabric.RegisterTenant("ds", {.name = names[1]});
+  std::vector<core::ChunkBuffer> bufs;
+  for (uint8_t ci = 0; ci < 6; ++ci) bufs.push_back(MakeBuffer(512, ci));
+  for (size_t ci = 0; ci < 4; ++ci) a->Publish(0, ci, bufs[ci], 0);
+  sim::VirtualClock clock;
+  ASSERT_TRUE(b->Adopt(clock, 1, 1).ok());
+  ASSERT_TRUE(b->Adopt(clock, 1, 2).ok());
+  // Full: b's offers evict a's oldest chunks (0, then 1).
+  b->Publish(1, 4, bufs[4], 0);
+  b->Demote(1, 5, bufs[5], 0);
+  ASSERT_TRUE(a->Adopt(clock, 2, 4).ok());
+  a->Invalidate(2, bufs[2]);
+  b->Invalidate(5, bufs[5]);
+
+  const std::vector<TenantStats> rows = fabric.Stats();
+  ASSERT_EQ(rows.size(), names.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const TenantStats& row = rows[i];
+    const Series& s = series[i];
+    EXPECT_EQ(row.name, names[i]);
+    EXPECT_EQ(s.resident_bytes.value(),
+              static_cast<double>(row.resident_bytes)) << row.name;
+    EXPECT_EQ(s.resident_chunks.value(),
+              static_cast<double>(row.resident_chunks)) << row.name;
+    EXPECT_EQ(s.adopted_chunks.value() - s.adopted0, row.adopted_chunks)
+        << row.name;
+    EXPECT_EQ(s.shared_hits.value() - s.hits0, row.shared_hits) << row.name;
+    EXPECT_EQ(s.evictions.value() - s.evictions0, row.evictions) << row.name;
+    EXPECT_EQ(s.evicted_by_other.value() - s.by_other0, row.evicted_by_other)
+        << row.name;
+  }
+  // The script reached every counter it mirrors.
+  EXPECT_EQ(rows[0].resident_chunks, 1u);  // chunk 3
+  EXPECT_EQ(rows[0].evicted_by_other, 2u);
+  EXPECT_EQ(rows[0].shared_hits, 2u);
+  EXPECT_EQ(rows[0].adopted_chunks, 1u);
+  EXPECT_EQ(rows[1].resident_chunks, 1u);  // chunk 4
+  EXPECT_EQ(rows[1].adopted_chunks, 2u);
+  EXPECT_EQ(rows[1].shared_hits, 1u);
+  EXPECT_EQ(rows[1].demoted_chunks, 1u);
 }
 
 }  // namespace
